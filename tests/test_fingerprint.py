@@ -1,0 +1,50 @@
+"""Bit-exact fingerprints of reference runs.
+
+These pins make "byte-identical artifacts" a checked property: a change that
+is meant to preserve every number must pass this file unchanged, and a change
+that alters numerics must re-pin the values here and say so.
+
+Dataset noise goes through Box-Muller gaussians, which call libm's log, cos
+and sin (see semireg.rng). Those are exact on a given platform build but not
+across builds, so the pins hold per platform build of numpy and libm.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from semireg.cli import ExperimentConfig, build_split, main
+from semireg.training import run_experiment
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+QUICK_SHA256 = {
+    "metrics.json": "0330712146bb931c60f35d52a56af32c253b2251860c17eaf60b5570715ed1b8",
+    "loss_history.csv": "3d53a015ca039b412979ddb7c51bc5205b187ee6496c049d824ec0df70eff041",
+    "model_a.json": "c5409469ebb02b9e6e09f19efdab8084f0c1195bc872db866b7c3683962aea0f",
+    "model_b.json": "947d335a78281fa8233041f9fe16ad19096f4b28fe9f5f086a9c591a1d531d5a",
+    "bin_report.csv": "4bffcbf5d827d19ca441ca9efef74e939d754a146bb647a0ee34fcdbd0f092ee",
+}
+
+BENCHMARK_SEED0_TEST_MAE = "0.6318628031674981"
+
+
+@pytest.fixture(scope="module")
+def quick_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("quick")
+    assert main(["train", "--config", str(CONFIGS / "quick.json"), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("artifact", sorted(QUICK_SHA256))
+def test_quick_train_artifact_sha256(quick_run, artifact):
+    digest = hashlib.sha256((quick_run / artifact).read_bytes()).hexdigest()
+    assert digest == QUICK_SHA256[artifact]
+
+
+def test_benchmark_cell_seed0_test_mae():
+    config = ExperimentConfig.from_file(CONFIGS / "benchmark.json").with_seed(0)
+    _, split = build_split(config)
+    result = run_experiment(config.train_config(), split)
+    assert repr(result.test_mae) == BENCHMARK_SEED0_TEST_MAE
