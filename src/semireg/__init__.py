@@ -38,9 +38,7 @@ from .losses import (
     consistency_loss_labeled,
     consistency_loss_unlabeled,
     hetero_loss,
-    total_loss,
 )
-from .matrix import Matrix, matmul
 from .mlp import (
     ForwardTrace,
     MlpConfig,
@@ -70,7 +68,6 @@ __all__ = [
     "ExperimentResult",
     "ForwardTrace",
     "LossBreakdown",
-    "Matrix",
     "MlpConfig",
     "MlpModel",
     "Normalizer",
@@ -95,7 +92,6 @@ __all__ = [
     "load_csv",
     "load_model",
     "mae",
-    "matmul",
     "optimizer_update",
     "predict",
     "r_squared",
@@ -105,7 +101,6 @@ __all__ = [
     "save_model",
     "spearman_rank_corr",
     "split_semi_supervised",
-    "total_loss",
     "train_step",
     "uncertainty_binning",
     "variance_reduction_check",

@@ -19,7 +19,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -195,21 +195,9 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     def train_config(self) -> TrainConfig:
-        v = self.values
-        return TrainConfig(
-            epochs=v["epochs"],
-            batch_labeled=v["batch_labeled"],
-            batch_unlabeled=v["batch_unlabeled"],
-            learning_rate=v["learning_rate"],
-            optimizer=v["optimizer"],
-            unlabeled_weight=v["unlabeled_weight"],
-            ensemble_draws=v["ensemble_draws"],
-            dropout_p=v["dropout_p"],
-            hidden_dims=tuple(v["hidden_dims"]),
-            activation=v["activation"],
-            seed=v["seed"],
-            variant=v["variant"],
-        )
+        """The TrainConfig fields this config sets; the rest keep their defaults."""
+        names = (f.name for f in fields(TrainConfig))
+        return TrainConfig(**{name: self.values[name] for name in names if name in self.values})
 
 
 def build_split(config: ExperimentConfig) -> tuple[RegressionDataset, SemiSupervisedSplit]:

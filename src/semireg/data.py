@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataSchemaError, ParameterError
-from .matrix import Matrix
+from .errors import DataSchemaError, NonFiniteError, ParameterError, ShapeError
 from .rng import Rng
 
 TARGET_FUNCTIONS = ("linear", "sinusoidal", "piecewise")
@@ -24,34 +23,45 @@ NOISE_MODELS = ("constant", "input_dependent")
 
 @dataclass(frozen=True)
 class RegressionDataset:
-    """Feature rows with optional targets (None marks an unlabeled set)."""
+    """Feature rows with optional targets (None marks an unlabeled set).
 
-    features: Matrix
+    Features are copied into a read-only C-contiguous float64 array; they
+    must be 2-D (ShapeError) and finite (NonFiniteError).
+    """
+
+    features: np.ndarray
     targets: np.ndarray | None = None
     true_noise_sigma: np.ndarray | None = None
 
     def __post_init__(self):
+        features = np.array(self.features, dtype=np.float64, order="C")
+        if features.ndim != 2:
+            raise ShapeError(f"features must be 2-D, got shape {features.shape}")
+        if not np.isfinite(features).all():
+            raise NonFiniteError("features must be finite")
+        features.setflags(write=False)
+        object.__setattr__(self, "features", features)
         for name in ("targets", "true_noise_sigma"):
             vec = getattr(self, name)
             if vec is None:
                 continue
             vec = np.asarray(vec, dtype=np.float64)
-            if vec.shape != (self.features.rows,):
+            if vec.shape != (self.n,):
                 raise ParameterError(f"{name} must have one value per feature row")
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
 
     @property
     def n(self) -> int:
-        return self.features.rows
+        return self.features.shape[0]
 
     @property
     def input_dim(self) -> int:
-        return self.features.cols
+        return self.features.shape[1]
 
     def subset(self, idx: np.ndarray) -> "RegressionDataset":
         return RegressionDataset(
-            features=Matrix(self.features.data[idx]),
+            features=self.features[idx],
             targets=None if self.targets is None else self.targets[idx],
             true_noise_sigma=None
             if self.true_noise_sigma is None
@@ -134,7 +144,7 @@ def generate_synthetic(spec: SyntheticSpec) -> RegressionDataset:
     sigma = noise_sigma(spec, x)
     noise = rng.gaussians(spec.n_samples) * sigma
     return RegressionDataset(
-        features=Matrix(x),
+        features=x,
         targets=clean + noise,
         true_noise_sigma=sigma,
     )
@@ -209,7 +219,7 @@ def load_csv(path, schema: CsvSchema) -> RegressionDataset:
             features[r, j] = parse_cell(row_no, c, row[c])
         if targets is not None:
             targets[r] = parse_cell(row_no, target_idx, row[target_idx])
-    return RegressionDataset(features=Matrix(features), targets=targets)
+    return RegressionDataset(features=features, targets=targets)
 
 
 def save_csv(dataset: RegressionDataset, path, feature_names: list[str] | None = None):
@@ -220,7 +230,7 @@ def save_csv(dataset: RegressionDataset, path, feature_names: list[str] | None =
         header = list(names) + (["y"] if dataset.targets is not None else [])
         writer.writerow(header)
         for i in range(dataset.n):
-            row = [repr(float(v)) for v in dataset.features.data[i]]
+            row = [repr(float(v)) for v in dataset.features[i]]
             if dataset.targets is not None:
                 row.append(repr(float(dataset.targets[i])))
             writer.writerow(row)
@@ -295,7 +305,7 @@ class Normalizer:
             raise ParameterError("cannot fit a normalizer on an empty dataset")
         if labeled.targets is None:
             raise ParameterError("normalizer needs labeled targets")
-        feats = labeled.features.data
+        feats = labeled.features
         self.feature_mean = feats.mean(axis=0)
         feature_std = feats.std(axis=0)
         self.constant_features = tuple(int(i) for i in np.where(feature_std == 0.0)[0])
@@ -316,8 +326,10 @@ class Normalizer:
         """Add to a normalized-scale log-variance to express it in original units."""
         return float(2.0 * np.log(self.target_std))
 
-    def transform_features(self, features: Matrix) -> Matrix:
-        return Matrix((features.data - self.feature_mean) / self.feature_std)
+    def transform_features(self, features: np.ndarray) -> np.ndarray:
+        scaled = (features - self.feature_mean) / self.feature_std
+        scaled.setflags(write=False)
+        return scaled
 
     def transform_targets(self, targets: np.ndarray) -> np.ndarray:
         return (np.asarray(targets, dtype=np.float64) - self.target_mean) / self.target_std

@@ -12,14 +12,12 @@ the same kernel serves as the test-time inference rule.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import RegressionDataset
 from .errors import ParameterError, UsageError
-from .matrix import Matrix
 from .mlp import MlpModel, forward
 from .rng import Rng
 
@@ -42,7 +40,7 @@ class PseudoLabels:
 def generate_pseudo_labels(
     model_a: MlpModel,
     model_b: MlpModel,
-    x: Matrix,
+    x: np.ndarray,
     draws: int,
     rng: Rng,
 ) -> PseudoLabels:
@@ -54,8 +52,8 @@ def generate_pseudo_labels(
     """
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
-    y_sum = np.zeros(x.rows)
-    lv_sum = np.zeros(x.rows)
+    y_sum = np.zeros(x.shape[0])
+    lv_sum = np.zeros(x.shape[0])
     for _ in range(draws):
         y_a, lv_a, _ = forward(model_a, x, rng=rng)
         y_b, lv_b, _ = forward(model_b, x, rng=rng)
@@ -67,7 +65,7 @@ def generate_pseudo_labels(
 def predict(
     model_a: MlpModel,
     model_b: MlpModel,
-    x: Matrix,
+    x: np.ndarray,
     draws: int,
     rng: Rng,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -108,9 +106,6 @@ class VarianceReport:
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def variance_reduction_check(
     model_a: MlpModel,
@@ -134,7 +129,7 @@ def variance_reduction_check(
     features = dataset.features
     targets = np.asarray(dataset.targets, dtype=np.float64)
 
-    n = features.rows
+    n = features.shape[0]
     single = np.empty((reruns, n))
     ensemble = np.empty((reruns, n))
     for r in range(reruns):

@@ -129,14 +129,3 @@ class LossBreakdown:
                 raise NonFiniteError(f"loss component {name} is non-finite ({value})")
         total = labeled_reg + labeled_unc + unlabeled_weight * (unlabeled_reg + unlabeled_unc)
         return cls(labeled_reg, labeled_unc, unlabeled_reg, unlabeled_unc, unlabeled_weight, total)
-
-
-def total_loss(parts: LossBreakdown) -> float:
-    """Weighted objective recomputed from its components."""
-    for name in ("labeled_reg", "labeled_unc", "unlabeled_reg", "unlabeled_unc", "unlabeled_weight"):
-        value = getattr(parts, name)
-        if not math.isfinite(value):
-            raise NonFiniteError(f"loss component {name} is non-finite ({value})")
-    return parts.labeled_reg + parts.labeled_unc + parts.unlabeled_weight * (
-        parts.unlabeled_reg + parts.unlabeled_unc
-    )

@@ -7,17 +7,19 @@ variance (kept in log space so the variance is positive by construction).
 Forward passes record everything needed for an exact reverse-mode gradient,
 including the sampled dropout masks, so a stored trace can be replayed
 bit-for-bit.
+
+Parameters are read-only 2-D float64 arrays. The optimizer never writes to
+them; it replaces them, so an array's identity stands for its values.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, StaleTraceError
-from .matrix import Matrix
+from .errors import NonFiniteError, ParameterError, ShapeError, StaleTraceError
 from .rng import Rng, sample_dropout_mask
 
 _ACTIVATIONS = ("relu", "tanh")
@@ -58,24 +60,20 @@ class MlpModel:
     """Parameter container; mutated only by the optimizer between steps."""
 
     config: MlpConfig
-    params: dict[str, Matrix]
-
-    def param_shapes(self) -> tuple[tuple[str, tuple[int, int]], ...]:
-        return tuple((name, m.shape) for name, m in self.params.items())
+    params: dict[str, np.ndarray]
 
 
 @dataclass
 class ForwardTrace:
     """Bookkeeping for one forward pass, sufficient for exact backprop."""
 
-    x: Matrix
-    layer_inputs: list[np.ndarray]  # h_0 = x.data, then post-dropout activations
+    layer_inputs: list[np.ndarray]  # h_0 = x, then post-dropout activations
     activations: list[np.ndarray]  # post-nonlinearity, pre-dropout
-    masks: list[Matrix]
+    masks: list[np.ndarray]
     y_hat: np.ndarray
     log_var: np.ndarray
     clamp_active: np.ndarray
-    param_shapes: tuple = field(repr=False, default=())
+    params: dict[str, np.ndarray]  # the parameter arrays this pass read
 
 
 def _param_names(config: MlpConfig):
@@ -88,10 +86,15 @@ def _param_names(config: MlpConfig):
     yield "head_logvar.bias"
 
 
-def _fan_in_uniform(rng: Rng, fan_in: int, fan_out: int) -> Matrix:
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _fan_in_uniform(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
     vals = rng.uniforms(fan_in * fan_out) * (2.0 * bound) - bound
-    return Matrix._wrap(vals.reshape(fan_in, fan_out), check_finite=True)
+    return _read_only(vals.reshape(fan_in, fan_out))
 
 
 def init_model(config: MlpConfig, rng: Rng) -> MlpModel:
@@ -102,25 +105,25 @@ def init_model(config: MlpConfig, rng: Rng) -> MlpModel:
     trunk-first, then target head, then log-variance head, row-major.
     """
     dims = config.trunk_dims
-    params: dict[str, Matrix] = {}
+    params: dict[str, np.ndarray] = {}
     for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
         params[f"layer{i}.weight"] = _fan_in_uniform(rng, din, dout)
-        params[f"layer{i}.bias"] = Matrix.zeros(1, dout)
+        params[f"layer{i}.bias"] = _read_only(np.zeros((1, dout)))
     trunk_out = dims[-1]
     params["head_y.weight"] = _fan_in_uniform(rng, trunk_out, 1)
-    params["head_y.bias"] = Matrix.zeros(1, 1)
+    params["head_y.bias"] = _read_only(np.zeros((1, 1)))
     params["head_logvar.weight"] = _fan_in_uniform(rng, trunk_out, 1)
-    params["head_logvar.bias"] = Matrix.zeros(1, 1)
+    params["head_logvar.bias"] = _read_only(np.zeros((1, 1)))
     return MlpModel(config=config, params=params)
 
 
 def forward(
     model: MlpModel,
-    x: Matrix,
+    x: np.ndarray,
     rng: Rng | None = None,
-    masks: list[Matrix] | None = None,
+    masks: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, ForwardTrace]:
-    """One forward pass over a batch.
+    """One forward pass over a batch ``x`` of shape (rows, input_dim).
 
     Modes: pass ``rng`` to sample fresh dropout masks (one stochastic draw),
     pass ``masks`` to replay stored ones, pass neither for the deterministic
@@ -130,21 +133,21 @@ def forward(
     if rng is not None and masks is not None:
         raise ParameterError("pass rng or masks, not both")
     cfg = model.config
-    if x.cols != cfg.input_dim:
-        raise ShapeError(f"input has {x.cols} columns, model expects {cfg.input_dim}")
+    if x.ndim != 2 or x.shape[1] != cfg.input_dim:
+        raise ShapeError(f"input must be 2-D with {cfg.input_dim} columns, got shape {x.shape}")
     n_hidden = len(cfg.hidden_dims)
     if masks is not None and len(masks) != n_hidden:
         raise ShapeError(f"expected {n_hidden} masks, got {len(masks)}")
 
-    params = model.params
-    h = x.data
+    params = dict(model.params)
+    h = x
     layer_inputs = [h]
     activations: list[np.ndarray] = []
-    used_masks: list[Matrix] = []
+    used_masks: list[np.ndarray] = []
     # overflow to inf is tolerated here; loss kernels reject non-finite values
     with np.errstate(over="ignore", invalid="ignore"):
         for i, width in enumerate(cfg.hidden_dims):
-            pre = h @ params[f"layer{i}.weight"].data + params[f"layer{i}.bias"].data
+            pre = h @ params[f"layer{i}.weight"] + params[f"layer{i}.bias"]
             act = np.maximum(pre, 0.0) if cfg.activation == "relu" else np.tanh(pre)
             if rng is not None:
                 mask = sample_dropout_mask(rng, act.shape[0], width, cfg.dropout_p)
@@ -153,29 +156,26 @@ def forward(
                     raise ShapeError(f"mask {i} has shape {masks[i].shape}, need {act.shape}")
                 mask = masks[i]
             else:
-                mask = Matrix._wrap(np.ones_like(act))
-            h = act * mask.data
+                mask = _read_only(np.ones_like(act))
+            h = act * mask
             activations.append(act)
             used_masks.append(mask)
             layer_inputs.append(h)
 
-        y_hat = (h @ params["head_y.weight"].data + params["head_y.bias"].data).ravel()
-        raw_log_var = (
-            h @ params["head_logvar.weight"].data + params["head_logvar.bias"].data
-        ).ravel()
+        y_hat = (h @ params["head_y.weight"] + params["head_y.bias"]).ravel()
+        raw_log_var = (h @ params["head_logvar.weight"] + params["head_logvar.bias"]).ravel()
     log_var = np.clip(raw_log_var, cfg.log_var_min, cfg.log_var_max)
     clamp_active = (raw_log_var < cfg.log_var_min) | (raw_log_var > cfg.log_var_max)
     for arr in (y_hat, log_var):
         arr.setflags(write=False)
     trace = ForwardTrace(
-        x=x,
         layer_inputs=layer_inputs,
         activations=activations,
         masks=used_masks,
         y_hat=y_hat,
         log_var=log_var,
         clamp_active=clamp_active,
-        param_shapes=model.param_shapes(),
+        params=params,
     )
     return y_hat, log_var, trace
 
@@ -185,14 +185,17 @@ def backward(
     trace: ForwardTrace,
     d_y_hat: np.ndarray,
     d_log_var: np.ndarray,
-) -> dict[str, Matrix]:
+) -> dict[str, np.ndarray]:
     """Exact gradients of a scalar loss w.r.t. every parameter.
 
     ``d_y_hat`` and ``d_log_var`` are the upstream gradients of the loss with
     respect to the two head outputs. Gradients flow only through units that
     survived dropout and only where the log-variance clamp is inactive.
+    The trace must come from the model's current parameter arrays, and every
+    gradient must be finite (NonFiniteError otherwise).
     """
-    if trace.param_shapes != model.param_shapes():
+    params = trace.params
+    if any(model.params.get(name) is not p for name, p in params.items()):
         raise StaleTraceError("trace does not match the model's current parameters")
     d_y_hat = np.asarray(d_y_hat, dtype=np.float64)
     d_log_var = np.asarray(d_log_var, dtype=np.float64)
@@ -204,34 +207,36 @@ def backward(
         )
 
     cfg = model.config
-    params = model.params
-    grads: dict[str, Matrix] = {}
+    grads: dict[str, np.ndarray] = {}
 
     d_lv = np.where(trace.clamp_active, 0.0, d_log_var)
     dcol_y = d_y_hat[:, None]
     dcol_z = d_lv[:, None]
     h_last = trace.layer_inputs[-1]
-    grads["head_y.weight"] = Matrix._wrap(h_last.T @ dcol_y, check_finite=True)
-    grads["head_y.bias"] = Matrix._wrap(dcol_y.sum(axis=0, keepdims=True), check_finite=True)
-    grads["head_logvar.weight"] = Matrix._wrap(h_last.T @ dcol_z, check_finite=True)
-    grads["head_logvar.bias"] = Matrix._wrap(dcol_z.sum(axis=0, keepdims=True), check_finite=True)
+    grads["head_y.weight"] = _finite(h_last.T @ dcol_y)
+    grads["head_y.bias"] = _finite(dcol_y.sum(axis=0, keepdims=True))
+    grads["head_logvar.weight"] = _finite(h_last.T @ dcol_z)
+    grads["head_logvar.bias"] = _finite(dcol_z.sum(axis=0, keepdims=True))
 
-    d_h = dcol_y @ params["head_y.weight"].data.T + dcol_z @ params["head_logvar.weight"].data.T
+    d_h = dcol_y @ params["head_y.weight"].T + dcol_z @ params["head_logvar.weight"].T
     for i in reversed(range(len(cfg.hidden_dims))):
         act = trace.activations[i]
-        d_act = d_h * trace.masks[i].data
+        d_act = d_h * trace.masks[i]
         if cfg.activation == "relu":
             d_pre = d_act * (act > 0.0)
         else:
             d_pre = d_act * (1.0 - act * act)
-        grads[f"layer{i}.weight"] = Matrix._wrap(
-            trace.layer_inputs[i].T @ d_pre, check_finite=True
-        )
-        grads[f"layer{i}.bias"] = Matrix._wrap(
-            d_pre.sum(axis=0, keepdims=True), check_finite=True
-        )
-        d_h = d_pre @ params[f"layer{i}.weight"].data.T
+        grads[f"layer{i}.weight"] = _finite(trace.layer_inputs[i].T @ d_pre)
+        grads[f"layer{i}.bias"] = _finite(d_pre.sum(axis=0, keepdims=True))
+        d_h = d_pre @ params[f"layer{i}.weight"].T
     return {name: grads[name] for name in _param_names(cfg)}
+
+
+def _finite(grad: np.ndarray) -> np.ndarray:
+    # A non-finite gradient rejects the whole training step.
+    if not np.isfinite(grad).all():
+        raise NonFiniteError("gradient entries must be finite")
+    return grad
 
 
 CHECKPOINT_FORMAT = "semireg-model"
@@ -257,8 +262,8 @@ def save_model(model: MlpModel, path, provenance: dict | None = None) -> None:
             "log_var_max": cfg.log_var_max,
         },
         "params": {
-            name: {"rows": m.rows, "cols": m.cols, "data": m.flat()}
-            for name, m in model.params.items()
+            name: {"rows": p.shape[0], "cols": p.shape[1], "data": p.ravel().tolist()}
+            for name, p in model.params.items()
         },
     }
     if provenance:
@@ -269,6 +274,7 @@ def save_model(model: MlpModel, path, provenance: dict | None = None) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """Read a save_model checkpoint; every parameter must hold rows*cols finite values."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
@@ -283,11 +289,18 @@ def load_model(path) -> MlpModel:
         log_var_min=doc["config"]["log_var_min"],
         log_var_max=doc["config"]["log_var_max"],
     )
-    params = {
-        name: Matrix.from_flat(entry["rows"], entry["cols"], entry["data"])
-        for name, entry in doc["params"].items()
-    }
+    params = {name: _param_from_entry(name, entry) for name, entry in doc["params"].items()}
     expected = list(_param_names(cfg))
     if sorted(params) != sorted(expected):
         raise ParameterError("checkpoint parameter names do not match its config")
     return MlpModel(config=cfg, params={name: params[name] for name in expected})
+
+
+def _param_from_entry(name: str, entry: dict) -> np.ndarray:
+    rows, cols = entry["rows"], entry["cols"]
+    flat = np.array(entry["data"], dtype=np.float64)
+    if flat.shape != (rows * cols,):
+        raise ShapeError(f"parameter {name}: {flat.size} values for a {rows}x{cols} matrix")
+    if not np.isfinite(flat).all():
+        raise NonFiniteError(f"parameter {name} has non-finite entries")
+    return _read_only(flat.reshape(rows, cols))

@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .matrix import Matrix
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -109,7 +108,7 @@ class Rng:
         return f"Rng(seed={self.seed}, counter={self._counter})"
 
 
-def sample_dropout_mask(rng: Rng, rows: int, cols: int, p: float) -> Matrix:
+def sample_dropout_mask(rng: Rng, rows: int, cols: int, p: float) -> np.ndarray:
     """Inverted-dropout mask: entries 0 with probability p, else 1/(1-p).
 
     Surviving units are pre-scaled so the mask has unit expectation and the
@@ -119,7 +118,9 @@ def sample_dropout_mask(rng: Rng, rows: int, cols: int, p: float) -> Matrix:
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
     u = rng.uniforms(rows * cols).reshape(rows, cols)
     keep = 1.0 / (1.0 - p)
-    return Matrix._wrap(np.where(u < p, 0.0, keep))
+    mask = np.where(u < p, 0.0, keep)
+    mask.setflags(write=False)
+    return mask
 
 
 def gaussian_sample(rng: Rng, mean: float, std: float) -> float:

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .evaluation import BinReport, mae, r_squared, spearman_rank_corr, uncertainty_binning
 from .losses import LossBreakdown
-from .matrix import Matrix
 from .mlp import MlpConfig, MlpModel, backward, forward, init_model
 from .rng import Rng
 
@@ -100,12 +99,14 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
+    """Optimizer accumulators; optimizer_update returns a new one, never mutates."""
+
     kind: str
     step: int
     slots: dict[str, dict[str, np.ndarray]]
 
 
-def init_optimizer_state(config: TrainConfig, params: dict[str, Matrix]) -> OptimizerState:
+def init_optimizer_state(config: TrainConfig, params: dict[str, np.ndarray]) -> OptimizerState:
     slots: dict[str, dict[str, np.ndarray]] = {}
     for name, p in params.items():
         if config.optimizer == "adam":
@@ -116,21 +117,25 @@ def init_optimizer_state(config: TrainConfig, params: dict[str, Matrix]) -> Opti
 
 
 def optimizer_update(
-    params: dict[str, Matrix],
-    grads: dict[str, Matrix],
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
     state: OptimizerState,
     config: TrainConfig,
-) -> dict[str, Matrix]:
-    """One deterministic optimizer step; accumulators are updated in place.
+) -> tuple[dict[str, np.ndarray], OptimizerState]:
+    """One deterministic optimizer step: (new read-only params, new state).
+
+    Mutates nothing, so a rejected step (NonFiniteError on a non-finite
+    updated parameter) leaves ``params`` and ``state`` as they were.
 
     sgd_momentum: v <- momentum*v + g; p <- p - lr*v
     adam: standard bias-corrected moments, p <- p - lr*m_hat/(sqrt(v_hat)+eps)
     """
     if set(params) != set(grads):
         raise ShapeError("params and grads must have identical keys")
-    state.step += 1
+    step = state.step + 1
     lr = config.learning_rate
-    out: dict[str, Matrix] = {}
+    new_params: dict[str, np.ndarray] = {}
+    new_slots: dict[str, dict[str, np.ndarray]] = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for name, p in params.items():
             g = grads[name]
@@ -138,16 +143,21 @@ def optimizer_update(
                 raise ShapeError(f"gradient for {name} has shape {g.shape}, param {p.shape}")
             slot = state.slots[name]
             if state.kind == "adam":
-                slot["m"] = config.adam_beta1 * slot["m"] + (1 - config.adam_beta1) * g.data
-                slot["v"] = config.adam_beta2 * slot["v"] + (1 - config.adam_beta2) * g.data**2
-                m_hat = slot["m"] / (1 - config.adam_beta1**state.step)
-                v_hat = slot["v"] / (1 - config.adam_beta2**state.step)
-                new = p.data - lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+                m = config.adam_beta1 * slot["m"] + (1 - config.adam_beta1) * g
+                v = config.adam_beta2 * slot["v"] + (1 - config.adam_beta2) * g**2
+                m_hat = m / (1 - config.adam_beta1**step)
+                v_hat = v / (1 - config.adam_beta2**step)
+                new = p - lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+                new_slots[name] = {"m": m, "v": v}
             else:
-                slot["velocity"] = config.momentum * slot["velocity"] + g.data
-                new = p.data - lr * slot["velocity"]
-            out[name] = Matrix._wrap(new, check_finite=True)
-    return out
+                velocity = config.momentum * slot["velocity"] + g
+                new = p - lr * velocity
+                new_slots[name] = {"velocity": velocity}
+            if not np.isfinite(new).all():
+                raise NonFiniteError(f"update of {name} is non-finite")
+            new.setflags(write=False)
+            new_params[name] = new
+    return new_params, OptimizerState(kind=state.kind, step=step, slots=new_slots)
 
 
 @dataclass
@@ -157,7 +167,6 @@ class TrainState:
     opt_a: OptimizerState
     opt_b: OptimizerState
     rng: Rng
-    epoch: int = 0
     step: int = 0
     history: list[LossBreakdown] = field(default_factory=list)
 
@@ -178,55 +187,46 @@ def init_train_state(config: TrainConfig, input_dim: int) -> TrainState:
 
 
 def _cross_targets(
-    model_a: MlpModel, model_b: MlpModel, x: Matrix, rng: Rng
+    model_a: MlpModel, model_b: MlpModel, x: np.ndarray, rng: Rng
 ) -> tuple[PseudoLabels, PseudoLabels]:
     # Single stochastic pass per model; each prediction becomes the *other*
     # model's detached target.
     y_a, lv_a, _ = forward(model_a, x, rng=rng.split("a"))
     y_b, lv_b, _ = forward(model_b, x, rng=rng.split("b"))
-    target_for_a = PseudoLabels(y=y_b.copy(), log_var=lv_b.copy(), draws=1)
-    target_for_b = PseudoLabels(y=y_a.copy(), log_var=lv_a.copy(), draws=1)
+    target_for_a = PseudoLabels(y=y_b, log_var=lv_b, draws=1)
+    target_for_b = PseudoLabels(y=y_a, log_var=lv_a, draws=1)
     return target_for_a, target_for_b
 
 
-def _sum_grads(*grad_dicts: dict[str, Matrix] | None) -> dict[str, Matrix]:
-    present = [g for g in grad_dicts if g is not None]
-    total: dict[str, Matrix] = dict(present[0])
-    for extra in present[1:]:
-        for name, g in extra.items():
-            total[name] = Matrix._wrap(total[name].data + g.data)
-    return total
+def _sum_grads(
+    labeled: dict[str, np.ndarray], unlabeled: dict[str, np.ndarray] | None
+) -> dict[str, np.ndarray]:
+    if unlabeled is None:
+        return labeled
+    return {name: g + unlabeled[name] for name, g in labeled.items()}
 
 
 def train_step(
     state: TrainState,
-    labeled: tuple[Matrix, np.ndarray],
-    unlabeled: Matrix | None,
-    config: TrainConfig,
-) -> LossBreakdown:
-    """One optimization step over a labeled batch and an unlabeled batch.
-
-    Mutates ``state`` (parameters, optimizer accumulators, counters,
-    history) and returns the step's loss components. A non-finite loss or
-    update aborts the step before any parameter changes and raises
-    NonFiniteLossError carrying the offending components.
-    """
-    return _train_step_impl(state, labeled, unlabeled, config)
-
-
-def _train_step_impl(
-    state: TrainState,
-    labeled: tuple[Matrix, np.ndarray],
-    unlabeled: Matrix | None,
+    labeled: tuple[np.ndarray, np.ndarray],
+    unlabeled: np.ndarray | None,
     config: TrainConfig,
     *,
     injected_targets: tuple[PseudoLabels, PseudoLabels] | None = None,
 ) -> LossBreakdown:
+    """One optimization step over a labeled batch and an unlabeled batch.
+
+    Mutates ``state`` (parameters, optimizer states, counters, history) and
+    returns the step's loss components. A non-finite loss, gradient or update
+    of either model aborts the step before anything in ``state`` changes and
+    raises NonFiniteLossError carrying the offending components.
+    ``injected_targets`` replaces the unlabeled targets (a test hook).
+    """
     x_lab, y_lab = labeled
-    if x_lab.rows == 0:
+    if x_lab.shape[0] == 0:
         raise UsageError("labeled batch must be non-empty")
     y_lab = np.asarray(y_lab, dtype=np.float64)
-    if y_lab.shape != (x_lab.rows,):
+    if y_lab.shape != (x_lab.shape[0],):
         raise UsageError("labeled batch must carry one target per row")
     if unlabeled is None and config.unlabeled_weight > 0:
         raise UsageError("unlabeled batch required when unlabeled_weight > 0")
@@ -254,7 +254,7 @@ def _train_step_impl(
         unlabeled_reg = 0.0
         unlabeled_unc = 0.0
         grads_ulb_a = grads_ulb_b = None
-        if unlabeled is not None and unlabeled.rows > 0:
+        if unlabeled is not None and unlabeled.shape[0] > 0:
             if injected_targets is not None:
                 target_a, target_b = injected_targets
             elif config.uses_ensembling:
@@ -308,14 +308,14 @@ def _train_step_impl(
     try:
         grads_a = _sum_grads(backward(model_a, trace_a, d_y_a, d_lv_a), grads_ulb_a)
         grads_b = _sum_grads(backward(model_b, trace_b, d_y_b, d_lv_b), grads_ulb_b)
-        new_a = optimizer_update(model_a.params, grads_a, state.opt_a, config)
-        new_b = optimizer_update(model_b.params, grads_b, state.opt_b, config)
+        new_a, opt_a = optimizer_update(model_a.params, grads_a, state.opt_a, config)
+        new_b, opt_b = optimizer_update(model_b.params, grads_b, state.opt_b, config)
     except NonFiniteError as err:
         raise NonFiniteLossError(
             f"non-finite gradient or update at step {state.step}: {err}", components
         ) from err
-    model_a.params = new_a
-    model_b.params = new_b
+    model_a.params, model_b.params = new_a, new_b
+    state.opt_a, state.opt_b = opt_a, opt_b
 
     state.step += 1
     state.history.append(breakdown)
@@ -404,10 +404,10 @@ def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> Experimen
         order = root.split(f"batches:{epoch}").permutation(n_lab)
         for s in range(steps_per_epoch):
             idx = order[s * config.batch_labeled : (s + 1) * config.batch_labeled]
-            batch = (Matrix(x_lab.data[idx]), y_lab[idx])
+            batch = (x_lab[idx], y_lab[idx])
             ulb_batch = None
             if unlabeled_cycler is not None:
-                ulb_batch = Matrix(x_ulb.data[unlabeled_cycler.next_batch()])
+                ulb_batch = x_ulb[unlabeled_cycler.next_batch()]
             try:
                 train_step(state, batch, ulb_batch, config)
             except NonFiniteLossError as err:
@@ -418,7 +418,6 @@ def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> Experimen
                     ) from err
             else:
                 consecutive_bad = 0
-        state.epoch = epoch
         epoch_mae = validation_mae(epoch)
         val_curve.append(epoch_mae)
         if epoch_mae < best_mae:

@@ -24,7 +24,6 @@ from semireg.losses import (
     consistency_loss_unlabeled,
     hetero_loss,
 )
-from semireg.matrix import Matrix
 from semireg.mlp import MlpConfig, backward, forward, init_model, load_model, save_model
 from semireg.rng import Rng, sample_dropout_mask
 from semireg.training import TrainConfig, run_experiment
@@ -54,7 +53,7 @@ def _randomize_biases(model, np_rng):
             vals = np_rng.uniform(0.05, 0.2, size=p.shape) * np_rng.choice(
                 [-1, 1], size=p.shape
             )
-            params[name] = Matrix(vals)
+            params[name] = vals
     model.params = params
 
 
@@ -96,7 +95,7 @@ def _full_loss_grads(model_a, model_b, x_lab, y_lab, x_ulb, targets, masks, w):
         _, d_lvu = consistency_loss_unlabeled(lvu, targets.log_var)
         ulb_grads = backward(model, trace_u, w * d_yu, w * d_lvu)
         grads[key] = {
-            name: lab_grads[name].data + ulb_grads[name].data for name in lab_grads
+            name: lab_grads[name] + ulb_grads[name] for name in lab_grads
         }
     return grads
 
@@ -119,15 +118,15 @@ def test_criterion_1_gradient_correctness():
         model_b = init_model(cfg, Rng(case + 1000))
         _randomize_biases(model_a, np_rng)
         _randomize_biases(model_b, np_rng)
-        x_lab = Matrix(np_rng.normal(size=(3, 2)))
+        x_lab = np_rng.normal(size=(3, 2))
         y_lab = np_rng.normal(size=3)
-        x_ulb = Matrix(np_rng.normal(size=(4, 2)))
+        x_ulb = np_rng.normal(size=(4, 2))
 
         mask_rng = Rng(5000 + case)
         masks = {}
         for tag, x in (("a_lab", x_lab), ("b_lab", x_lab), ("a_ulb", x_ulb), ("b_ulb", x_ulb)):
             masks[tag] = [
-                sample_dropout_mask(mask_rng, x.rows, width, cfg.dropout_p)
+                sample_dropout_mask(mask_rng, x.shape[0], width, cfg.dropout_p)
                 for width in hidden
             ]
         targets = generate_pseudo_labels(model_a, model_b, x_ulb, 2, Rng(9000 + case))
@@ -135,18 +134,17 @@ def test_criterion_1_gradient_correctness():
         grads = _full_loss_grads(model_a, model_b, x_lab, y_lab, x_ulb, targets, masks, w)
         h = 1e-6
         for key, model in (("a", model_a), ("b", model_b)):
-            for name, base_matrix in model.params.items():
-                base = base_matrix.data
+            for name, base in model.params.items():
                 for idx in np.ndindex(base.shape):
                     values = {}
                     for sign in (1.0, -1.0):
                         perturbed = base.copy()
                         perturbed[idx] += sign * h
-                        model.params = {**model.params, name: Matrix(perturbed)}
+                        model.params = {**model.params, name: perturbed}
                         values[sign] = _full_loss(
                             model_a, model_b, x_lab, y_lab, x_ulb, targets, masks, w
                         )
-                    model.params = {**model.params, name: base_matrix}
+                    model.params = {**model.params, name: base}
                     fd = (values[1.0] - values[-1.0]) / (2 * h)
                     analytic = grads[key][name][idx]
                     err = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-8)
@@ -331,7 +329,7 @@ def test_criterion_7_reproducibility(tmp_path):
         tmp_path / "resaved2.json"
     ).read_bytes()
     params_same = all(
-        np.array_equal(model.params[n].data, reloaded.params[n].data) for n in model.params
+        np.array_equal(model.params[n], reloaded.params[n]) for n in model.params
     )
     ok = rc1 == 0 and rc2 == 0 and metrics_same and roundtrip_same and params_same
     report(
@@ -353,7 +351,7 @@ def test_criterion_8_degenerate_cases():
     cfg = MlpConfig(input_dim=1, hidden_dims=(6,), dropout_p=0.0)
     model_a = init_model(cfg, Rng(1))
     model_b = init_model(cfg, Rng(2))
-    x = Matrix(np.linspace(-1, 1, 8).reshape(-1, 1))
+    x = np.linspace(-1, 1, 8).reshape(-1, 1)
     det = 0.5 * (forward(model_a, x)[0] + forward(model_b, x)[0])
     for draws in (1, 7):
         y, _ = predict(model_a, model_b, x, draws, Rng(3))
@@ -383,7 +381,7 @@ def test_criterion_8_degenerate_cases():
 
     # p=0 dropout mask is all ones; std=0 gaussian returns the mean
     mask = sample_dropout_mask(Rng(7), 5, 5, 0.0)
-    checks["p=0 mask all ones"] = bool(np.all(mask.data == 1.0))
+    checks["p=0 mask all ones"] = bool(np.all(mask == 1.0))
     from semireg.rng import gaussian_sample
 
     checks["std=0 gaussian exact"] = gaussian_sample(Rng(8), 1.5, 0.0) == 1.5

@@ -12,9 +12,30 @@ from semireg.data import (
     save_csv,
     split_semi_supervised,
 )
-from semireg.errors import DataSchemaError, ParameterError
-from semireg.matrix import Matrix
+from semireg.errors import DataSchemaError, NonFiniteError, ParameterError, ShapeError
 from semireg.rng import Rng
+
+
+class TestDataset:
+    def test_features_must_be_2d_and_finite(self):
+        with pytest.raises(ShapeError):
+            RegressionDataset(features=np.array([1.0, 2.0]))
+        with pytest.raises(NonFiniteError):
+            RegressionDataset(features=np.array([[np.nan, 1.0]]))
+        with pytest.raises(NonFiniteError):
+            RegressionDataset(features=np.array([[np.inf], [0.0]]))
+
+    def test_features_are_a_read_only_copy(self):
+        raw = np.array([[1.0, 2.0], [3.0, 4.0]])
+        data = RegressionDataset(features=raw)
+        with pytest.raises(ValueError):
+            data.features[0, 0] = 2.0
+        raw[0, 0] = 5.0
+        assert data.features[0, 0] == 1.0
+        assert data.features.dtype == np.float64 and data.features.flags.c_contiguous
+        assert not data.subset(np.array([1])).features.flags.writeable
+        synthetic = generate_synthetic(SyntheticSpec(n_samples=40, seed=1))
+        assert not synthetic.features.flags.writeable
 
 
 class TestSynthetic:
@@ -22,7 +43,7 @@ class TestSynthetic:
         spec = SyntheticSpec(n_samples=50, target_function="linear", noise_scale=0.0, seed=1)
         data = generate_synthetic(spec)
         slopes = np.array([1.0])
-        expected = data.features.data @ slopes + 0.5
+        expected = data.features @ slopes + 0.5
         assert np.array_equal(data.targets, expected)
         assert np.all(data.true_noise_sigma == 0.0)
 
@@ -36,7 +57,7 @@ class TestSynthetic:
             seed=2,
         )
         data = generate_synthetic(spec)
-        x = np.column_stack([data.features.data, np.ones(data.n)])
+        x = np.column_stack([data.features, np.ones(data.n)])
         coef, *_ = np.linalg.lstsq(x, data.targets, rcond=None)
         # closed-form OLS standard errors
         residuals = data.targets - x @ coef
@@ -49,7 +70,7 @@ class TestSynthetic:
     def test_input_dependent_noise_varies_across_inputs(self):
         spec = SyntheticSpec(n_samples=20_000, noise_model="input_dependent", seed=3)
         data = generate_synthetic(spec)
-        x0 = data.features.data[:, 0]
+        x0 = data.features[:, 0]
         residual = data.targets - (np.sin(2 * x0) + 0.5 * x0)
         low_region = residual[x0 < -1.5]
         high_region = residual[x0 > 1.5]
@@ -58,7 +79,7 @@ class TestSynthetic:
     def test_noise_calibration_correlates_with_binned_variance(self):
         spec = SyntheticSpec(n_samples=20_000, noise_model="input_dependent", seed=4)
         data = generate_synthetic(spec)
-        x0 = data.features.data[:, 0]
+        x0 = data.features[:, 0]
         residual = data.targets - (np.sin(2 * x0) + 0.5 * x0)
         order = np.argsort(data.true_noise_sigma)
         bins = np.array_split(order, 20)
@@ -78,7 +99,7 @@ class TestSynthetic:
     def test_generation_is_seed_deterministic(self):
         spec = SyntheticSpec(n_samples=100, seed=9)
         d1, d2 = generate_synthetic(spec), generate_synthetic(spec)
-        assert np.array_equal(d1.features.data, d2.features.data)
+        assert np.array_equal(d1.features, d2.features)
         assert np.array_equal(d1.targets, d2.targets)
 
     def test_sigma_function_is_positive(self):
@@ -133,14 +154,14 @@ class TestCsv:
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)
         original = RegressionDataset(
-            features=Matrix(rng.normal(size=(11, 3))), targets=rng.normal(size=11)
+            features=rng.normal(size=(11, 3)), targets=rng.normal(size=11)
         )
         path = tmp_path / "roundtrip.csv"
         save_csv(original, path)
         again = load_csv(
             path, CsvSchema(feature_columns=("x0", "x1", "x2"), target_column="y")
         )
-        assert np.array_equal(again.features.data, original.features.data)
+        assert np.array_equal(again.features, original.features)
         assert np.array_equal(again.targets, original.targets)
 
 
@@ -148,7 +169,7 @@ class TestSplit:
     def make_data(self, n=1000):
         rng = np.random.default_rng(6)
         return RegressionDataset(
-            features=Matrix(rng.normal(size=(n, 2))), targets=rng.normal(size=n)
+            features=rng.normal(size=(n, 2)), targets=rng.normal(size=n)
         )
 
     def test_split_sizes(self):
@@ -164,8 +185,8 @@ class TestSplit:
         split = split_semi_supervised(data, 0.2, 0.15, 0.25, Rng(2))
         parts = [split.labeled, split.unlabeled, split.validation, split.test]
         assert sum(p.n for p in parts) == 500
-        seen = np.concatenate([p.features.data[:, 0] for p in parts])
-        assert np.array_equal(np.sort(seen), np.sort(data.features.data[:, 0]))
+        seen = np.concatenate([p.features[:, 0] for p in parts])
+        assert np.array_equal(np.sort(seen), np.sort(data.features[:, 0]))
 
     def test_unlabeled_targets_hidden_but_oracle_kept(self):
         data = self.make_data(200)
@@ -184,7 +205,7 @@ class TestSplit:
         data = self.make_data(300)
         s1 = split_semi_supervised(data, 0.3, 0.1, 0.2, Rng(5))
         s2 = split_semi_supervised(data, 0.3, 0.1, 0.2, Rng(5))
-        assert np.array_equal(s1.labeled.features.data, s2.labeled.features.data)
+        assert np.array_equal(s1.labeled.features, s2.labeled.features)
         assert np.array_equal(s1.test.targets, s2.test.targets)
 
     def test_fraction_validation(self):
@@ -199,7 +220,7 @@ class TestNormalizer:
     def make_labeled(self, n=200, seed=7):
         rng = np.random.default_rng(seed)
         return RegressionDataset(
-            features=Matrix(rng.normal(loc=3.0, scale=2.0, size=(n, 2))),
+            features=rng.normal(loc=3.0, scale=2.0, size=(n, 2)),
             targets=rng.normal(loc=-5.0, scale=4.0, size=n),
         )
 
@@ -209,10 +230,10 @@ class TestNormalizer:
         feats = (feats - feats.mean(axis=0)) / feats.std(axis=0)
         targets = rng.normal(size=5000)
         targets = (targets - targets.mean()) / targets.std()
-        data = RegressionDataset(features=Matrix(feats), targets=targets)
+        data = RegressionDataset(features=feats, targets=targets)
         norm = Normalizer(data)
         out = norm.transform_dataset(data)
-        assert np.allclose(out.features.data, feats, atol=1e-12)
+        assert np.allclose(out.features, feats, atol=1e-12)
         assert np.allclose(out.targets, targets, atol=1e-12)
 
     def test_transform_then_inverse_is_identity(self):
@@ -226,12 +247,12 @@ class TestNormalizer:
     def test_constant_feature_passes_through_with_warning(self):
         rng = np.random.default_rng(9)
         feats = np.column_stack([np.full(50, 7.0), rng.normal(size=50)])
-        data = RegressionDataset(features=Matrix(feats), targets=rng.normal(size=50))
+        data = RegressionDataset(features=feats, targets=rng.normal(size=50))
         with pytest.warns(UserWarning, match="feature 0"):
             norm = Normalizer(data)
         assert norm.constant_features == (0,)
         out = norm.transform_features(data.features)
-        assert np.array_equal(out.data[:, 0], feats[:, 0])
+        assert np.array_equal(out[:, 0], feats[:, 0])
 
     def test_log_var_offset_converts_units(self):
         data = self.make_labeled()

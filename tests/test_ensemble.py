@@ -4,7 +4,6 @@ import pytest
 from semireg.data import RegressionDataset
 from semireg.ensemble import generate_pseudo_labels, predict, variance_reduction_check
 from semireg.errors import ParameterError, UsageError
-from semireg.matrix import Matrix
 from semireg.mlp import MlpConfig, forward, init_model
 from semireg.rng import Rng
 
@@ -15,12 +14,12 @@ def constant_model(y_value, log_var_value=0.0, dropout_p=0.0):
     model = init_model(cfg, Rng(0))
     model.params = {
         **model.params,
-        "layer0.weight": Matrix([[0.0]]),
-        "layer0.bias": Matrix([[1.0]]),
-        "head_y.weight": Matrix([[float(y_value)]]),
-        "head_y.bias": Matrix([[0.0]]),
-        "head_logvar.weight": Matrix([[float(log_var_value)]]),
-        "head_logvar.bias": Matrix([[0.0]]),
+        "layer0.weight": np.array([[0.0]]),
+        "layer0.bias": np.array([[1.0]]),
+        "head_y.weight": np.array([[float(y_value)]]),
+        "head_y.bias": np.array([[0.0]]),
+        "head_logvar.weight": np.array([[float(log_var_value)]]),
+        "head_logvar.bias": np.array([[0.0]]),
     }
     return model
 
@@ -34,7 +33,7 @@ class TestPseudoLabels:
     def test_two_constant_models_average(self):
         # one draw, y_a=2 and y_b=4 -> pseudo-label 3
         a, b = constant_model(2.0), constant_model(4.0)
-        labels = generate_pseudo_labels(a, b, Matrix([[0.5]]), 1, Rng(1))
+        labels = generate_pseudo_labels(a, b, np.array([[0.5]]), 1, Rng(1))
         assert labels.y[0] == 3.0
         assert labels.log_var[0] == 0.0
 
@@ -47,7 +46,7 @@ class TestPseudoLabels:
     def test_matches_manual_replication_of_draw_loop(self):
         # same rng stream, manual forward calls in the documented (t, a, b) order
         a, b = stochastic_model(3), stochastic_model(4)
-        x = Matrix(np.random.default_rng(5).normal(size=(6, 2)))
+        x = np.random.default_rng(5).normal(size=(6, 2))
         labels = generate_pseudo_labels(a, b, x, 3, Rng(42))
 
         rng = Rng(42)
@@ -63,7 +62,7 @@ class TestPseudoLabels:
 
     def test_no_dropout_collapses_to_deterministic_average(self):
         a, b = stochastic_model(1, dropout_p=0.0), stochastic_model(2, dropout_p=0.0)
-        x = Matrix(np.random.default_rng(6).normal(size=(5, 2)))
+        x = np.random.default_rng(6).normal(size=(5, 2))
         det_a = forward(a, x)
         det_b = forward(b, x)
         for draws in (1, 4):
@@ -73,7 +72,7 @@ class TestPseudoLabels:
 
     def test_swap_invariance_without_dropout(self):
         a, b = stochastic_model(1, dropout_p=0.0), stochastic_model(2, dropout_p=0.0)
-        x = Matrix(np.random.default_rng(7).normal(size=(4, 2)))
+        x = np.random.default_rng(7).normal(size=(4, 2))
         ab = generate_pseudo_labels(a, b, x, 2, Rng(3))
         ba = generate_pseudo_labels(b, a, x, 2, Rng(3))
         assert np.array_equal(ab.y, ba.y)
@@ -83,7 +82,7 @@ class TestPseudoLabels:
         # with dropout the mask stream is positional, so swapping models only
         # preserves the distribution; means over reruns must agree
         a, b = stochastic_model(1), stochastic_model(2)
-        x = Matrix(np.random.default_rng(8).normal(size=(3, 2)))
+        x = np.random.default_rng(8).normal(size=(3, 2))
         reruns = 400
         rng1, rng2 = Rng(100), Rng(100)
         ab = np.mean(
@@ -96,7 +95,7 @@ class TestPseudoLabels:
 
     def test_outputs_are_gradient_isolated(self):
         a, b = stochastic_model(1), stochastic_model(2)
-        labels = generate_pseudo_labels(a, b, Matrix.zeros(2, 2), 2, Rng(0))
+        labels = generate_pseudo_labels(a, b, np.zeros((2, 2)), 2, Rng(0))
         with pytest.raises(ValueError):
             labels.y[0] = 99.0
         with pytest.raises(ValueError):
@@ -105,19 +104,19 @@ class TestPseudoLabels:
     def test_rejects_zero_draws(self):
         a, b = constant_model(1.0), constant_model(2.0)
         with pytest.raises(ParameterError):
-            generate_pseudo_labels(a, b, Matrix.zeros(1, 1), 0, Rng(0))
+            generate_pseudo_labels(a, b, np.zeros((1, 1)), 0, Rng(0))
 
     def test_log_var_stays_in_clamp_range(self):
         a = constant_model(0.0, log_var_value=50.0)  # clamped to +6 inside forward
         b = constant_model(0.0, log_var_value=-50.0)  # clamped to -6
-        labels = generate_pseudo_labels(a, b, Matrix([[1.0]]), 3, Rng(0))
+        labels = generate_pseudo_labels(a, b, np.array([[1.0]]), 3, Rng(0))
         assert -6.0 <= labels.log_var[0] <= 6.0
 
 
 class TestPredict:
     def test_shares_kernel_with_pseudo_labels(self):
         a, b = stochastic_model(1), stochastic_model(2)
-        x = Matrix(np.random.default_rng(9).normal(size=(5, 2)))
+        x = np.random.default_rng(9).normal(size=(5, 2))
         labels = generate_pseudo_labels(a, b, x, 4, Rng(77))
         y, lv = predict(a, b, x, 4, Rng(77))
         assert np.array_equal(y, labels.y)
@@ -125,7 +124,7 @@ class TestPredict:
 
     def test_duplicated_model_without_dropout_is_identity(self):
         m = stochastic_model(5, dropout_p=0.0)
-        x = Matrix(np.random.default_rng(10).normal(size=(4, 2)))
+        x = np.random.default_rng(10).normal(size=(4, 2))
         det_y, det_lv, _ = forward(m, x)
         y, lv = predict(m, m, x, 3, Rng(0))
         assert np.allclose(y, det_y, atol=1e-15)
@@ -133,7 +132,7 @@ class TestPredict:
 
     def test_more_draws_shrink_prediction_spread(self):
         a, b = stochastic_model(1), stochastic_model(2)
-        x = Matrix(np.random.default_rng(11).normal(size=(8, 2)))
+        x = np.random.default_rng(11).normal(size=(8, 2))
         rng = Rng(123)
         reruns = 40
 
@@ -149,7 +148,7 @@ class TestVarianceReduction:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(n, 2))
         y = x[:, 0] - 0.5 * x[:, 1] + rng.normal(scale=0.1, size=n)
-        return RegressionDataset(features=Matrix(x), targets=y)
+        return RegressionDataset(features=x, targets=y)
 
     def test_ensemble_mse_not_worse_and_bias_equal(self):
         a, b = stochastic_model(1), stochastic_model(2)

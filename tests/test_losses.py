@@ -9,7 +9,6 @@ from semireg.losses import (
     consistency_loss_labeled,
     consistency_loss_unlabeled,
     hetero_loss,
-    total_loss,
 )
 
 
@@ -145,7 +144,6 @@ class TestTotalLoss:
     def test_weight_zero_keeps_labeled_terms_only(self):
         parts = LossBreakdown.build(1.5, 0.25, 9.0, 9.0, 0.0)
         assert parts.total == 1.75
-        assert total_loss(parts) == 1.75
 
     def test_hand_value(self):
         parts = LossBreakdown.build(1.0, 2.0, 3.0, 4.0, 10.0)
@@ -157,11 +155,3 @@ class TestTotalLoss:
     def test_non_finite_component_is_named(self):
         with pytest.raises(NonFiniteError, match="unlabeled_reg"):
             LossBreakdown.build(0.0, 0.0, float("inf"), 0.0, 1.0)
-
-    def test_total_recomputation_matches_build(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            vals = rng.normal(size=4)
-            w = abs(rng.normal())
-            parts = LossBreakdown.build(*vals, w)
-            assert total_loss(parts) == parts.total

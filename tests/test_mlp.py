@@ -1,8 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from semireg.errors import ParameterError, ShapeError, StaleTraceError
-from semireg.matrix import Matrix
+from semireg.errors import NonFiniteError, ParameterError, ShapeError, StaleTraceError
 from semireg.mlp import (
     MlpConfig,
     MlpModel,
@@ -13,6 +14,7 @@ from semireg.mlp import (
     save_model,
 )
 from semireg.rng import Rng
+from semireg.training import TrainConfig, init_optimizer_state, optimizer_update
 
 
 def small_model(hidden=(4,), dropout_p=0.0, activation="relu", seed=0, input_dim=2):
@@ -30,7 +32,7 @@ def randomize_biases(model, np_rng):
     for name, p in params.items():
         if name.endswith(".bias"):
             vals = np_rng.uniform(0.05, 0.2, size=p.shape) * np_rng.choice([-1, 1], size=p.shape)
-            params[name] = Matrix(vals)
+            params[name] = vals
     model.params = params
 
 
@@ -49,18 +51,25 @@ class TestConfig:
 class TestInit:
     def test_log_var_head_bias_starts_at_zero(self):
         model = small_model()
-        assert model.params["head_logvar.bias"].data[0, 0] == 0.0
+        assert model.params["head_logvar.bias"][0, 0] == 0.0
 
     def test_same_seed_same_parameters(self):
         m1, m2 = small_model(seed=7), small_model(seed=7)
         for name in m1.params:
-            assert np.array_equal(m1.params[name].data, m2.params[name].data)
+            assert np.array_equal(m1.params[name], m2.params[name])
+
+    def test_parameters_are_read_only(self):
+        model = small_model(hidden=(3,))
+        for p in model.params.values():
+            assert p.dtype == np.float64 and p.flags.c_contiguous
+            with pytest.raises(ValueError):
+                p[0, 0] = 1.0
 
     def test_zero_input_prediction_equals_target_head_bias(self):
         # zero biases and zero input propagate zeros through the affine-relu stack
         model = small_model(hidden=(5, 3))
-        y_hat, log_var, _ = forward(model, Matrix.zeros(4, 2))
-        assert np.all(y_hat == model.params["head_y.bias"].data[0, 0])
+        y_hat, log_var, _ = forward(model, np.zeros((4, 2)))
+        assert np.all(y_hat == model.params["head_y.bias"][0, 0])
         assert np.all(log_var == 0.0)
 
 
@@ -69,19 +78,19 @@ class TestForward:
         model = small_model(hidden=(1,), input_dim=1)
         model.params = {
             **model.params,
-            "layer0.weight": Matrix([[2.0]]),
-            "layer0.bias": Matrix([[1.0]]),
-            "head_y.weight": Matrix([[1.0]]),
-            "head_logvar.weight": Matrix([[0.0]]),
+            "layer0.weight": np.array([[2.0]]),
+            "layer0.bias": np.array([[1.0]]),
+            "head_y.weight": np.array([[1.0]]),
+            "head_logvar.weight": np.array([[0.0]]),
         }
-        y_hat, log_var, trace = forward(model, Matrix([[3.0]]))
+        y_hat, log_var, trace = forward(model, np.array([[3.0]]))
         assert trace.activations[0][0, 0] == 7.0  # 3*2 + 1, relu inactive
         assert y_hat[0] == 7.0
         assert log_var[0] == 0.0
 
     def test_no_dropout_makes_modes_agree(self):
         model = small_model(hidden=(8, 8), dropout_p=0.0, seed=3)
-        x = Matrix(np.random.default_rng(0).normal(size=(6, 2)))
+        x = np.random.default_rng(0).normal(size=(6, 2))
         det_y, det_lv, _ = forward(model, x)
         sto_y, sto_lv, _ = forward(model, x, rng=Rng(5))
         assert np.array_equal(det_y, sto_y)
@@ -89,7 +98,7 @@ class TestForward:
 
     def test_stochastic_forward_is_seed_deterministic(self):
         model = small_model(dropout_p=0.4)
-        x = Matrix(np.random.default_rng(1).normal(size=(5, 2)))
+        x = np.random.default_rng(1).normal(size=(5, 2))
         out1 = forward(model, x, rng=Rng(11))
         out2 = forward(model, x, rng=Rng(11))
         assert np.array_equal(out1[0], out2[0])
@@ -97,7 +106,7 @@ class TestForward:
 
     def test_mask_replay_is_bitwise(self):
         model = small_model(hidden=(6, 4), dropout_p=0.3, seed=2)
-        x = Matrix(np.random.default_rng(2).normal(size=(7, 2)))
+        x = np.random.default_rng(2).normal(size=(7, 2))
         y1, lv1, trace = forward(model, x, rng=Rng(13))
         y2, lv2, _ = forward(model, x, masks=trace.masks)
         assert np.array_equal(y1, y2)
@@ -106,47 +115,62 @@ class TestForward:
     def test_shape_validation(self):
         model = small_model()
         with pytest.raises(ShapeError):
-            forward(model, Matrix.zeros(3, 5))
+            forward(model, np.zeros((3, 5)))
         with pytest.raises(ParameterError):
-            forward(model, Matrix.zeros(3, 2), rng=Rng(0), masks=[])
+            forward(model, np.zeros((3, 2)), rng=Rng(0), masks=[])
+
+    def test_input_shape_error_names_the_shape(self):
+        model = small_model()
+        with pytest.raises(ShapeError, match=r"\(2, 3\)"):
+            forward(model, np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match=r"\(2,\)"):
+            forward(model, np.zeros(2))
+
+    def test_masks_are_read_only(self):
+        model = small_model(hidden=(4, 3), dropout_p=0.2)
+        for rng in (Rng(1), None):
+            _, _, trace = forward(model, np.ones((2, 2)), rng=rng)
+            for mask in trace.masks:
+                with pytest.raises(ValueError):
+                    mask[0, 0] = 0.0
 
     def test_log_var_clamped(self):
         model = small_model(hidden=(1,), input_dim=1)
         model.params = {
             **model.params,
-            "layer0.weight": Matrix([[1.0]]),
-            "head_logvar.weight": Matrix([[100.0]]),
+            "layer0.weight": np.array([[1.0]]),
+            "head_logvar.weight": np.array([[100.0]]),
         }
-        _, log_var, trace = forward(model, Matrix([[5.0]]))
+        _, log_var, trace = forward(model, np.array([[5.0]]))
         assert log_var[0] == 6.0
         assert trace.clamp_active[0]
         grads = backward(model, trace, np.zeros(1), np.ones(1))
         for g in grads.values():
-            assert np.all(g.data == 0.0)
+            assert np.all(g == 0.0)
 
 
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         model = small_model(hidden=(4, 3), dropout_p=0.2)
-        x = Matrix(np.random.default_rng(3).normal(size=(5, 2)))
+        x = np.random.default_rng(3).normal(size=(5, 2))
         _, _, trace = forward(model, x, rng=Rng(17))
         grads = backward(model, trace, np.zeros(5), np.zeros(5))
         for g in grads.values():
-            assert np.all(g.data == 0.0)
+            assert np.all(g == 0.0)
 
     def test_linear_model_hand_gradient(self):
         # y = w*x with x=3: d(loss)/dw = d_y_hat * x = 3
         model = small_model(hidden=(1,), input_dim=1)
         model.params = {
             **model.params,
-            "layer0.weight": Matrix([[1.0]]),
-            "head_y.weight": Matrix([[1.0]]),
-            "head_logvar.weight": Matrix([[0.0]]),
+            "layer0.weight": np.array([[1.0]]),
+            "head_y.weight": np.array([[1.0]]),
+            "head_logvar.weight": np.array([[0.0]]),
         }
-        _, _, trace = forward(model, Matrix([[3.0]]))
+        _, _, trace = forward(model, np.array([[3.0]]))
         grads = backward(model, trace, np.array([1.0]), np.array([0.0]))
-        assert grads["head_y.weight"].data[0, 0] == 3.0
-        assert grads["layer0.weight"].data[0, 0] == 3.0
+        assert grads["head_y.weight"][0, 0] == 3.0
+        assert grads["layer0.weight"][0, 0] == 3.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_finite_difference_oracle(self, seed):
@@ -156,7 +180,7 @@ class TestBackward:
         activation = "relu" if seed % 2 == 0 else "tanh"
         model = small_model(hidden=hidden, dropout_p=0.25, activation=activation, seed=seed)
         randomize_biases(model, rng)
-        x = Matrix(rng.normal(size=(4, 2)))
+        x = rng.normal(size=(4, 2))
         _, _, trace = forward(model, x, rng=Rng(seed + 100))
         masks = trace.masks
 
@@ -172,34 +196,49 @@ class TestBackward:
 
         h = 1e-6
         for name, g in grads.items():
-            base = model.params[name].data
+            base = model.params[name]
             for idx in np.ndindex(base.shape):
                 plus = base.copy()
                 plus[idx] += h
                 minus = base.copy()
                 minus[idx] -= h
-                model.params = {**model.params, name: Matrix(plus)}
+                model.params = {**model.params, name: plus}
                 up = scalar_loss()
-                model.params = {**model.params, name: Matrix(minus)}
+                model.params = {**model.params, name: minus}
                 down = scalar_loss()
-                model.params = {**model.params, name: Matrix(base)}
+                model.params = {**model.params, name: base}
                 fd = (up - down) / (2 * h)
-                analytic = g.data[idx]
+                analytic = g[idx]
                 assert abs(analytic - fd) <= 1e-5 * max(abs(analytic), abs(fd), 1e-8), (
                     f"{name}{idx}: analytic={analytic}, fd={fd}"
                 )
 
     def test_stale_trace_rejected(self):
         model = small_model(hidden=(4,))
-        x = Matrix.zeros(3, 2)
+        x = np.zeros((3, 2))
         _, _, trace = forward(model, x)
         other = small_model(hidden=(6,))
         with pytest.raises(StaleTraceError):
             backward(other, trace, np.zeros(3), np.zeros(3))
 
+    def test_trace_from_before_a_parameter_update_is_rejected(self):
+        model = small_model(hidden=(4,))
+        x = np.random.default_rng(4).normal(size=(3, 2))
+        _, _, old_trace = forward(model, x)
+        config = TrainConfig(optimizer="sgd_momentum", learning_rate=0.1)
+        grads = backward(model, old_trace, np.ones(3), np.ones(3))
+        new_params, _ = optimizer_update(
+            model.params, grads, init_optimizer_state(config, model.params), config
+        )
+        model.params = new_params
+        with pytest.raises(StaleTraceError):
+            backward(model, old_trace, np.ones(3), np.ones(3))
+        _, _, fresh = forward(model, x)
+        backward(model, fresh, np.ones(3), np.ones(3))
+
     def test_upstream_shape_checked(self):
         model = small_model()
-        _, _, trace = forward(model, Matrix.zeros(3, 2))
+        _, _, trace = forward(model, np.zeros((3, 2)))
         with pytest.raises(ShapeError):
             backward(model, trace, np.zeros(2), np.zeros(3))
 
@@ -212,7 +251,36 @@ class TestCheckpoint:
         loaded = load_model(path)
         assert loaded.config == model.config
         for name in model.params:
-            assert np.array_equal(loaded.params[name].data, model.params[name].data)
+            assert np.array_equal(loaded.params[name], model.params[name])
+
+    def test_parameters_are_stored_flat_row_major(self, tmp_path):
+        model = small_model(hidden=(2,), input_dim=3)
+        weight = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        model.params = {**model.params, "layer0.weight": weight}
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        entry = json.loads(path.read_text())["params"]["layer0.weight"]
+        assert entry == {"rows": 3, "cols": 2, "data": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}
+        loaded = load_model(path).params["layer0.weight"]
+        assert np.array_equal(loaded, weight)
+        assert loaded.flags.c_contiguous and not loaded.flags.writeable
+
+    def _corrupted(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_model(small_model(hidden=(2,)), path)
+        doc = json.loads(path.read_text())
+        edit(doc["params"]["layer0.weight"]["data"])
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_rejects_size_mismatch(self, tmp_path):
+        with pytest.raises(ShapeError, match="layer0.weight"):
+            load_model(self._corrupted(tmp_path, lambda data: data.pop()))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_values(self, tmp_path, bad):
+        with pytest.raises(NonFiniteError, match="layer0.weight"):
+            load_model(self._corrupted(tmp_path, lambda data: data.__setitem__(0, bad)))
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bogus.json"

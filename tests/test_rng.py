@@ -48,29 +48,35 @@ def test_gaussian_sample_degenerate_and_errors():
 def test_dropout_mask_expectation(p):
     n_rows, n_cols = 400, 250
     mask = sample_dropout_mask(Rng(11), n_rows, n_cols, p)
-    values = mask.data
     keep = 1.0 / (1.0 - p)
-    assert set(np.unique(values)) <= {0.0, keep}
+    assert set(np.unique(mask)) <= {0.0, keep}
     n = n_rows * n_cols
     se = np.sqrt(p / (1.0 - p) / n)  # var of an inverted-dropout entry is p/(1-p)
-    assert abs(values.mean() - 1.0) <= max(3.0 * se, 1e-12)
+    assert abs(mask.mean() - 1.0) <= max(3.0 * se, 1e-12)
 
 
 def test_dropout_zero_fraction_close_to_p():
     p = 0.05
     mask = sample_dropout_mask(Rng(3), 1000, 100, p)
-    zero_frac = np.mean(mask.data == 0.0)
+    zero_frac = np.mean(mask == 0.0)
     assert abs(zero_frac - p) < 0.01
 
 
 def test_dropout_mask_deterministic_and_validated():
     m1 = sample_dropout_mask(Rng(21), 17, 13, 0.3)
     m2 = sample_dropout_mask(Rng(21), 17, 13, 0.3)
-    assert np.array_equal(m1.data, m2.data)
+    assert np.array_equal(m1, m2)
     with pytest.raises(ParameterError):
         sample_dropout_mask(Rng(0), 2, 2, 1.0)
     with pytest.raises(ParameterError):
         sample_dropout_mask(Rng(0), 2, 2, -0.1)
+
+
+def test_dropout_mask_is_read_only():
+    mask = sample_dropout_mask(Rng(4), 3, 2, 0.5)
+    assert mask.dtype == np.float64 and mask.flags.c_contiguous
+    with pytest.raises(ValueError):
+        mask[0, 0] = 2.0
 
 
 def test_split_streams_are_independent_and_reproducible():

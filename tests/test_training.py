@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,16 +7,16 @@ from semireg.data import RegressionDataset, split_semi_supervised
 from semireg.ensemble import generate_pseudo_labels
 from semireg.errors import (
     DivergenceError,
+    NonFiniteError,
     NonFiniteLossError,
     ParameterError,
     UsageError,
 )
-from semireg.matrix import Matrix
 from semireg.rng import Rng
 from semireg.training import (
+    OPTIMIZERS,
     TrainConfig,
     _cross_targets,
-    _train_step_impl,
     init_optimizer_state,
     init_train_state,
     optimizer_update,
@@ -27,16 +29,16 @@ def scalar_linear_state(config):
     """Two 1-input, no-hidden-layer models with hand-set head parameters."""
     state = init_train_state(config, input_dim=1)
     state.model_a.params = {
-        "head_y.weight": Matrix([[0.8]]),
-        "head_y.bias": Matrix([[0.1]]),
-        "head_logvar.weight": Matrix([[0.2]]),
-        "head_logvar.bias": Matrix([[-0.1]]),
+        "head_y.weight": np.array([[0.8]]),
+        "head_y.bias": np.array([[0.1]]),
+        "head_logvar.weight": np.array([[0.2]]),
+        "head_logvar.bias": np.array([[-0.1]]),
     }
     state.model_b.params = {
-        "head_y.weight": Matrix([[1.2]]),
-        "head_y.bias": Matrix([[-0.2]]),
-        "head_logvar.weight": Matrix([[-0.3]]),
-        "head_logvar.bias": Matrix([[0.05]]),
+        "head_y.weight": np.array([[1.2]]),
+        "head_y.bias": np.array([[-0.2]]),
+        "head_logvar.weight": np.array([[-0.3]]),
+        "head_logvar.bias": np.array([[0.05]]),
     }
     state.opt_a = init_optimizer_state(config, state.model_a.params)
     state.opt_b = init_optimizer_state(config, state.model_b.params)
@@ -47,7 +49,7 @@ def make_split(n=300, label_fraction=0.2, seed=0, input_dim=2):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2, 2, size=(n, input_dim))
     y = np.sin(x[:, 0]) + 0.1 * rng.normal(size=n)
-    data = RegressionDataset(features=Matrix(x), targets=y)
+    data = RegressionDataset(features=x, targets=y)
     return split_semi_supervised(data, label_fraction, 0.15, 0.2, Rng(seed))
 
 
@@ -76,40 +78,52 @@ class TestConfig:
 class TestOptimizer:
     def test_sgd_hand_value(self):
         config = TrainConfig(optimizer="sgd_momentum", learning_rate=0.1, momentum=0.0)
-        params = {"p": Matrix([[1.0]])}
+        params = {"p": np.array([[1.0]])}
         state = init_optimizer_state(config, params)
-        new = optimizer_update(params, {"p": Matrix([[2.0]])}, state, config)
-        assert new["p"].data[0, 0] == pytest.approx(0.8, abs=1e-15)
+        new, _ = optimizer_update(params, {"p": np.array([[2.0]])}, state, config)
+        assert new["p"][0, 0] == pytest.approx(0.8, abs=1e-15)
 
     def test_sgd_momentum_accumulates(self):
         config = TrainConfig(optimizer="sgd_momentum", learning_rate=0.1, momentum=0.5)
-        params = {"p": Matrix([[0.0]])}
+        params = {"p": np.array([[0.0]])}
         state = init_optimizer_state(config, params)
-        params = optimizer_update(params, {"p": Matrix([[1.0]])}, state, config)
-        assert params["p"].data[0, 0] == pytest.approx(-0.1)
-        params = optimizer_update(params, {"p": Matrix([[1.0]])}, state, config)
+        params, state = optimizer_update(params, {"p": np.array([[1.0]])}, state, config)
+        assert params["p"][0, 0] == pytest.approx(-0.1)
+        params, state = optimizer_update(params, {"p": np.array([[1.0]])}, state, config)
         # velocity = 0.5*1 + 1 = 1.5 -> -0.1 - 0.15
-        assert params["p"].data[0, 0] == pytest.approx(-0.25)
+        assert params["p"][0, 0] == pytest.approx(-0.25)
 
     def test_zero_gradient_is_a_fixed_point(self):
         for opt in ("adam", "sgd_momentum"):
             config = TrainConfig(optimizer=opt, learning_rate=0.5)
-            params = {"p": Matrix([[3.0, -1.0]])}
+            params = {"p": np.array([[3.0, -1.0]])}
             state = init_optimizer_state(config, params)
-            new = optimizer_update(params, {"p": Matrix.zeros(1, 2)}, state, config)
-            assert np.array_equal(new["p"].data, params["p"].data)
+            new, _ = optimizer_update(params, {"p": np.zeros((1, 2))}, state, config)
+            assert np.array_equal(new["p"], params["p"])
 
     def test_adam_first_step_hand_value(self):
         config = TrainConfig(optimizer="adam", learning_rate=0.1)
-        params = {"p": Matrix([[1.0]])}
+        params = {"p": np.array([[1.0]])}
         state = init_optimizer_state(config, params)
         g = 2.0
-        new = optimizer_update(params, {"p": Matrix([[g]])}, state, config)
+        new, _ = optimizer_update(params, {"p": np.array([[g]])}, state, config)
         # bias-corrected first step: m_hat = g, v_hat = g^2
         expected = 1.0 - 0.1 * g / (np.sqrt(g * g) + config.adam_eps)
-        assert new["p"].data[0, 0] == expected
+        assert new["p"][0, 0] == expected
         # direction is -sign(g) * lr, up to the epsilon correction
-        assert new["p"].data[0, 0] == pytest.approx(1.0 - 0.1, abs=1e-8)
+        assert new["p"][0, 0] == pytest.approx(1.0 - 0.1, abs=1e-8)
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_rejected_update_leaves_state_unchanged(self, optimizer):
+        config = TrainConfig(optimizer=optimizer, learning_rate=0.1)
+        params = {"p": np.array([[1.0, -2.0]])}
+        state = init_optimizer_state(config, params)
+        with pytest.raises(NonFiniteError):
+            optimizer_update(params, {"p": np.full((1, 2), np.inf)}, state, config)
+        assert state.step == 0
+        for slot in state.slots["p"].values():
+            assert np.array_equal(slot, np.zeros((1, 2)))
+        assert np.array_equal(params["p"], [[1.0, -2.0]])
 
 
 class TestTrainStep:
@@ -179,10 +193,10 @@ class TestTrainStep:
                 grad = (up - down) / (2 * h)
                 expected[(model_key, name)] = theta0[model_key][i] - 0.1 * grad
 
-        train_step(state, (Matrix([[x_lab]]), np.array([y_lab])), Matrix([[x_ulb]]), config)
+        train_step(state, (np.array([[x_lab]]), np.array([y_lab])), np.array([[x_ulb]]), config)
         for name in expected:
             model = state.model_a if name[0] == "a" else state.model_b
-            got = model.params[name[1]].data[0, 0]
+            got = model.params[name[1]][0, 0]
             assert got == pytest.approx(expected[name], rel=1e-6, abs=1e-9), name
 
     def test_weight_zero_matches_supervised_step_and_reports_components(self):
@@ -190,9 +204,9 @@ class TestTrainStep:
             unlabeled_weight=0.0, dropout_p=0.1, hidden_dims=(8,), epochs=1, seed=3
         )
         rng = np.random.default_rng(1)
-        x_lab = Matrix(rng.normal(size=(6, 2)))
+        x_lab = rng.normal(size=(6, 2))
         y_lab = rng.normal(size=6)
-        x_ulb = Matrix(rng.normal(size=(10, 2)))
+        x_ulb = rng.normal(size=(10, 2))
 
         s1 = init_train_state(config, 2)
         b1 = train_step(s1, (x_lab, y_lab), x_ulb, config)
@@ -204,8 +218,8 @@ class TestTrainStep:
         assert b1.total == b1.labeled_reg + b1.labeled_unc
         assert b2.unlabeled_reg == 0.0
         for name in s1.model_a.params:
-            assert np.array_equal(s1.model_a.params[name].data, s2.model_a.params[name].data)
-            assert np.array_equal(s1.model_b.params[name].data, s2.model_b.params[name].data)
+            assert np.array_equal(s1.model_a.params[name], s2.model_a.params[name])
+            assert np.array_equal(s1.model_b.params[name], s2.model_b.params[name])
 
     def test_near_fixed_point_for_target_head(self):
         # with y_hat == y, z == 0, p=0 the regression losses and the
@@ -222,27 +236,27 @@ class TestTrainStep:
         )
         state = scalar_linear_state(config)
         zero_y = {
-            "head_y.weight": Matrix([[0.5]]),
-            "head_y.bias": Matrix([[0.0]]),
-            "head_logvar.weight": Matrix([[0.0]]),
-            "head_logvar.bias": Matrix([[0.0]]),
+            "head_y.weight": np.array([[0.5]]),
+            "head_y.bias": np.array([[0.0]]),
+            "head_logvar.weight": np.array([[0.0]]),
+            "head_logvar.bias": np.array([[0.0]]),
         }
         state.model_a.params = dict(zero_y)
         state.model_b.params = dict(zero_y)
         x, y = 2.0, 1.0  # y_hat = 0.5*2 = 1 = y
-        breakdown = train_step(state, (Matrix([[x]]), np.array([y])), None, config)
+        breakdown = train_step(state, (np.array([[x]]), np.array([y])), None, config)
         assert breakdown.labeled_reg == 0.0
         assert breakdown.labeled_unc == 0.0
-        assert state.model_a.params["head_y.weight"].data[0, 0] == 0.5
-        assert state.model_a.params["head_y.bias"].data[0, 0] == 0.0
+        assert state.model_a.params["head_y.weight"][0, 0] == 0.5
+        assert state.model_a.params["head_y.bias"][0, 0] == 0.0
         # z keeps moving: d(hetero)/dz = 1/2 at zero residual
-        assert state.model_a.params["head_logvar.bias"].data[0, 0] != 0.0
+        assert state.model_a.params["head_logvar.bias"][0, 0] != 0.0
 
     def test_variant_controls_loss_components(self):
         rng = np.random.default_rng(2)
-        x_lab = Matrix(rng.normal(size=(5, 2)))
+        x_lab = rng.normal(size=(5, 2))
         y_lab = rng.normal(size=5)
-        x_ulb = Matrix(rng.normal(size=(7, 2)))
+        x_ulb = rng.normal(size=(7, 2))
         components = {}
         for variant in ("baseline", "baseline_con", "baseline_ens", "full"):
             config = TrainConfig(variant=variant, hidden_dims=(6,), seed=5)
@@ -258,7 +272,7 @@ class TestTrainStep:
     def test_cross_supervision_swaps_targets(self):
         config = TrainConfig(variant="baseline", dropout_p=0.0, hidden_dims=(4,), seed=1)
         state = init_train_state(config, 2)
-        x = Matrix(np.random.default_rng(3).normal(size=(4, 2)))
+        x = np.random.default_rng(3).normal(size=(4, 2))
         target_a, target_b = _cross_targets(state.model_a, state.model_b, x, Rng(0))
         from semireg.mlp import forward
 
@@ -272,9 +286,9 @@ class TestTrainStep:
         # weights gives a bitwise-identical update
         config = TrainConfig(variant="full", hidden_dims=(8,), dropout_p=0.1, seed=7)
         rng = np.random.default_rng(4)
-        x_lab = Matrix(rng.normal(size=(6, 2)))
+        x_lab = rng.normal(size=(6, 2))
         y_lab = rng.normal(size=6)
-        x_ulb = Matrix(rng.normal(size=(9, 2)))
+        x_ulb = rng.normal(size=(9, 2))
 
         s1 = init_train_state(config, 2)
         s2 = init_train_state(config, 2)
@@ -286,19 +300,19 @@ class TestTrainStep:
             s2.rng.split("step:0").split("pseudo"),
         )
         b1 = train_step(s1, (x_lab, y_lab), x_ulb, config)
-        b2 = _train_step_impl(
+        b2 = train_step(
             s2, (x_lab, y_lab), x_ulb, config, injected_targets=(frozen, frozen)
         )
         assert b1 == b2
         for name in s1.model_a.params:
-            assert np.array_equal(s1.model_a.params[name].data, s2.model_a.params[name].data)
-            assert np.array_equal(s1.model_b.params[name].data, s2.model_b.params[name].data)
+            assert np.array_equal(s1.model_a.params[name], s2.model_a.params[name])
+            assert np.array_equal(s1.model_b.params[name], s2.model_b.params[name])
 
     def test_empty_unlabeled_with_positive_weight_rejected(self):
         config = TrainConfig(unlabeled_weight=10.0, hidden_dims=(4,))
         state = init_train_state(config, 2)
         with pytest.raises(UsageError):
-            train_step(state, (Matrix.zeros(3, 2), np.zeros(3)), None, config)
+            train_step(state, (np.zeros((3, 2)), np.zeros(3)), None, config)
 
     def test_non_finite_loss_aborts_without_update(self):
         config = TrainConfig(
@@ -308,22 +322,47 @@ class TestTrainStep:
         # poison the model so the forward output overflows
         state.model_a.params = {
             **state.model_a.params,
-            "head_y.weight": Matrix([[1e308], [1e308], [1e308], [1e308]]),
-            "layer0.weight": Matrix(np.full((2, 4), 1e300)),
+            "head_y.weight": np.array([[1e308], [1e308], [1e308], [1e308]]),
+            "layer0.weight": np.full((2, 4), 1e300),
         }
-        before = {n: p.data.copy() for n, p in state.model_b.params.items()}
+        before = {n: p.copy() for n, p in state.model_b.params.items()}
         with pytest.raises(NonFiniteLossError):
-            train_step(state, (Matrix([[1.0, 1.0]]), np.array([0.0])), None, config)
+            train_step(state, (np.array([[1.0, 1.0]]), np.array([0.0])), None, config)
         assert state.step == 0
         for name, arr in before.items():
-            assert np.array_equal(state.model_b.params[name].data, arr)
+            assert np.array_equal(state.model_b.params[name], arr)
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_rejected_update_of_model_b_leaves_model_a_untouched(self, optimizer):
+        config = TrainConfig(
+            optimizer=optimizer, learning_rate=10.0, unlabeled_weight=0.0, hidden_dims=(4,), seed=4
+        )
+        state = init_train_state(config, 2)
+        # A finite but huge accumulator makes model b's next update overflow,
+        # while every gradient and model a's update stay finite.
+        slot = "m" if optimizer == "adam" else "velocity"
+        state.opt_b.slots["head_y.bias"][slot] = np.full((1, 1), 1e308)
+        params_before = [dict(state.model_a.params), dict(state.model_b.params)]
+        opts_before = [copy.deepcopy(state.opt_a), copy.deepcopy(state.opt_b)]
+        rng = np.random.default_rng(6)
+        with pytest.raises(NonFiniteLossError, match="update"):
+            train_step(state, (rng.normal(size=(3, 2)), rng.normal(size=3)), None, config)
+        for model, before in zip((state.model_a, state.model_b), params_before):
+            assert model.params.keys() == before.keys()
+            assert all(model.params[name] is p for name, p in before.items())
+        for opt, before in zip((state.opt_a, state.opt_b), opts_before):
+            assert opt.step == before.step == 0
+            for name, slots in before.slots.items():
+                for key, arr in slots.items():
+                    assert np.array_equal(opt.slots[name][key], arr)
+        assert state.step == 0 and state.history == []
 
     def test_history_records_every_step(self):
         config = TrainConfig(unlabeled_weight=0.0, hidden_dims=(4,), seed=9)
         state = init_train_state(config, 2)
         rng = np.random.default_rng(5)
         for _ in range(4):
-            train_step(state, (Matrix(rng.normal(size=(3, 2))), rng.normal(size=3)), None, config)
+            train_step(state, (rng.normal(size=(3, 2)), rng.normal(size=3)), None, config)
         assert state.step == 4
         assert len(state.history) == 4
 
@@ -366,7 +405,7 @@ class TestRunExperiment:
         assert r1.val_mae == r2.val_mae
         assert r1.history == r2.history
         for name in r1.model_a.params:
-            assert np.array_equal(r1.model_a.params[name].data, r2.model_a.params[name].data)
+            assert np.array_equal(r1.model_a.params[name], r2.model_a.params[name])
 
     def test_loss_decreases_over_training(self):
         config = self.quick_config(epochs=30, unlabeled_weight=1.0)
