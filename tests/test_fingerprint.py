@@ -27,6 +27,8 @@ QUICK_SHA256 = {
     "bin_report.csv": "4bffcbf5d827d19ca441ca9efef74e939d754a146bb647a0ee34fcdbd0f092ee",
 }
 
+VARIANCE_REPORT_SHA256 = "e4b3e09d9cd8b2835cd4ca6a692e45dbabbd719052ffa0406f4f2a50da5c3aee"
+
 BENCHMARK_SEED0_TEST_MAE = "0.6318628031674981"
 
 
@@ -41,6 +43,15 @@ def quick_run(tmp_path_factory):
 def test_quick_train_artifact_sha256(quick_run, artifact):
     digest = hashlib.sha256((quick_run / artifact).read_bytes()).hexdigest()
     assert digest == QUICK_SHA256[artifact]
+
+
+def test_quick_variance_report_sha256(tmp_path):
+    # variance-demo is the only command that runs variance_reduction_check
+    # and the T=20 ensemble, so train's pins do not cover it.
+    argv = ["variance-demo", "--config", str(CONFIGS / "quick.json"), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    digest = hashlib.sha256((tmp_path / "variance_report.json").read_bytes()).hexdigest()
+    assert digest == VARIANCE_REPORT_SHA256
 
 
 def test_benchmark_cell_seed0_test_mae():
