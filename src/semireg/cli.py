@@ -16,8 +16,10 @@ model_b.json (train/evaluate); ablation_table.csv, ablation_cells.json
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -47,6 +49,12 @@ from .training import (
 )
 
 VARIANCE_DEMO_DRAWS = (1, 2, 5, 20)
+
+# glibc mallopt parameters (malloc.h) and the values main() fixes them at.
+# Fixing either one turns off glibc's dynamic mmap threshold, so both are set.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD_BYTES = 16 << 20
+_MMAP_THRESHOLD_BYTES = 4 << 20
 
 _BOOL, _INT, _FLOAT, _STR, _INT_LIST, _STR_LIST = range(6)
 
@@ -382,9 +390,12 @@ def cmd_variance_demo(config: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_evaluate(config: ExperimentConfig, out_dir: Path, checkpoint_dir: Path) -> int:
+    # A checkpoint trained from another config or seed would be scored on
+    # the wrong split, so it is refused before anything is written.
+    provenance = {"config_sha256": config.sha256(), "seed": config["seed"]}
+    model_a = load_model(checkpoint_dir / "model_a.json", provenance=provenance)
+    model_b = load_model(checkpoint_dir / "model_b.json", provenance=provenance)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model_a = load_model(checkpoint_dir / "model_a.json")
-    model_b = load_model(checkpoint_dir / "model_b.json")
     _, split = build_split(config)
     # The normalizer refits on the labeled partition, which is derived
     # deterministically from the config seed, so it matches training exactly.
@@ -407,7 +418,28 @@ def cmd_evaluate(config: ExperimentConfig, out_dir: Path, checkpoint_dir: Path) 
     return 0
 
 
+def _fix_malloc_thresholds() -> None:
+    """Keep freed heap memory for reuse instead of returning it to the OS.
+
+    By default glibc trims the heap top and maps large blocks afresh, so
+    numpy temporaries re-fault their pages on every call. Only allocation
+    changes; no number does. Other C libraries are left alone.
+    """
+    try:
+        libc_version = os.confstr("CS_GNU_LIBC_VERSION")
+    except (ValueError, OSError):
+        return
+    if not libc_version or not libc_version.startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    _fix_malloc_thresholds()
     parser = argparse.ArgumentParser(
         prog="semireg",
         description="Semi-supervised heteroscedastic regression experiments",

@@ -8,18 +8,30 @@ same way (log-uncertainty is averaged in log space). The result is a plain
 constant with no gradient path back to either model. Averaging keeps the
 predictor's bias unchanged while shrinking its variance, which is also why
 the same kernel serves as the test-time inference rule.
+
+The draws run in chunks. A chunk's masks come from one sample_dropout_mask
+call, one row of words per draw laid out as (model a, model b; layer), which
+are the same stream words in the same order as one draw at a time. Each model
+then runs one forward with its masks stacked on a leading draw axis, so the
+draw-independent first layer is computed once and one trace is built per
+chunk, not per draw. The chunk size caps the mask block at _CHUNK_WORDS
+words, which keeps the temporaries of large inputs small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .data import RegressionDataset
 from .errors import ParameterError, UsageError
 from .mlp import MlpModel, forward
-from .rng import Rng
+from .rng import Rng, sample_dropout_mask
+
+# Most mask words one chunk of draws may hold (2**15 words = 256 KiB).
+_CHUNK_WORDS = 2**15
 
 
 @dataclass(frozen=True)
@@ -48,17 +60,35 @@ def generate_pseudo_labels(
 
     Dropout masks are sampled independently for every (draw, model) pair from
     the given stream, consumed in (draw, model a, model b) order so the
-    reduction order is fixed and reproducible.
+    reduction order is fixed and reproducible. Both models must share
+    dropout_p, since one call samples the masks of both.
     """
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
-    y_sum = np.zeros(x.shape[0])
-    lv_sum = np.zeros(x.shape[0])
-    for _ in range(draws):
-        y_a, lv_a, _ = forward(model_a, x, rng=rng)
-        y_b, lv_b, _ = forward(model_b, x, rng=rng)
-        y_sum += 0.5 * (y_a + y_b)
-        lv_sum += 0.5 * (lv_a + lv_b)
+    p = model_a.config.dropout_p
+    if model_b.config.dropout_p != p:
+        raise ParameterError("both models must share dropout_p")
+    rows = x.shape[0]
+    widths = (*model_a.config.hidden_dims, *model_b.config.hidden_dims)
+    n_a = len(model_a.config.hidden_dims)
+    bounds = list(accumulate((rows * w for w in widths), initial=0))
+    words_per_draw = bounds[-1]
+    chunk = max(1, _CHUNK_WORDS // max(1, words_per_draw))
+    y_sum = np.zeros(rows)
+    lv_sum = np.zeros(rows)
+    for start in range(0, draws, chunk):
+        k = min(chunk, draws - start)
+        block = sample_dropout_mask(rng, k, words_per_draw, p)
+        masks = [
+            block[:, lo:hi].reshape(k, rows, w) for lo, hi, w in zip(bounds, bounds[1:], widths)
+        ]
+        y_a, lv_a, _ = forward(model_a, x, masks=masks[:n_a])
+        y_b, lv_b, _ = forward(model_b, x, masks=masks[n_a:])
+        # a model without hidden layers has no masks and returns (rows,)
+        y_a, lv_a, y_b, lv_b = (np.broadcast_to(v, (k, rows)) for v in (y_a, lv_a, y_b, lv_b))
+        for t in range(k):
+            y_sum += 0.5 * (y_a[t] + y_b[t])
+            lv_sum += 0.5 * (lv_a[t] + lv_b[t])
     return PseudoLabels(y=y_sum / draws, log_var=lv_sum / draws, draws=draws)
 
 

@@ -76,14 +76,17 @@ class ForwardTrace:
     params: dict[str, np.ndarray]  # the parameter arrays this pass read
 
 
-def _param_names(config: MlpConfig):
-    for i in range(len(config.hidden_dims)):
-        yield f"layer{i}.weight"
-        yield f"layer{i}.bias"
-    yield "head_y.weight"
-    yield "head_y.bias"
-    yield "head_logvar.weight"
-    yield "head_logvar.bias"
+def _param_shapes(config: MlpConfig) -> dict[str, tuple[int, int]]:
+    """Every parameter's name and shape, in the canonical order."""
+    dims = config.trunk_dims
+    shapes = {}
+    for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
+        shapes[f"layer{i}.weight"] = (din, dout)
+        shapes[f"layer{i}.bias"] = (1, dout)
+    for head in ("head_y", "head_logvar"):
+        shapes[f"{head}.weight"] = (dims[-1], 1)
+        shapes[f"{head}.bias"] = (1, 1)
+    return shapes
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -104,16 +107,12 @@ def init_model(config: MlpConfig, rng: Rng) -> MlpModel:
     i.e. unit variance, which matches standardized targets. Weights are drawn
     trunk-first, then target head, then log-variance head, row-major.
     """
-    dims = config.trunk_dims
-    params: dict[str, np.ndarray] = {}
-    for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
-        params[f"layer{i}.weight"] = _fan_in_uniform(rng, din, dout)
-        params[f"layer{i}.bias"] = _read_only(np.zeros((1, dout)))
-    trunk_out = dims[-1]
-    params["head_y.weight"] = _fan_in_uniform(rng, trunk_out, 1)
-    params["head_y.bias"] = _read_only(np.zeros((1, 1)))
-    params["head_logvar.weight"] = _fan_in_uniform(rng, trunk_out, 1)
-    params["head_logvar.bias"] = _read_only(np.zeros((1, 1)))
+    params = {
+        name: _fan_in_uniform(rng, *shape)
+        if name.endswith(".weight")
+        else _read_only(np.zeros(shape))
+        for name, shape in _param_shapes(config).items()
+    }
     return MlpModel(config=config, params=params)
 
 
@@ -129,6 +128,12 @@ def forward(
     pass ``masks`` to replay stored ones, pass neither for the deterministic
     all-ones-mask forward. Returns (y_hat, log_var, trace) with the
     log-variance clamped to the config range.
+
+    Replayed masks are either all (rows, width) or all (k, rows, width): the
+    latter runs k draws at once, stacked on a leading draw axis, and returns
+    (k, rows) outputs. The first layer, which no mask has touched yet, is
+    computed once; later layers are stacked (k, rows, w) @ (w, w') matmuls,
+    which give the same bits as k separate passes.
     """
     if rng is not None and masks is not None:
         raise ParameterError("pass rng or masks, not both")
@@ -136,8 +141,14 @@ def forward(
     if x.ndim != 2 or x.shape[1] != cfg.input_dim:
         raise ShapeError(f"input must be 2-D with {cfg.input_dim} columns, got shape {x.shape}")
     n_hidden = len(cfg.hidden_dims)
-    if masks is not None and len(masks) != n_hidden:
-        raise ShapeError(f"expected {n_hidden} masks, got {len(masks)}")
+    draw_shape: tuple[int, ...] = ()
+    if masks is not None:
+        if len(masks) != n_hidden:
+            raise ShapeError(f"expected {n_hidden} masks, got {len(masks)}")
+        if masks:
+            draw_shape = masks[0].shape[:-2]
+        if len(draw_shape) > 1:
+            raise ShapeError(f"masks must be 2-D or 3-D, got shape {masks[0].shape}")
 
     params = dict(model.params)
     h = x
@@ -152,8 +163,9 @@ def forward(
             if rng is not None:
                 mask = sample_dropout_mask(rng, act.shape[0], width, cfg.dropout_p)
             elif masks is not None:
-                if masks[i].shape != act.shape:
-                    raise ShapeError(f"mask {i} has shape {masks[i].shape}, need {act.shape}")
+                need = (*draw_shape, x.shape[0], width)
+                if masks[i].shape != need:
+                    raise ShapeError(f"mask {i} has shape {masks[i].shape}, need {need}")
                 mask = masks[i]
             else:
                 mask = _read_only(np.ones_like(act))
@@ -162,8 +174,8 @@ def forward(
             used_masks.append(mask)
             layer_inputs.append(h)
 
-        y_hat = (h @ params["head_y.weight"] + params["head_y.bias"]).ravel()
-        raw_log_var = (h @ params["head_logvar.weight"] + params["head_logvar.bias"]).ravel()
+        y_hat = (h @ params["head_y.weight"] + params["head_y.bias"])[..., 0]
+        raw_log_var = (h @ params["head_logvar.weight"] + params["head_logvar.bias"])[..., 0]
     log_var = np.clip(raw_log_var, cfg.log_var_min, cfg.log_var_max)
     clamp_active = (raw_log_var < cfg.log_var_min) | (raw_log_var > cfg.log_var_max)
     for arr in (y_hat, log_var):
@@ -197,6 +209,8 @@ def backward(
     params = trace.params
     if any(model.params.get(name) is not p for name, p in params.items()):
         raise StaleTraceError("trace does not match the model's current parameters")
+    if trace.y_hat.ndim != 1:
+        raise ShapeError(f"backward needs a single-draw trace, got outputs of {trace.y_hat.shape}")
     d_y_hat = np.asarray(d_y_hat, dtype=np.float64)
     d_log_var = np.asarray(d_log_var, dtype=np.float64)
     batch = trace.y_hat.size
@@ -229,7 +243,7 @@ def backward(
         grads[f"layer{i}.weight"] = _finite(trace.layer_inputs[i].T @ d_pre)
         grads[f"layer{i}.bias"] = _finite(d_pre.sum(axis=0, keepdims=True))
         d_h = d_pre @ params[f"layer{i}.weight"].T
-    return {name: grads[name] for name in _param_names(cfg)}
+    return {name: grads[name] for name in _param_shapes(cfg)}
 
 
 def _finite(grad: np.ndarray) -> np.ndarray:
@@ -246,8 +260,8 @@ CHECKPOINT_VERSION = 1
 def save_model(model: MlpModel, path, provenance: dict | None = None) -> None:
     """Write a versioned JSON checkpoint; floats round-trip bit-exactly.
 
-    ``provenance`` (e.g. config hash and seed) is stored verbatim for audit
-    purposes and ignored by load_model.
+    ``provenance`` (e.g. config hash and seed) is stored verbatim; load_model
+    can require it to match.
     """
     cfg = model.config
     doc = {
@@ -273,14 +287,25 @@ def save_model(model: MlpModel, path, provenance: dict | None = None) -> None:
         fh.write("\n")
 
 
-def load_model(path) -> MlpModel:
-    """Read a save_model checkpoint; every parameter must hold rows*cols finite values."""
+def load_model(path, provenance: dict | None = None) -> MlpModel:
+    """Read a save_model checkpoint.
+
+    Every parameter must have the shape its config implies (ShapeError) and
+    finite values. With ``provenance``, the checkpoint's stored provenance
+    must hold the same value for each of its keys (ParameterError naming
+    both values otherwise).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ParameterError(f"not a model checkpoint: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ParameterError(f"unsupported checkpoint version {doc.get('version')}")
+    if provenance is not None:
+        stored = doc.get("provenance") or {}
+        found = {key: stored.get(key) for key in provenance}
+        if found != provenance:
+            raise ParameterError(f"checkpoint {path} has provenance {found}, expected {provenance}")
     cfg = MlpConfig(
         input_dim=doc["config"]["input_dim"],
         hidden_dims=tuple(doc["config"]["hidden_dims"]),
@@ -290,10 +315,15 @@ def load_model(path) -> MlpModel:
         log_var_max=doc["config"]["log_var_max"],
     )
     params = {name: _param_from_entry(name, entry) for name, entry in doc["params"].items()}
-    expected = list(_param_names(cfg))
-    if sorted(params) != sorted(expected):
+    shapes = _param_shapes(cfg)
+    if sorted(params) != sorted(shapes):
         raise ParameterError("checkpoint parameter names do not match its config")
-    return MlpModel(config=cfg, params={name: params[name] for name in expected})
+    for name, shape in shapes.items():
+        if params[name].shape != shape:
+            raise ShapeError(
+                f"parameter {name}: expected shape {shape}, found {params[name].shape}"
+            )
+    return MlpModel(config=cfg, params={name: params[name] for name in shapes})
 
 
 def _param_from_entry(name: str, entry: dict) -> np.ndarray:

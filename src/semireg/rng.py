@@ -23,6 +23,8 @@ given platform build. A single Rng must not be shared across threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ParameterError
@@ -41,11 +43,15 @@ _U11 = np.uint64(11)
 _INV53 = float(2.0**-53)
 
 
-def _mix64(words: np.ndarray) -> np.ndarray:
-    # SplitMix64 finalizer; uint64 array ops wrap mod 2**64 without warnings.
-    z = (words ^ (words >> _U30)) * np.uint64(_MIX1)
-    z = (z ^ (z >> _U27)) * np.uint64(_MIX2)
-    return z ^ (z >> _U31)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    # SplitMix64 finalizer, in place on a fresh uint64 array (returned);
+    # uint64 array ops wrap mod 2**64 without warnings.
+    shifted = np.empty_like(z)
+    for shift, mult in ((_U30, _MIX1), (_U27, _MIX2)):
+        z ^= np.right_shift(z, shift, out=shifted)
+        z *= np.uint64(mult)
+    z ^= np.right_shift(z, _U31, out=shifted)
+    return z
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -75,8 +81,10 @@ class Rng:
             raise ParameterError("raw word count must be >= 0")
         start = self._counter
         self._counter += n
-        idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-        return _mix64(np.uint64(self.seed) + idx * np.uint64(_GAMMA))
+        z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.seed)
+        return _mix64(z)
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1)."""
@@ -111,14 +119,19 @@ class Rng:
 def sample_dropout_mask(rng: Rng, rows: int, cols: int, p: float) -> np.ndarray:
     """Inverted-dropout mask: entries 0 with probability p, else 1/(1-p).
 
-    Surviving units are pre-scaled so the mask has unit expectation and the
-    deterministic forward pass needs no rescaling.
+    Defined as ``np.where(rng.uniforms(rows * cols).reshape(rows, cols) < p,
+    0.0, 1 / (1 - p))``. Surviving units are pre-scaled so the mask has unit
+    expectation and the deterministic forward pass needs no rescaling. The
+    raw words are compared against an integer threshold instead of being
+    turned into uniforms: ``(w >> 11) * 2**-53 < p`` holds exactly when
+    ``w < ceil(p * 2**53) << 11``, so the mask is the same bit for bit.
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
-    u = rng.uniforms(rows * cols).reshape(rows, cols)
-    keep = 1.0 / (1.0 - p)
-    mask = np.where(u < p, 0.0, keep)
+    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+    words = rng.raw(rows * cols).reshape(rows, cols)
+    # bool * keep is exactly 0.0 or keep, as in the definition, and faster
+    mask = np.multiply(words >= threshold, 1.0 / (1.0 - p))
     mask.setflags(write=False)
     return mask
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from semireg import cli
 from semireg.cli import ExperimentConfig, main
 from semireg.errors import ConfigError
 
@@ -185,6 +186,31 @@ class TestEvaluateCommand:
         eval_metrics = json.loads((out / "eval_metrics.json").read_text())
         assert eval_metrics["test_mae"] == train_metrics["test_mae"]
         assert eval_metrics["test_r2"] == train_metrics["test_r2"]
+
+
+    def test_foreign_checkpoint_is_refused(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "trained"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        argv = ["evaluate", "--config", str(config), "--out", str(out), "--seed", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "'seed': 0" in err and "'seed': 1" in err
+        assert not (out / "eval_metrics.json").exists()
+
+
+def test_allocator_tuning_is_skipped_off_glibc(tmp_path, monkeypatch):
+    def no_glibc(name):
+        raise ValueError(name)
+
+    def no_cdll(*args, **kwargs):
+        raise AssertionError("mallopt must not be reached")
+
+    monkeypatch.setattr(cli.os, "confstr", no_glibc)
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_cdll)
+    config = write_config(tmp_path)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_module_entrypoint_runs(tmp_path):

@@ -29,6 +29,15 @@ def stochastic_model(seed=0, dropout_p=0.25, hidden=(16, 16)):
     return init_model(cfg, Rng(seed))
 
 
+# Benchmark-like shapes: 1 row is the cycler's remainder batch, 90 the
+# validation split, 225 the test split; 225 rows and 20 draws span chunks.
+REFERENCE_CASES = [
+    *(((16, 16), "relu", rows, draws) for rows in (1, 6, 90, 225) for draws in (1, 2, 5, 20)),
+    ((24, 8, 16), "tanh", 90, 5),
+    ((), "relu", 6, 5),
+]
+
+
 class TestPseudoLabels:
     def test_two_constant_models_average(self):
         # one draw, y_a=2 and y_b=4 -> pseudo-label 3
@@ -43,22 +52,40 @@ class TestPseudoLabels:
         expected = np.mean([(ya + yb) / 2 for ya, yb in zip(per_draw_a, per_draw_b)])
         assert expected == 5.0
 
-    def test_matches_manual_replication_of_draw_loop(self):
-        # same rng stream, manual forward calls in the documented (t, a, b) order
-        a, b = stochastic_model(3), stochastic_model(4)
-        x = np.random.default_rng(5).normal(size=(6, 2))
-        labels = generate_pseudo_labels(a, b, x, 3, Rng(42))
+    @pytest.mark.parametrize(
+        "hidden, activation, rows, draws",
+        REFERENCE_CASES,
+        ids=[
+            f"{act}-{'x'.join(map(str, hidden)) or 'nohidden'}-rows{rows}-draws{draws}"
+            for hidden, act, rows, draws in REFERENCE_CASES
+        ],
+    )
+    def test_matches_manual_replication_of_draw_loop(self, hidden, activation, rows, draws):
+        # same rng stream, one forward per (draw, model) in the documented
+        # (t, a, b) order; the stacked chunked kernel must give the same bytes
+        cfg = MlpConfig(input_dim=2, hidden_dims=hidden, dropout_p=0.25, activation=activation)
+        a, b = init_model(cfg, Rng(3)), init_model(cfg, Rng(4))
+        x = np.random.default_rng(5).normal(size=(rows, 2))
+        kernel_rng = Rng(42)
+        labels = generate_pseudo_labels(a, b, x, draws, kernel_rng)
 
         rng = Rng(42)
-        y_acc = np.zeros(6)
-        lv_acc = np.zeros(6)
-        for _ in range(3):
+        y_acc = np.zeros(rows)
+        lv_acc = np.zeros(rows)
+        for _ in range(draws):
             y_a, lv_a, _ = forward(a, x, rng=rng)
             y_b, lv_b, _ = forward(b, x, rng=rng)
             y_acc += (y_a + y_b) / 2
             lv_acc += (lv_a + lv_b) / 2
-        assert np.array_equal(labels.y, y_acc / 3)
-        assert np.array_equal(labels.log_var, lv_acc / 3)
+        assert labels.y.tobytes() == (y_acc / draws).tobytes()
+        assert labels.log_var.tobytes() == (lv_acc / draws).tobytes()
+        assert kernel_rng.counter == rng.counter
+
+    def test_models_must_share_dropout_p(self):
+        a = stochastic_model(1, dropout_p=0.25)
+        b = stochastic_model(2, dropout_p=0.1)
+        with pytest.raises(ParameterError, match="dropout_p"):
+            generate_pseudo_labels(a, b, np.zeros((2, 2)), 2, Rng(0))
 
     def test_no_dropout_collapses_to_deterministic_average(self):
         a, b = stochastic_model(1, dropout_p=0.0), stochastic_model(2, dropout_p=0.0)

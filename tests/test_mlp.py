@@ -112,6 +112,25 @@ class TestForward:
         assert np.array_equal(y1, y2)
         assert np.array_equal(lv1, lv2)
 
+    def test_stacked_masks_replay_each_draw(self):
+        model = small_model(hidden=(6, 4), dropout_p=0.3, seed=2)
+        x = np.random.default_rng(2).normal(size=(7, 2))
+        traces = [forward(model, x, rng=Rng(seed))[2] for seed in (13, 14, 15)]
+        stacked = [np.stack([t.masks[i] for t in traces]) for i in range(2)]
+        y, lv, trace = forward(model, x, masks=stacked)
+        assert y.shape == lv.shape == (3, 7)
+        for k, single in enumerate(traces):
+            assert y[k].tobytes() == single.y_hat.tobytes()
+            assert lv[k].tobytes() == single.log_var.tobytes()
+
+    def test_stacked_masks_must_share_one_draw_count(self):
+        model = small_model(hidden=(6, 4), dropout_p=0.3)
+        x = np.zeros((7, 2))
+        with pytest.raises(ShapeError, match=r"\(2, 7, 4\)"):
+            forward(model, x, masks=[np.ones((2, 7, 6)), np.ones((3, 7, 4))])
+        with pytest.raises(ShapeError, match="2-D or 3-D"):
+            forward(model, x, masks=[np.ones((1, 2, 7, 6)), np.ones((1, 2, 7, 4))])
+
     def test_shape_validation(self):
         model = small_model()
         with pytest.raises(ShapeError):
@@ -236,6 +255,15 @@ class TestBackward:
         _, _, fresh = forward(model, x)
         backward(model, fresh, np.ones(3), np.ones(3))
 
+    def test_trace_with_a_draw_axis_is_rejected(self):
+        model = small_model(hidden=(4, 3), dropout_p=0.2)
+        x = np.random.default_rng(5).normal(size=(3, 2))
+        masks = [np.ones((2, 3, 4)), np.ones((2, 3, 3))]
+        y_hat, _, trace = forward(model, x, masks=masks)
+        assert y_hat.shape == (2, 3)
+        with pytest.raises(ShapeError, match="single-draw"):
+            backward(model, trace, np.zeros(6), np.zeros(6))
+
     def test_upstream_shape_checked(self):
         model = small_model()
         _, _, trace = forward(model, np.zeros((3, 2)))
@@ -276,6 +304,26 @@ class TestCheckpoint:
     def test_rejects_size_mismatch(self, tmp_path):
         with pytest.raises(ShapeError, match="layer0.weight"):
             load_model(self._corrupted(tmp_path, lambda data: data.pop()))
+
+    def test_rejects_a_shape_its_config_does_not_imply(self, tmp_path):
+        # same 8 values, relabelled 4x2 instead of 2x4
+        path = tmp_path / "model.json"
+        save_model(small_model(hidden=(4,)), path)
+        doc = json.loads(path.read_text())
+        doc["params"]["layer0.weight"].update(rows=4, cols=2)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ShapeError, match=r"layer0.weight.*\(2, 4\).*\(4, 2\)"):
+            load_model(path)
+
+    def test_provenance_must_match_when_required(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(small_model(), path, provenance={"config_sha256": "abc", "seed": 0})
+        assert load_model(path, provenance={"config_sha256": "abc", "seed": 0}).params
+        with pytest.raises(ParameterError, match="'seed': 0.*'seed': 1"):
+            load_model(path, provenance={"config_sha256": "abc", "seed": 1})
+        save_model(small_model(), path)
+        with pytest.raises(ParameterError, match="'seed': None"):
+            load_model(path, provenance={"config_sha256": "abc", "seed": 0})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_values(self, tmp_path, bad):

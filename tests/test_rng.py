@@ -72,6 +72,20 @@ def test_dropout_mask_deterministic_and_validated():
         sample_dropout_mask(Rng(0), 2, 2, -0.1)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.1, 0.25, 0.5, 0.9, 1 - 2**-53])
+def test_dropout_mask_matches_its_uniform_definition(p):
+    # the sampler compares raw words to an integer threshold; it must give the
+    # documented uniforms-below-p mask bit for bit and consume the same words
+    for seed in (0, 7, 2**63 + 5):
+        rng, ref_rng = Rng(seed), Rng(seed)
+        rng.raw(3)
+        ref_rng.raw(3)
+        mask = sample_dropout_mask(rng, 37, 29, p)
+        expected = np.where(ref_rng.uniforms(37 * 29).reshape(37, 29) < p, 0.0, 1 / (1 - p))
+        assert mask.tobytes() == expected.tobytes()
+        assert rng.counter == ref_rng.counter
+
+
 def test_dropout_mask_is_read_only():
     mask = sample_dropout_mask(Rng(4), 3, 2, 0.5)
     assert mask.dtype == np.float64 and mask.flags.c_contiguous
