@@ -10,6 +10,7 @@ across builds, so the pins hold per platform build of numpy and libm.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,13 @@ QUICK_SHA256 = {
     "model_a.json": "c5409469ebb02b9e6e09f19efdab8084f0c1195bc872db866b7c3683962aea0f",
     "model_b.json": "947d335a78281fa8233041f9fe16ad19096f4b28fe9f5f086a9c591a1d531d5a",
     "bin_report.csv": "4bffcbf5d827d19ca441ca9efef74e939d754a146bb647a0ee34fcdbd0f092ee",
+}
+
+# ablate over quick.json with "seeds": [0]: the only pins on the baseline,
+# baseline_con and baseline_ens training paths.
+QUICK_ABLATE_SHA256 = {
+    "ablation_cells.json": "f64a5cd5436b5753e0e63e3566829c345c11460d77c42f2c3e1c534475d2af89",
+    "ablation_table.csv": "61739061e6fcc54190fa40a2bf7a9192a3c7117e652658559d97bba0ac389a16",
 }
 
 VARIANCE_REPORT_SHA256 = "e4b3e09d9cd8b2835cd4ca6a692e45dbabbd719052ffa0406f4f2a50da5c3aee"
@@ -52,6 +60,17 @@ def test_quick_variance_report_sha256(tmp_path):
     assert main(argv) == 0
     digest = hashlib.sha256((tmp_path / "variance_report.json").read_bytes()).hexdigest()
     assert digest == VARIANCE_REPORT_SHA256
+
+
+def test_quick_ablate_artifacts_sha256(tmp_path):
+    values = json.loads((CONFIGS / "quick.json").read_text(encoding="utf-8"))
+    values["seeds"] = [0]
+    config_path = tmp_path / "quick_ablate.json"
+    config_path.write_text(json.dumps(values), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ablate", "--config", str(config_path), "--out", str(out)]) == 0
+    for artifact, expected in QUICK_ABLATE_SHA256.items():
+        assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == expected, artifact
 
 
 def test_benchmark_cell_seed0_test_mae():
