@@ -48,6 +48,7 @@ from .mlp import (
     init_model,
     load_model,
     save_model,
+    stack_models,
 )
 from .rng import Rng, gaussian_sample, sample_dropout_mask
 from .training import (
@@ -101,6 +102,7 @@ __all__ = [
     "save_model",
     "spearman_rank_corr",
     "split_semi_supervised",
+    "stack_models",
     "train_step",
     "uncertainty_binning",
     "variance_reduction_check",

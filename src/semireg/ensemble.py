@@ -9,25 +9,26 @@ constant with no gradient path back to either model. Averaging keeps the
 predictor's bias unchanged while shrinking its variance, which is also why
 the same kernel serves as the test-time inference rule.
 
-The draws run in chunks. A chunk's masks come from one sample_dropout_mask
-call, one row of words per draw laid out as (model a, model b; layer), which
-are the same stream words in the same order as one draw at a time. Each model
-then runs one forward with its masks stacked on a leading draw axis, so the
-draw-independent first layer is computed once and one trace is built per
-chunk, not per draw. The chunk size caps the mask block at _CHUNK_WORDS
-words, which keeps the temporaries of large inputs small.
+The kernel takes the pair as one stacked model (mlp.stack_models) and runs
+its draws in chunks. A chunk's masks come from one sample_dropout_mask call,
+one row of words per draw laid out as (member a, member b; layer), which are
+the same stream words in the same order as one draw at a time. The masks are
+views of that block in (draw, member, rows, width) order, and the pair runs
+one forward per chunk, so the draw-independent first layer is computed once
+and one trace is built per chunk, not per draw and model. The trace is
+dropped before the next chunk's masks are drawn, and the chunk size caps the
+mask block at _CHUNK_WORDS words, which keeps the temporaries of large inputs
+small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-
 import numpy as np
 
 from .data import RegressionDataset
 from .errors import ParameterError, UsageError
-from .mlp import MlpModel, forward
+from .mlp import MlpModel, forward, split_mask_block, stack_models
 from .rng import Rng, sample_dropout_mask
 
 # Most mask words one chunk of draws may hold (2**15 words = 256 KiB).
@@ -36,7 +37,11 @@ _CHUNK_WORDS = 2**15
 
 @dataclass(frozen=True)
 class PseudoLabels:
-    """Gradient-isolated ensembled targets for one batch."""
+    """Gradient-isolated targets for one batch.
+
+    (rows,) arrays are shared by both members of the pair; (2, rows) arrays
+    hold one row of targets per member.
+    """
 
     y: np.ndarray
     log_var: np.ndarray
@@ -44,51 +49,44 @@ class PseudoLabels:
 
     def __post_init__(self):
         if self.y.shape != self.log_var.shape:
-            raise ParameterError("y and log_var must have equal length")
+            raise ParameterError("y and log_var must have equal shapes")
         self.y.setflags(write=False)
         self.log_var.setflags(write=False)
 
 
 def generate_pseudo_labels(
-    model_a: MlpModel,
-    model_b: MlpModel,
+    pair: MlpModel,
     x: np.ndarray,
     draws: int,
     rng: Rng,
 ) -> PseudoLabels:
-    """Average of `draws` stochastic forward passes per model.
+    """Average of `draws` stochastic forward passes of each member of a stacked pair.
 
-    Dropout masks are sampled independently for every (draw, model) pair from
-    the given stream, consumed in (draw, model a, model b) order so the
-    reduction order is fixed and reproducible. Both models must share
-    dropout_p, since one call samples the masks of both.
+    Dropout masks are sampled independently for every (draw, member) pair
+    from the given stream, consumed in (draw, member a, member b) order so
+    the reduction order is fixed and reproducible.
     """
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
-    p = model_a.config.dropout_p
-    if model_b.config.dropout_p != p:
-        raise ParameterError("both models must share dropout_p")
+    if pair.member_shape != (2,):
+        raise ParameterError("generate_pseudo_labels needs a stacked pair (see stack_models)")
+    cfg = pair.config
     rows = x.shape[0]
-    widths = (*model_a.config.hidden_dims, *model_b.config.hidden_dims)
-    n_a = len(model_a.config.hidden_dims)
-    bounds = list(accumulate((rows * w for w in widths), initial=0))
-    words_per_draw = bounds[-1]
-    chunk = max(1, _CHUNK_WORDS // max(1, words_per_draw))
+    words_per_member = rows * sum(cfg.hidden_dims)
+    chunk = max(1, _CHUNK_WORDS // max(1, 2 * words_per_member))
     y_sum = np.zeros(rows)
     lv_sum = np.zeros(rows)
     for start in range(0, draws, chunk):
         k = min(chunk, draws - start)
-        block = sample_dropout_mask(rng, k, words_per_draw, p)
-        masks = [
-            block[:, lo:hi].reshape(k, rows, w) for lo, hi, w in zip(bounds, bounds[1:], widths)
-        ]
-        y_a, lv_a, _ = forward(model_a, x, masks=masks[:n_a])
-        y_b, lv_b, _ = forward(model_b, x, masks=masks[n_a:])
-        # a model without hidden layers has no masks and returns (rows,)
-        y_a, lv_a, y_b, lv_b = (np.broadcast_to(v, (k, rows)) for v in (y_a, lv_a, y_b, lv_b))
+        block = sample_dropout_mask(rng, k, 2 * words_per_member, cfg.dropout_p)
+        masks = split_mask_block(block.reshape(k, 2, words_per_member), rows, cfg.hidden_dims)
+        y, lv = forward(pair, x, masks=masks)[:2]  # the trace is not kept
+        del block, masks  # freed before the next chunk's masks are drawn
+        # a pair without hidden layers has no masks and returns (2, rows)
+        y, lv = (np.broadcast_to(v, (k, 2, rows)) for v in (y, lv))
         for t in range(k):
-            y_sum += 0.5 * (y_a[t] + y_b[t])
-            lv_sum += 0.5 * (lv_a[t] + lv_b[t])
+            y_sum += 0.5 * (y[t, 0] + y[t, 1])
+            lv_sum += 0.5 * (lv[t, 0] + lv[t, 1])
     return PseudoLabels(y=y_sum / draws, log_var=lv_sum / draws, draws=draws)
 
 
@@ -101,10 +99,10 @@ def predict(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Test-time inference: the ensembled prediction and its log-uncertainty.
 
-    Identical computation to generate_pseudo_labels, exposed as the
-    inference API.
+    The generate_pseudo_labels computation on the two models stacked into a
+    pair, exposed as the inference API.
     """
-    labels = generate_pseudo_labels(model_a, model_b, x, draws, rng)
+    labels = generate_pseudo_labels(stack_models(model_a, model_b), x, draws, rng)
     return labels.y, labels.log_var
 
 

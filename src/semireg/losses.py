@@ -2,8 +2,10 @@
 
 Every kernel returns its value together with exact gradients with respect to
 the model outputs it consumes, so callers can backpropagate without any
-autograd machinery. Reductions are arithmetic means over the batch; losses
-that apply to both co-trained models are summed over the pair by the caller.
+autograd machinery. Reductions are arithmetic means over the last (batch)
+axis, so (2, rows) inputs of a stacked pair give one loss per member; losses
+that apply to both co-trained models are summed over the pair by the caller,
+member 0 first.
 """
 
 from __future__ import annotations
@@ -17,12 +19,17 @@ from .errors import NonFiniteError, ShapeError
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray, name_a: str, name_b: str):
-    if a.ndim != 1 or b.ndim != 1:
-        raise ShapeError(f"{name_a} and {name_b} must be 1-D vectors")
+    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
+        raise ShapeError(f"{name_a} and {name_b} must be 1-D vectors or 2-D stacks of them")
     if a.shape != b.shape:
-        raise ShapeError(f"{name_a} has length {a.size}, {name_b} has length {b.size}")
+        raise ShapeError(f"{name_a} has shape {a.shape}, {name_b} has shape {b.shape}")
     if a.size == 0:
         raise ShapeError(f"{name_a} must be non-empty")
+
+
+def _value(loss: np.ndarray) -> float | np.ndarray:
+    # a float for one model, an array of per-member losses for a stack
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def _check_finite(arr: np.ndarray, name: str):
@@ -32,8 +39,8 @@ def _check_finite(arr: np.ndarray, name: str):
 
 def hetero_loss(
     y_hat: np.ndarray, log_var: np.ndarray, y_target: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Gaussian heteroscedastic regression loss for one model.
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+    """Gaussian heteroscedastic regression loss of one model, or of each stacked member.
 
     loss = mean_i [ (y_hat_i - y_i)^2 / (2 exp(log_var_i)) + log_var_i / 2 ]
 
@@ -49,18 +56,18 @@ def hetero_loss(
     for arr, name in ((y_hat, "y_hat"), (log_var, "log_var"), (y_target, "y_target")):
         _check_finite(arr, name)
 
-    n = y_hat.size
+    n = y_hat.shape[-1]
     residual = y_hat - y_target
     inv_var = np.exp(-log_var)
-    loss = float(np.mean(0.5 * residual * residual * inv_var + 0.5 * log_var))
+    loss = np.mean(0.5 * residual * residual * inv_var + 0.5 * log_var, axis=-1)
     d_y_hat = residual * inv_var / n
     d_log_var = (0.5 - 0.5 * residual * residual * inv_var) / n
-    return loss, d_y_hat, d_log_var
+    return _value(loss), d_y_hat, d_log_var
 
 
 def consistency_loss_labeled(
     log_var_a: np.ndarray, log_var_b: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Squared distance between the two models' log-uncertainty outputs.
 
     Both inputs are live model outputs; gradients are symmetric.
@@ -68,16 +75,16 @@ def consistency_loss_labeled(
     log_var_a = np.asarray(log_var_a, dtype=np.float64)
     log_var_b = np.asarray(log_var_b, dtype=np.float64)
     _check_pair(log_var_a, log_var_b, "log_var_a", "log_var_b")
-    n = log_var_a.size
+    n = log_var_a.shape[-1]
     diff = log_var_a - log_var_b
-    loss = float(np.mean(diff * diff))
+    loss = np.mean(diff * diff, axis=-1)
     d_a = 2.0 * diff / n
-    return loss, d_a, -d_a
+    return _value(loss), d_a, -d_a
 
 
 def consistency_loss_unlabeled(
     log_var: np.ndarray, log_var_target: np.ndarray
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Squared distance of one model's log-uncertainty to a fixed target.
 
     The target is gradient-isolated by construction: only the gradient with
@@ -86,10 +93,10 @@ def consistency_loss_unlabeled(
     log_var = np.asarray(log_var, dtype=np.float64)
     log_var_target = np.asarray(log_var_target, dtype=np.float64)
     _check_pair(log_var, log_var_target, "log_var", "log_var_target")
-    n = log_var.size
+    n = log_var.shape[-1]
     diff = log_var - log_var_target
-    loss = float(np.mean(diff * diff))
-    return loss, 2.0 * diff / n
+    loss = np.mean(diff * diff, axis=-1)
+    return _value(loss), 2.0 * diff / n
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,12 @@ Forward passes record everything needed for an exact reverse-mode gradient,
 including the sampled dropout masks, so a stored trace can be replayed
 bit-for-bit.
 
-Parameters are read-only 2-D float64 arrays. The optimizer never writes to
-them; it replaces them, so an array's identity stands for its values.
+Parameters are read-only float64 arrays. The optimizer never writes to
+them; it replaces them, so an array's identity stands for its values. A
+model's parameters are (rows, cols); stack_models makes the co-trained pair
+one model with (2, rows, cols) parameters. forward and backward run both
+forms through one layer loop whose matmuls broadcast against the member
+axis, (k, 2, n, w) @ (2, w, w'), with the same bits as per-member passes.
 """
 
 from __future__ import annotations
@@ -61,6 +65,17 @@ class MlpModel:
 
     config: MlpConfig
     params: dict[str, np.ndarray]
+
+    @property
+    def member_shape(self) -> tuple[int, ...]:
+        """() for a single model, (2,) for a stacked pair."""
+        return self.params["head_y.bias"].shape[:-2]
+
+    def member(self, i: int) -> "MlpModel":
+        """Member i of a stacked pair, with read-only views of its parameters."""
+        if not self.member_shape:
+            raise ParameterError("member() needs a stacked pair")
+        return MlpModel(config=self.config, params={n: p[i] for n, p in self.params.items()})
 
 
 @dataclass
@@ -116,10 +131,31 @@ def init_model(config: MlpConfig, rng: Rng) -> MlpModel:
     return MlpModel(config=config, params=params)
 
 
+def stack_models(a: MlpModel, b: MlpModel) -> MlpModel:
+    """The single models a and b, which share one config, as one stacked pair."""
+    if a.config != b.config or a.member_shape or b.member_shape:
+        raise ParameterError(f"a pair needs two single models of one config: {a.config} {b.config}")
+    params = {
+        name: _read_only(np.stack((a.params[name], b.params[name])))
+        for name in _param_shapes(a.config)
+    }
+    return MlpModel(config=a.config, params=params)
+
+
+def split_mask_block(block: np.ndarray, rows: int, widths: tuple[int, ...]) -> list[np.ndarray]:
+    """Per-layer (*lead, rows, width) views of a (*lead, rows * sum(widths)) mask block."""
+    masks = []
+    lo = 0
+    for width in widths:
+        masks.append(block[..., lo : lo + rows * width].reshape(*block.shape[:-1], rows, width))
+        lo += rows * width
+    return masks
+
+
 def forward(
     model: MlpModel,
     x: np.ndarray,
-    rng: Rng | None = None,
+    rng: Rng | tuple[Rng, Rng] | None = None,
     masks: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, ForwardTrace]:
     """One forward pass over a batch ``x`` of shape (rows, input_dim).
@@ -129,26 +165,38 @@ def forward(
     all-ones-mask forward. Returns (y_hat, log_var, trace) with the
     log-variance clamped to the config range.
 
-    Replayed masks are either all (rows, width) or all (k, rows, width): the
-    latter runs k draws at once, stacked on a leading draw axis, and returns
-    (k, rows) outputs. The first layer, which no mask has touched yet, is
-    computed once; later layers are stacked (k, rows, w) @ (w, w') matmuls,
-    which give the same bits as k separate passes.
+    A single model takes one Rng, a pair one per member; each stream's masks
+    are its next rows * sum(hidden_dims) words, layer after layer, drawn for
+    all streams in one sample_dropout_mask call. Replayed masks are all
+    (*draws, *member_shape, rows, width) with draws () or (k,): a draw axis
+    runs k draws at once and returns (k, *member_shape, rows) outputs, with
+    the same bits as k separate passes.
     """
     if rng is not None and masks is not None:
         raise ParameterError("pass rng or masks, not both")
     cfg = model.config
     if x.ndim != 2 or x.shape[1] != cfg.input_dim:
         raise ShapeError(f"input must be 2-D with {cfg.input_dim} columns, got shape {x.shape}")
-    n_hidden = len(cfg.hidden_dims)
-    draw_shape: tuple[int, ...] = ()
-    if masks is not None:
-        if len(masks) != n_hidden:
-            raise ShapeError(f"expected {n_hidden} masks, got {len(masks)}")
-        if masks:
-            draw_shape = masks[0].shape[:-2]
-        if len(draw_shape) > 1:
-            raise ShapeError(f"masks must be 2-D or 3-D, got shape {masks[0].shape}")
+    rows = x.shape[0]
+    members = model.member_shape
+    widths = cfg.hidden_dims
+    if rng is not None:
+        if isinstance(rng, Rng) == bool(members):
+            raise ParameterError("pass one Rng for a single model, one per member for a pair")
+        cols = rows * sum(widths)
+        block = sample_dropout_mask(rng, members[0] if members else 1, cols, cfg.dropout_p)
+        masks = split_mask_block(block.reshape(*members, cols), rows, widths)
+    elif masks is not None:
+        if len(masks) != len(widths):
+            raise ShapeError(f"expected {len(widths)} masks, got {len(masks)}")
+        base = 2 + len(members)
+        if masks and masks[0].ndim not in (base, base + 1):
+            raise ShapeError(f"masks must be {base}-D or {base + 1}-D, got shape {masks[0].shape}")
+        draws = masks[0].shape[: masks[0].ndim - base] if masks else ()
+        for i, width in enumerate(widths):
+            need = (*draws, *members, rows, width)
+            if masks[i].shape != need:
+                raise ShapeError(f"mask {i} has shape {masks[i].shape}, need {need}")
 
     params = dict(model.params)
     h = x
@@ -157,18 +205,10 @@ def forward(
     used_masks: list[np.ndarray] = []
     # overflow to inf is tolerated here; loss kernels reject non-finite values
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, width in enumerate(cfg.hidden_dims):
+        for i in range(len(widths)):
             pre = h @ params[f"layer{i}.weight"] + params[f"layer{i}.bias"]
             act = np.maximum(pre, 0.0) if cfg.activation == "relu" else np.tanh(pre)
-            if rng is not None:
-                mask = sample_dropout_mask(rng, act.shape[0], width, cfg.dropout_p)
-            elif masks is not None:
-                need = (*draw_shape, x.shape[0], width)
-                if masks[i].shape != need:
-                    raise ShapeError(f"mask {i} has shape {masks[i].shape}, need {need}")
-                mask = masks[i]
-            else:
-                mask = _read_only(np.ones_like(act))
+            mask = masks[i] if masks is not None else _read_only(np.ones_like(act))
             h = act * mask
             activations.append(act)
             used_masks.append(mask)
@@ -201,22 +241,24 @@ def backward(
     """Exact gradients of a scalar loss w.r.t. every parameter.
 
     ``d_y_hat`` and ``d_log_var`` are the upstream gradients of the loss with
-    respect to the two head outputs. Gradients flow only through units that
-    survived dropout and only where the log-variance clamp is inactive.
-    The trace must come from the model's current parameter arrays, and every
+    respect to the two head outputs, shaped like them: (rows,) for a single
+    model, (2, rows) for a stacked pair, whose gradients come out stacked
+    too. Gradients flow only through units that survived dropout and only
+    where the log-variance clamp is inactive. The trace must come from the
+    model's current parameter arrays and have no draw axis, and every
     gradient must be finite (NonFiniteError otherwise).
     """
     params = trace.params
     if any(model.params.get(name) is not p for name, p in params.items()):
         raise StaleTraceError("trace does not match the model's current parameters")
-    if trace.y_hat.ndim != 1:
-        raise ShapeError(f"backward needs a single-draw trace, got outputs of {trace.y_hat.shape}")
+    shape = trace.y_hat.shape
+    if shape[:-1] != model.member_shape:
+        raise ShapeError(f"backward needs a single-draw trace, got outputs of {shape}")
     d_y_hat = np.asarray(d_y_hat, dtype=np.float64)
     d_log_var = np.asarray(d_log_var, dtype=np.float64)
-    batch = trace.y_hat.size
-    if d_y_hat.shape != (batch,) or d_log_var.shape != (batch,):
+    if d_y_hat.shape != shape or d_log_var.shape != shape:
         raise ShapeError(
-            f"upstream gradients must have shape ({batch},), "
+            f"upstream gradients must have shape {shape}, "
             f"got {d_y_hat.shape} and {d_log_var.shape}"
         )
 
@@ -224,15 +266,16 @@ def backward(
     grads: dict[str, np.ndarray] = {}
 
     d_lv = np.where(trace.clamp_active, 0.0, d_log_var)
-    dcol_y = d_y_hat[:, None]
-    dcol_z = d_lv[:, None]
-    h_last = trace.layer_inputs[-1]
-    grads["head_y.weight"] = _finite(h_last.T @ dcol_y)
-    grads["head_y.bias"] = _finite(dcol_y.sum(axis=0, keepdims=True))
-    grads["head_logvar.weight"] = _finite(h_last.T @ dcol_z)
-    grads["head_logvar.bias"] = _finite(dcol_z.sum(axis=0, keepdims=True))
+    dcol_y = d_y_hat[..., None]
+    dcol_z = d_lv[..., None]
+    h_last_t = trace.layer_inputs[-1].swapaxes(-1, -2)
+    grads["head_y.weight"] = _finite(h_last_t @ dcol_y)
+    grads["head_y.bias"] = _finite(dcol_y.sum(axis=-2, keepdims=True))
+    grads["head_logvar.weight"] = _finite(h_last_t @ dcol_z)
+    grads["head_logvar.bias"] = _finite(dcol_z.sum(axis=-2, keepdims=True))
 
-    d_h = dcol_y @ params["head_y.weight"].T + dcol_z @ params["head_logvar.weight"].T
+    d_h = dcol_y @ params["head_y.weight"].swapaxes(-1, -2)
+    d_h += dcol_z @ params["head_logvar.weight"].swapaxes(-1, -2)
     for i in reversed(range(len(cfg.hidden_dims))):
         act = trace.activations[i]
         d_act = d_h * trace.masks[i]
@@ -240,9 +283,10 @@ def backward(
             d_pre = d_act * (act > 0.0)
         else:
             d_pre = d_act * (1.0 - act * act)
-        grads[f"layer{i}.weight"] = _finite(trace.layer_inputs[i].T @ d_pre)
-        grads[f"layer{i}.bias"] = _finite(d_pre.sum(axis=0, keepdims=True))
-        d_h = d_pre @ params[f"layer{i}.weight"].T
+        grads[f"layer{i}.weight"] = _finite(trace.layer_inputs[i].swapaxes(-1, -2) @ d_pre)
+        grads[f"layer{i}.bias"] = _finite(d_pre.sum(axis=-2, keepdims=True))
+        if i:  # the input x needs no gradient
+            d_h = d_pre @ params[f"layer{i}.weight"].swapaxes(-1, -2)
     return {name: grads[name] for name in _param_shapes(cfg)}
 
 

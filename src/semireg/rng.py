@@ -24,6 +24,7 @@ given platform build. A single Rng must not be shared across threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -54,6 +55,23 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _mix64_int(z: int) -> int:
+    # The same finalizer on one Python int, for the scalar seeds of split().
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _words(seeds: np.ndarray, starts: np.ndarray, cols: int) -> np.ndarray:
+    # Row i: the `cols` words after counter starts[i] of the stream seeded
+    # seeds[i], mix64(seeds[i] + (starts[i] + 1 + j) * GAMMA), in one call.
+    offsets = starts * np.uint64(_GAMMA)
+    offsets += seeds
+    steps = np.arange(1, cols + 1, dtype=np.uint64)
+    steps *= np.uint64(_GAMMA)
+    return _mix64(np.add.outer(offsets, steps))
+
+
 def _fnv1a64(data: bytes) -> int:
     h = _FNV_OFFSET
     for byte in data:
@@ -77,14 +95,16 @@ class Rng:
 
     def raw(self, n: int) -> np.ndarray:
         """Next n raw uint64 words of the stream."""
+        start = self._advance(n)
+        return _words(np.array([self.seed], np.uint64), np.array([start], np.uint64), n)[0]
+
+    def _advance(self, n: int) -> int:
+        # Reserve the next n words; returns the counter before them.
         if n < 0:
             raise ParameterError("raw word count must be >= 0")
         start = self._counter
         self._counter += n
-        z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-        z *= np.uint64(_GAMMA)
-        z += np.uint64(self.seed)
-        return _mix64(z)
+        return start
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1)."""
@@ -108,28 +128,41 @@ class Rng:
 
     def split(self, label) -> "Rng":
         """Independent child stream derived from (seed, str(label))."""
-        h = _fnv1a64(str(label).encode("utf-8"))
-        child = _mix64(np.array([self.seed ^ h], dtype=np.uint64))
-        return Rng(int(child[0]))
+        return Rng(_mix64_int(self.seed ^ _fnv1a64(str(label).encode("utf-8"))))
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, counter={self._counter})"
 
 
-def sample_dropout_mask(rng: Rng, rows: int, cols: int, p: float) -> np.ndarray:
+def sample_dropout_mask(rng: Rng | Sequence[Rng], rows: int, cols: int, p: float) -> np.ndarray:
     """Inverted-dropout mask: entries 0 with probability p, else 1/(1-p).
 
-    Defined as ``np.where(rng.uniforms(rows * cols).reshape(rows, cols) < p,
-    0.0, 1 / (1 - p))``. Surviving units are pre-scaled so the mask has unit
-    expectation and the deterministic forward pass needs no rescaling. The
-    raw words are compared against an integer threshold instead of being
-    turned into uniforms: ``(w >> 11) * 2**-53 < p`` holds exactly when
-    ``w < ceil(p * 2**53) << 11``, so the mask is the same bit for bit.
+    With one stream, defined as ``np.where(rng.uniforms(rows * cols)
+    .reshape(rows, cols) < p, 0.0, 1 / (1 - p))``. ``rng`` may instead be
+    ``rows`` distinct streams: row i is then the next ``cols`` words of
+    stream i. Both forms draw the whole block in one _mix64 call, row i being
+    ``mix64(seed_i + (start_i + 1 + j) * GAMMA)``, where one stream's rows
+    start ``cols`` words apart. Surviving units are pre-scaled so the mask
+    has unit expectation and the deterministic forward pass needs no
+    rescaling. The raw words are compared against an integer threshold
+    instead of being turned into uniforms: ``(w >> 11) * 2**-53 < p`` holds
+    exactly when ``w < ceil(p * 2**53) << 11``, so the mask is the same bit
+    for bit.
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
+    if isinstance(rng, Rng):
+        seeds = np.full(rows, rng.seed, dtype=np.uint64)
+        starts = np.arange(rows, dtype=np.uint64) * np.uint64(cols)
+        starts += np.uint64(rng._advance(rows * cols))
+    else:
+        streams = tuple(rng)
+        if len(streams) != rows or len({id(s) for s in streams}) != rows:
+            raise ParameterError(f"need {rows} distinct streams, one per row, got {len(streams)}")
+        seeds = np.array([s.seed for s in streams], dtype=np.uint64)
+        starts = np.array([s._advance(cols) for s in streams], dtype=np.uint64)
     threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
-    words = rng.raw(rows * cols).reshape(rows, cols)
+    words = _words(seeds, starts, cols)
     # bool * keep is exactly 0.0 or keep, as in the definition, and faster
     mask = np.multiply(words >= threshold, 1.0 / (1.0 - p))
     mask.setflags(write=False)

@@ -1,10 +1,12 @@
 """Co-training loop for two dropout regressors with pseudo-labeled data.
 
-Each step runs one stochastic labeled forward per model, regenerates
-pseudo-labels for the unlabeled batch from the current weights, evaluates the
-four loss terms the active variant uses, and applies one first-order update
-to both models. Pseudo-labels are constants: no gradient reaches the weights
-that produced them.
+The two models train as one stacked pair (mlp.stack_models): each step runs
+one stochastic labeled forward of the pair, regenerates pseudo-labels for
+the unlabeled batch from the current weights, evaluates the four loss terms
+the active variant uses, and applies one first-order update to the pair.
+Every forward, loss, backward and update handles both members at once, with
+the same bits per member as two separate models. Pseudo-labels are
+constants: no gradient reaches the weights that produced them.
 
 Variants (the ablation lattice):
   baseline      heteroscedastic losses only; each model's unlabeled targets
@@ -36,7 +38,7 @@ from .errors import (
 )
 from .evaluation import BinReport, mae, r_squared, spearman_rank_corr, uncertainty_binning
 from .losses import LossBreakdown
-from .mlp import MlpConfig, MlpModel, backward, forward, init_model
+from .mlp import MlpConfig, MlpModel, backward, forward, init_model, stack_models
 from .rng import Rng
 
 VARIANTS = ("baseline", "baseline_con", "baseline_ens", "full")
@@ -45,7 +47,7 @@ OPTIMIZERS = ("adam", "sgd_momentum")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 200
+    epochs: int = 150
     batch_labeled: int = 32
     batch_unlabeled: int = 32
     learning_rate: float = 1e-3
@@ -162,10 +164,8 @@ def optimizer_update(
 
 @dataclass
 class TrainState:
-    model_a: MlpModel
-    model_b: MlpModel
-    opt_a: OptimizerState
-    opt_b: OptimizerState
+    pair: MlpModel  # model a and model b, stacked on a leading member axis
+    opt: OptimizerState  # the pair's accumulators, stacked the same way
     rng: Rng
     step: int = 0
     history: list[LossBreakdown] = field(default_factory=list)
@@ -175,35 +175,24 @@ def init_train_state(config: TrainConfig, input_dim: int) -> TrainState:
     """Two models with identical architecture, independently seeded inits."""
     root = Rng(config.seed)
     model_cfg = config.model_config(input_dim)
-    model_a = init_model(model_cfg, root.split("init_a"))
-    model_b = init_model(model_cfg, root.split("init_b"))
+    pair = stack_models(
+        init_model(model_cfg, root.split("init_a")), init_model(model_cfg, root.split("init_b"))
+    )
     return TrainState(
-        model_a=model_a,
-        model_b=model_b,
-        opt_a=init_optimizer_state(config, model_a.params),
-        opt_b=init_optimizer_state(config, model_b.params),
-        rng=root.split("train"),
+        pair=pair, opt=init_optimizer_state(config, pair.params), rng=root.split("train")
     )
 
 
-def _cross_targets(
-    model_a: MlpModel, model_b: MlpModel, x: np.ndarray, rng: Rng
-) -> tuple[PseudoLabels, PseudoLabels]:
-    # Single stochastic pass per model; each prediction becomes the *other*
-    # model's detached target.
-    y_a, lv_a, _ = forward(model_a, x, rng=rng.split("a"))
-    y_b, lv_b, _ = forward(model_b, x, rng=rng.split("b"))
-    target_for_a = PseudoLabels(y=y_b, log_var=lv_b, draws=1)
-    target_for_b = PseudoLabels(y=y_a, log_var=lv_a, draws=1)
-    return target_for_a, target_for_b
+def _cross_targets(pair: MlpModel, x: np.ndarray, rng: Rng) -> PseudoLabels:
+    # One stochastic pass of the pair; each member's prediction becomes the
+    # *other* member's detached target, hence the member swap.
+    y, log_var, _ = forward(pair, x, rng=(rng.split("a"), rng.split("b")))
+    return PseudoLabels(y=y[::-1], log_var=log_var[::-1], draws=1)
 
 
-def _sum_grads(
-    labeled: dict[str, np.ndarray], unlabeled: dict[str, np.ndarray] | None
-) -> dict[str, np.ndarray]:
-    if unlabeled is None:
-        return labeled
-    return {name: g + unlabeled[name] for name, g in labeled.items()}
+def _pair_total(loss: np.ndarray) -> float:
+    # member a's loss plus member b's, the sum two separate models would give
+    return float(loss[0]) + float(loss[1])
 
 
 def train_step(
@@ -212,13 +201,13 @@ def train_step(
     unlabeled: np.ndarray | None,
     config: TrainConfig,
     *,
-    injected_targets: tuple[PseudoLabels, PseudoLabels] | None = None,
+    injected_targets: PseudoLabels | None = None,
 ) -> LossBreakdown:
     """One optimization step over a labeled batch and an unlabeled batch.
 
-    Mutates ``state`` (parameters, optimizer states, counters, history) and
+    Mutates ``state`` (parameters, optimizer state, counters, history) and
     returns the step's loss components. A non-finite loss, gradient or update
-    of either model aborts the step before anything in ``state`` changes and
+    of either member aborts the step before anything in ``state`` changes and
     raises NonFiniteLossError carrying the offending components.
     ``injected_targets`` replaces the unlabeled targets (a test hook).
     """
@@ -234,61 +223,51 @@ def train_step(
     # Substreams are derived from the step index so that injecting
     # pseudo-labels does not shift any other stream.
     step_rng = state.rng.split(f"step:{state.step}")
-    model_a, model_b = state.model_a, state.model_b
+    pair = state.pair
 
     try:
-        y_a, lv_a, trace_a = forward(model_a, x_lab, rng=step_rng.split("labeled_a"))
-        y_b, lv_b, trace_b = forward(model_b, x_lab, rng=step_rng.split("labeled_b"))
-
-        reg_a, d_y_a, d_lv_a = losses.hetero_loss(y_a, lv_a, y_lab)
-        reg_b, d_y_b, d_lv_b = losses.hetero_loss(y_b, lv_b, y_lab)
-        labeled_reg = reg_a + reg_b
+        labeled_streams = (step_rng.split("labeled_a"), step_rng.split("labeled_b"))
+        y, lv, trace = forward(pair, x_lab, rng=labeled_streams)
+        reg, d_y, d_lv = losses.hetero_loss(y, lv, np.broadcast_to(y_lab, y.shape))
+        labeled_reg = _pair_total(reg)
 
         if config.uses_consistency:
-            labeled_unc, d_con_a, d_con_b = losses.consistency_loss_labeled(lv_a, lv_b)
-            d_lv_a = d_lv_a + d_con_a
-            d_lv_b = d_lv_b + d_con_b
+            labeled_unc, d_con_a, d_con_b = losses.consistency_loss_labeled(lv[0], lv[1])
+            d_lv = d_lv + np.stack((d_con_a, d_con_b))
         else:
             labeled_unc = 0.0
 
         unlabeled_reg = 0.0
         unlabeled_unc = 0.0
-        grads_ulb_a = grads_ulb_b = None
+        grads_ulb = None
         if unlabeled is not None and unlabeled.shape[0] > 0:
             if injected_targets is not None:
-                target_a, target_b = injected_targets
+                targets = injected_targets
             elif config.uses_ensembling:
-                shared = generate_pseudo_labels(
-                    model_a, model_b, unlabeled, config.ensemble_draws, step_rng.split("pseudo")
+                targets = generate_pseudo_labels(
+                    pair, unlabeled, config.ensemble_draws, step_rng.split("pseudo")
                 )
-                target_a = target_b = shared
             else:
-                target_a, target_b = _cross_targets(
-                    model_a, model_b, unlabeled, step_rng.split("pseudo")
-                )
+                targets = _cross_targets(pair, unlabeled, step_rng.split("pseudo"))
 
-            yu_a, lvu_a, trace_ua = forward(model_a, unlabeled, rng=step_rng.split("unlabeled_a"))
-            yu_b, lvu_b, trace_ub = forward(model_b, unlabeled, rng=step_rng.split("unlabeled_b"))
+            unlabeled_streams = (step_rng.split("unlabeled_a"), step_rng.split("unlabeled_b"))
+            yu, lvu, trace_u = forward(pair, unlabeled, rng=unlabeled_streams)
+            target_y = np.broadcast_to(targets.y, yu.shape)
+            target_lv = np.broadcast_to(targets.log_var, yu.shape)
 
             # Targets are constants: the log-variance gradient of the hetero
             # kernel is discarded, only d w.r.t. the live prediction survives.
-            ureg_a, d_yu_a, _ = losses.hetero_loss(yu_a, target_a.log_var, target_a.y)
-            ureg_b, d_yu_b, _ = losses.hetero_loss(yu_b, target_b.log_var, target_b.y)
-            unlabeled_reg = ureg_a + ureg_b
+            ureg, d_yu, _ = losses.hetero_loss(yu, target_lv, target_y)
+            unlabeled_reg = _pair_total(ureg)
 
-            d_lvu_a = np.zeros_like(lvu_a)
-            d_lvu_b = np.zeros_like(lvu_b)
+            d_lvu = np.zeros_like(lvu)
             if config.uses_consistency:
-                ucon_a, d_ucon_a = losses.consistency_loss_unlabeled(lvu_a, target_a.log_var)
-                ucon_b, d_ucon_b = losses.consistency_loss_unlabeled(lvu_b, target_b.log_var)
-                unlabeled_unc = ucon_a + ucon_b
-                d_lvu_a = d_ucon_a
-                d_lvu_b = d_ucon_b
+                ucon, d_lvu = losses.consistency_loss_unlabeled(lvu, target_lv)
+                unlabeled_unc = _pair_total(ucon)
 
             w = config.unlabeled_weight
             if w > 0:
-                grads_ulb_a = backward(model_a, trace_ua, w * d_yu_a, w * d_lvu_a)
-                grads_ulb_b = backward(model_b, trace_ub, w * d_yu_b, w * d_lvu_b)
+                grads_ulb = backward(pair, trace_u, w * d_yu, w * d_lvu)
     except NonFiniteError as err:
         raise NonFiniteLossError(f"non-finite loss at step {state.step}: {err}", {}) from err
 
@@ -306,16 +285,16 @@ def train_step(
     )
 
     try:
-        grads_a = _sum_grads(backward(model_a, trace_a, d_y_a, d_lv_a), grads_ulb_a)
-        grads_b = _sum_grads(backward(model_b, trace_b, d_y_b, d_lv_b), grads_ulb_b)
-        new_a, opt_a = optimizer_update(model_a.params, grads_a, state.opt_a, config)
-        new_b, opt_b = optimizer_update(model_b.params, grads_b, state.opt_b, config)
+        grads = backward(pair, trace, d_y, d_lv)
+        if grads_ulb is not None:
+            grads = {name: g + grads_ulb[name] for name, g in grads.items()}
+        new_params, opt = optimizer_update(pair.params, grads, state.opt, config)
     except NonFiniteError as err:
         raise NonFiniteLossError(
             f"non-finite gradient or update at step {state.step}: {err}", components
         ) from err
-    model_a.params, model_b.params = new_a, new_b
-    state.opt_a, state.opt_b = opt_a, opt_b
+    pair.params = new_params
+    state.opt = opt
 
     state.step += 1
     state.history.append(breakdown)
@@ -382,17 +361,18 @@ def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> Experimen
     root = Rng(config.seed)
     state = init_train_state(config, split.labeled.input_dim)
 
+    def members() -> tuple[MlpModel, MlpModel]:
+        return state.pair.member(0), state.pair.member(1)
+
     def validation_mae(epoch: int) -> float:
-        y_pred, _ = predict(
-            state.model_a, state.model_b, x_val, config.ensemble_draws, root.split(f"val:{epoch}")
-        )
+        y_pred, _ = predict(*members(), x_val, config.ensemble_draws, root.split(f"val:{epoch}"))
         return mae(normalizer.inverse_targets(y_pred), split.validation.targets)
 
     n_lab = split.labeled.n
     steps_per_epoch = max(1, math.ceil(n_lab / config.batch_labeled))
     val_curve = [validation_mae(0)]
     best_mae, best_epoch = val_curve[0], 0
-    best_params = (dict(state.model_a.params), dict(state.model_b.params))
+    best_params = dict(state.pair.params)
 
     unlabeled_cycler = (
         _BatchCycler(split.unlabeled.n, config.batch_unlabeled, root.split("unlabeled_order"))
@@ -422,7 +402,7 @@ def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> Experimen
         val_curve.append(epoch_mae)
         if epoch_mae < best_mae:
             best_mae, best_epoch = epoch_mae, epoch
-            best_params = (dict(state.model_a.params), dict(state.model_b.params))
+            best_params = dict(state.pair.params)
 
     # Pseudo-label quality is a property of the models as trained, so the
     # uncertainty report is captured from the final-epoch weights, before the
@@ -430,9 +410,7 @@ def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> Experimen
     bin_report = None
     spearman = None
     if has_unlabeled and split.oracle_unlabeled_targets is not None:
-        y_pl, lv_pl = predict(
-            state.model_a, state.model_b, x_ulb, config.ensemble_draws, root.split("bin_report")
-        )
+        y_pl, lv_pl = predict(*members(), x_ulb, config.ensemble_draws, root.split("bin_report"))
         y_pl_orig = normalizer.inverse_targets(y_pl)
         lv_orig = lv_pl + normalizer.log_var_offset
         truth = split.oracle_unlabeled_targets
@@ -442,11 +420,9 @@ def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> Experimen
         if split.unlabeled.n >= 3 and not np.all(lv_orig == lv_orig[0]):
             spearman = spearman_rank_corr(np.exp(lv_orig), sq_err)
 
-    state.model_a.params, state.model_b.params = best_params
+    state.pair.params = best_params
 
-    y_test_pred, _ = predict(
-        state.model_a, state.model_b, x_test, config.ensemble_draws, root.split("test")
-    )
+    y_test_pred, _ = predict(*members(), x_test, config.ensemble_draws, root.split("test"))
     y_test_pred = normalizer.inverse_targets(y_test_pred)
     test_mae = mae(y_test_pred, split.test.targets)
     test_r2 = r_squared(y_test_pred, split.test.targets)
@@ -461,7 +437,7 @@ def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> Experimen
         history=state.history,
         bin_report=bin_report,
         uncertainty_error_spearman=spearman,
-        model_a=state.model_a,
-        model_b=state.model_b,
+        model_a=state.pair.member(0),
+        model_b=state.pair.member(1),
         normalizer=normalizer,
     )

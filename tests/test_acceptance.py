@@ -24,7 +24,15 @@ from semireg.losses import (
     consistency_loss_unlabeled,
     hetero_loss,
 )
-from semireg.mlp import MlpConfig, backward, forward, init_model, load_model, save_model
+from semireg.mlp import (
+    MlpConfig,
+    backward,
+    forward,
+    init_model,
+    load_model,
+    save_model,
+    stack_models,
+)
 from semireg.rng import Rng, sample_dropout_mask
 from semireg.training import TrainConfig, run_experiment
 
@@ -129,7 +137,9 @@ def test_criterion_1_gradient_correctness():
                 sample_dropout_mask(mask_rng, x.shape[0], width, cfg.dropout_p)
                 for width in hidden
             ]
-        targets = generate_pseudo_labels(model_a, model_b, x_ulb, 2, Rng(9000 + case))
+        targets = generate_pseudo_labels(
+            stack_models(model_a, model_b), x_ulb, 2, Rng(9000 + case)
+        )
 
         grads = _full_loss_grads(model_a, model_b, x_lab, y_lab, x_ulb, targets, masks, w)
         h = 1e-6

@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from semireg import cli
 from semireg.cli import ExperimentConfig, main
 from semireg.errors import ConfigError
+from semireg.training import TrainConfig
 
 TINY = {
     "task": "synthetic",
@@ -55,6 +57,16 @@ class TestConfigParsing:
         c2 = ExperimentConfig.from_dict({"task": "synthetic", "epochs": 150})
         assert c1.sha256() == c2.sha256()  # 150 is the default
         assert c1.with_seed(1).sha256() != c1.sha256()
+
+    def test_train_config_defaults_match_the_documented_ones(self):
+        defaults = TrainConfig()
+        shared = [f.name for f in fields(TrainConfig) if f.name in cli.CONFIG_KEYS]
+        assert "epochs" in shared and "hidden_dims" in shared
+        for name in shared:
+            documented = cli.CONFIG_KEYS[name][1]
+            if name == "hidden_dims":
+                documented = tuple(documented)
+            assert getattr(defaults, name) == documented, name
 
     def test_missing_file_and_bad_json(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

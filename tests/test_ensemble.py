@@ -4,7 +4,7 @@ import pytest
 from semireg.data import RegressionDataset
 from semireg.ensemble import generate_pseudo_labels, predict, variance_reduction_check
 from semireg.errors import ParameterError, UsageError
-from semireg.mlp import MlpConfig, forward, init_model
+from semireg.mlp import MlpConfig, forward, init_model, stack_models
 from semireg.rng import Rng
 
 
@@ -42,7 +42,7 @@ class TestPseudoLabels:
     def test_two_constant_models_average(self):
         # one draw, y_a=2 and y_b=4 -> pseudo-label 3
         a, b = constant_model(2.0), constant_model(4.0)
-        labels = generate_pseudo_labels(a, b, np.array([[0.5]]), 1, Rng(1))
+        labels = generate_pseudo_labels(stack_models(a, b), np.array([[0.5]]), 1, Rng(1))
         assert labels.y[0] == 3.0
         assert labels.log_var[0] == 0.0
 
@@ -67,7 +67,7 @@ class TestPseudoLabels:
         a, b = init_model(cfg, Rng(3)), init_model(cfg, Rng(4))
         x = np.random.default_rng(5).normal(size=(rows, 2))
         kernel_rng = Rng(42)
-        labels = generate_pseudo_labels(a, b, x, draws, kernel_rng)
+        labels = generate_pseudo_labels(stack_models(a, b), x, draws, kernel_rng)
 
         rng = Rng(42)
         y_acc = np.zeros(rows)
@@ -85,7 +85,11 @@ class TestPseudoLabels:
         a = stochastic_model(1, dropout_p=0.25)
         b = stochastic_model(2, dropout_p=0.1)
         with pytest.raises(ParameterError, match="dropout_p"):
-            generate_pseudo_labels(a, b, np.zeros((2, 2)), 2, Rng(0))
+            predict(a, b, np.zeros((2, 2)), 2, Rng(0))
+
+    def test_kernel_needs_a_stacked_pair(self):
+        with pytest.raises(ParameterError, match="stacked pair"):
+            generate_pseudo_labels(stochastic_model(1), np.zeros((2, 2)), 2, Rng(0))
 
     def test_no_dropout_collapses_to_deterministic_average(self):
         a, b = stochastic_model(1, dropout_p=0.0), stochastic_model(2, dropout_p=0.0)
@@ -93,15 +97,15 @@ class TestPseudoLabels:
         det_a = forward(a, x)
         det_b = forward(b, x)
         for draws in (1, 4):
-            labels = generate_pseudo_labels(a, b, x, draws, Rng(9))
+            labels = generate_pseudo_labels(stack_models(a, b), x, draws, Rng(9))
             assert np.allclose(labels.y, (det_a[0] + det_b[0]) / 2, rtol=0, atol=1e-15)
             assert np.allclose(labels.log_var, (det_a[1] + det_b[1]) / 2, rtol=0, atol=1e-15)
 
     def test_swap_invariance_without_dropout(self):
         a, b = stochastic_model(1, dropout_p=0.0), stochastic_model(2, dropout_p=0.0)
         x = np.random.default_rng(7).normal(size=(4, 2))
-        ab = generate_pseudo_labels(a, b, x, 2, Rng(3))
-        ba = generate_pseudo_labels(b, a, x, 2, Rng(3))
+        ab = generate_pseudo_labels(stack_models(a, b), x, 2, Rng(3))
+        ba = generate_pseudo_labels(stack_models(b, a), x, 2, Rng(3))
         assert np.array_equal(ab.y, ba.y)
         assert np.array_equal(ab.log_var, ba.log_var)
 
@@ -112,17 +116,18 @@ class TestPseudoLabels:
         x = np.random.default_rng(8).normal(size=(3, 2))
         reruns = 400
         rng1, rng2 = Rng(100), Rng(100)
+        pair_ab, pair_ba = stack_models(a, b), stack_models(b, a)
         ab = np.mean(
-            [generate_pseudo_labels(a, b, x, 2, rng1).y for _ in range(reruns)], axis=0
+            [generate_pseudo_labels(pair_ab, x, 2, rng1).y for _ in range(reruns)], axis=0
         )
         ba = np.mean(
-            [generate_pseudo_labels(b, a, x, 2, rng2).y for _ in range(reruns)], axis=0
+            [generate_pseudo_labels(pair_ba, x, 2, rng2).y for _ in range(reruns)], axis=0
         )
         assert np.allclose(ab, ba, atol=0.05)
 
     def test_outputs_are_gradient_isolated(self):
         a, b = stochastic_model(1), stochastic_model(2)
-        labels = generate_pseudo_labels(a, b, np.zeros((2, 2)), 2, Rng(0))
+        labels = generate_pseudo_labels(stack_models(a, b), np.zeros((2, 2)), 2, Rng(0))
         with pytest.raises(ValueError):
             labels.y[0] = 99.0
         with pytest.raises(ValueError):
@@ -131,12 +136,12 @@ class TestPseudoLabels:
     def test_rejects_zero_draws(self):
         a, b = constant_model(1.0), constant_model(2.0)
         with pytest.raises(ParameterError):
-            generate_pseudo_labels(a, b, np.zeros((1, 1)), 0, Rng(0))
+            generate_pseudo_labels(stack_models(a, b), np.zeros((1, 1)), 0, Rng(0))
 
     def test_log_var_stays_in_clamp_range(self):
         a = constant_model(0.0, log_var_value=50.0)  # clamped to +6 inside forward
         b = constant_model(0.0, log_var_value=-50.0)  # clamped to -6
-        labels = generate_pseudo_labels(a, b, np.array([[1.0]]), 3, Rng(0))
+        labels = generate_pseudo_labels(stack_models(a, b), np.array([[1.0]]), 3, Rng(0))
         assert -6.0 <= labels.log_var[0] <= 6.0
 
 
@@ -144,7 +149,7 @@ class TestPredict:
     def test_shares_kernel_with_pseudo_labels(self):
         a, b = stochastic_model(1), stochastic_model(2)
         x = np.random.default_rng(9).normal(size=(5, 2))
-        labels = generate_pseudo_labels(a, b, x, 4, Rng(77))
+        labels = generate_pseudo_labels(stack_models(a, b), x, 4, Rng(77))
         y, lv = predict(a, b, x, 4, Rng(77))
         assert np.array_equal(y, labels.y)
         assert np.array_equal(lv, labels.log_var)

@@ -140,6 +140,40 @@ class TestConsistencyLosses:
         assert np.array_equal(dz, 2 * (z - t) / 3)
 
 
+class TestStackedPairs:
+    @pytest.mark.parametrize("n", [1, 7, 90, 1000])
+    def test_kernels_on_stacks_match_each_member(self, n):
+        y_hat, log_var, target, log_var_b = np.random.default_rng(n).normal(size=(4, 2, n))
+        shared = np.broadcast_to(target[0], (2, n))  # one target row for both members
+        for y_target in (target, shared):
+            loss, d_y, d_lv = hetero_loss(y_hat, log_var, y_target)
+            assert loss.shape == (2,)
+            per_member = [hetero_loss(y_hat[i], log_var[i], y_target[i]) for i in (0, 1)]
+            for i, (loss_i, d_y_i, d_lv_i) in enumerate(per_member):
+                assert loss[i] == loss_i
+                assert d_y[i].tobytes() == d_y_i.tobytes()
+                assert d_lv[i].tobytes() == d_lv_i.tobytes()
+            assert float(loss[0]) + float(loss[1]) == per_member[0][0] + per_member[1][0]
+
+        loss, d_a, d_b = consistency_loss_labeled(log_var, log_var_b)
+        for i in (0, 1):
+            loss_i, d_a_i, d_b_i = consistency_loss_labeled(log_var[i], log_var_b[i])
+            assert loss[i] == loss_i
+            assert d_a[i].tobytes() == d_a_i.tobytes() and d_b[i].tobytes() == d_b_i.tobytes()
+
+        loss, d_z = consistency_loss_unlabeled(log_var, log_var_b)
+        for i in (0, 1):
+            loss_i, d_z_i = consistency_loss_unlabeled(log_var[i], log_var_b[i])
+            assert loss[i] == loss_i
+            assert d_z[i].tobytes() == d_z_i.tobytes()
+
+    def test_stack_shapes_checked(self):
+        with pytest.raises(ShapeError):
+            hetero_loss(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(3))
+        with pytest.raises(ShapeError):
+            consistency_loss_unlabeled(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)))
+
+
 class TestTotalLoss:
     def test_weight_zero_keeps_labeled_terms_only(self):
         parts = LossBreakdown.build(1.5, 0.25, 9.0, 9.0, 0.0)

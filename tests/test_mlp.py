@@ -12,6 +12,7 @@ from semireg.mlp import (
     init_model,
     load_model,
     save_model,
+    stack_models,
 )
 from semireg.rng import Rng
 from semireg.training import TrainConfig, init_optimizer_state, optimizer_update
@@ -34,6 +35,33 @@ def randomize_biases(model, np_rng):
             vals = np_rng.uniform(0.05, 0.2, size=p.shape) * np_rng.choice([-1, 1], size=p.shape)
             params[name] = vals
     model.params = params
+
+
+# rows: 1 is the cycler's remainder batch, 10 a benchmark batch, 90 the
+# validation split
+PAIR_CASES = [
+    (hidden, activation, rows)
+    for hidden in ((), (16, 16), (24, 8, 16))
+    for activation in ("relu", "tanh")
+    for rows in (1, 10, 90)
+]
+PAIR_IDS = [
+    f"{act}-{'x'.join(map(str, hidden)) or 'nohidden'}-rows{rows}" for hidden, act, rows in PAIR_CASES
+]
+
+
+def member_models(hidden, activation):
+    cfg = MlpConfig(input_dim=3, hidden_dims=hidden, dropout_p=0.25, activation=activation)
+    a, b = init_model(cfg, Rng(1)), init_model(cfg, Rng(2))
+    np_rng = np.random.default_rng(len(hidden))
+    randomize_biases(a, np_rng)
+    randomize_biases(b, np_rng)
+    return a, b
+
+
+def assert_same_bytes(got, expected):
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 class TestConfig:
@@ -335,3 +363,116 @@ class TestCheckpoint:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ParameterError):
             load_model(path)
+
+
+class TestStackedPair:
+    def test_members_are_read_only_views_of_the_stack(self):
+        a, b = member_models((4,), "relu")
+        pair = stack_models(a, b)
+        assert pair.member_shape == (2,) and a.member_shape == ()
+        for i, model in enumerate((a, b)):
+            member = pair.member(i)
+            assert member.config == model.config
+            for name, p in pair.params.items():
+                assert p.shape == (2, *model.params[name].shape) and not p.flags.writeable
+                assert_same_bytes(member.params[name], model.params[name])
+                assert np.shares_memory(member.params[name], p)
+                assert not member.params[name].flags.writeable
+        with pytest.raises(ParameterError):
+            a.member(0)
+        with pytest.raises(ParameterError):
+            stack_models(pair, pair)
+
+    def test_configs_must_match(self):
+        a = small_model(hidden=(4,))
+        b = small_model(hidden=(5,))
+        with pytest.raises(ParameterError, match=r"hidden_dims=\(4,\).*hidden_dims=\(5,\)"):
+            stack_models(a, b)
+
+    def test_member_checkpoint_equals_the_model_checkpoint(self, tmp_path):
+        a, b = member_models((5, 3), "tanh")
+        save_model(b, tmp_path / "model.json", provenance={"seed": 1})
+        save_model(stack_models(a, b).member(1), tmp_path / "member.json", provenance={"seed": 1})
+        assert (tmp_path / "member.json").read_bytes() == (tmp_path / "model.json").read_bytes()
+
+    def test_rng_mode_needs_one_stream_per_member(self):
+        pair = stack_models(*member_models((4,), "relu"))
+        x = np.zeros((3, 3))
+        with pytest.raises(ParameterError):
+            forward(pair, x, rng=Rng(0))
+        with pytest.raises(ParameterError):
+            forward(pair.member(0), x, rng=(Rng(0), Rng(1)))
+        with pytest.raises(ShapeError, match="3-D or 4-D"):
+            forward(pair, x, masks=[np.ones((3, 4))])
+        with pytest.raises(ShapeError, match=r"\(2, 3, 4\)"):
+            forward(pair, x, masks=[np.ones((3, 3, 4))])
+
+    @pytest.mark.parametrize("hidden, activation, rows", PAIR_CASES, ids=PAIR_IDS)
+    def test_forward_matches_each_member(self, hidden, activation, rows):
+        a, b = member_models(hidden, activation)
+        pair = stack_models(a, b)
+        x = np.random.default_rng(rows).normal(size=(rows, 3))
+
+        # fresh masks: one stream per member, as the single-model code draws them
+        y, lv, trace = forward(pair, x, rng=(Rng(5), Rng(6)))
+        for i, (model, seed) in enumerate(((a, 5), (b, 6))):
+            stream = Rng(seed)
+            y_i, lv_i, trace_i = forward(model, x, rng=stream)
+            assert_same_bytes(y[i], y_i)
+            assert_same_bytes(lv[i], lv_i)
+            for mask, mask_i in zip(trace.masks, trace_i.masks):
+                assert_same_bytes(mask[i], mask_i)
+                assert not mask.flags.writeable
+            assert stream.counter == rows * sum(hidden)
+
+        # deterministic
+        y, lv, _ = forward(pair, x)
+        for i, model in enumerate((a, b)):
+            y_i, lv_i, _ = forward(model, x)
+            assert_same_bytes(y[i], y_i)
+            assert_same_bytes(lv[i], lv_i)
+
+        # replayed masks with a draw axis: (k, 2, rows, width)
+        k = 3
+        per_draw = [
+            [forward(m, x, rng=Rng(10 * t + i))[2].masks for i, m in enumerate((a, b))]
+            for t in range(k)
+        ]
+        stacked = [
+            np.stack([np.stack([per_draw[t][i][layer] for i in (0, 1)]) for t in range(k)])
+            for layer in range(len(hidden))
+        ]
+        y, lv, _ = forward(pair, x, masks=stacked)
+        if hidden:
+            assert y.shape == (k, 2, rows)
+        y, lv = (np.broadcast_to(v, (k, 2, rows)) for v in (y, lv))
+        for t in range(k):
+            for i, model in enumerate((a, b)):
+                y_i, lv_i, _ = forward(model, x, masks=per_draw[t][i])
+                assert_same_bytes(y[t, i], y_i)
+                assert_same_bytes(lv[t, i], lv_i)
+
+    @pytest.mark.parametrize("hidden, activation, rows", PAIR_CASES, ids=PAIR_IDS)
+    def test_backward_matches_each_member(self, hidden, activation, rows):
+        a, b = member_models(hidden, activation)
+        pair = stack_models(a, b)
+        x = np.random.default_rng(rows).normal(size=(rows, 3))
+        d_y, d_lv = np.random.default_rng(rows + 1).normal(size=(2, 2, rows))
+        _, _, trace = forward(pair, x, rng=(Rng(5), Rng(6)))
+        grads = backward(pair, trace, d_y, d_lv)
+        for i, (model, seed) in enumerate(((a, 5), (b, 6))):
+            _, _, trace_i = forward(model, x, rng=Rng(seed))
+            grads_i = backward(model, trace_i, d_y[i], d_lv[i])
+            assert list(grads) == list(grads_i)
+            for name, g in grads_i.items():
+                assert_same_bytes(grads[name][i], g)
+
+    def test_pair_trace_with_a_draw_axis_is_rejected(self):
+        pair = stack_models(*member_models((4,), "relu"))
+        x = np.zeros((3, 3))
+        _, _, trace = forward(pair, x, masks=[np.ones((5, 2, 3, 4))])
+        with pytest.raises(ShapeError, match="single-draw"):
+            backward(pair, trace, np.zeros((5, 2, 3)), np.zeros((5, 2, 3)))
+        _, _, trace = forward(pair, x)
+        with pytest.raises(ShapeError, match=r"\(2, 3\)"):
+            backward(pair, trace, np.zeros(3), np.zeros(3))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from semireg.errors import ParameterError
-from semireg.rng import Rng, gaussian_sample, sample_dropout_mask
+from semireg.rng import Rng, _fnv1a64, _mix64, gaussian_sample, sample_dropout_mask
 
 
 def test_same_seed_same_stream():
@@ -112,3 +112,38 @@ def test_permutation_is_a_permutation():
     perm = Rng(17).permutation(1000)
     assert sorted(perm.tolist()) == list(range(1000))
     assert np.array_equal(perm, Rng(17).permutation(1000))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_dropout_mask_rows_from_several_streams_match_one_call_per_stream(p):
+    for seeds, cols in (((0, 2**64 - 1), 37), ((5, 6, 7), 1), ((9,), 0), ((), 4)):
+        streams = [Rng(seed) for seed in seeds]
+        refs = [Rng(seed) for seed in seeds]
+        for i, (stream, ref) in enumerate(zip(streams, refs)):
+            stream.raw(i)  # every stream at its own counter
+            ref.raw(i)
+        block = sample_dropout_mask(tuple(streams), len(seeds), cols, p)
+        expected = [sample_dropout_mask(ref, 1, cols, p) for ref in refs]
+        expected = np.concatenate(expected) if expected else np.zeros((0, cols))
+        assert block.shape == (len(seeds), cols)
+        assert block.tobytes() == expected.tobytes()
+        assert [s.counter for s in streams] == [r.counter for r in refs]
+        assert not block.flags.writeable
+
+
+def test_dropout_mask_streams_must_be_one_distinct_stream_per_row():
+    stream = Rng(1)
+    with pytest.raises(ParameterError):
+        sample_dropout_mask((stream,), 2, 3, 0.1)
+    with pytest.raises(ParameterError):
+        sample_dropout_mask((stream, stream), 2, 3, 0.1)
+    assert stream.counter == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+def test_split_matches_the_numpy_finalizer(seed):
+    # split() finalizes on Python ints; the numpy _mix64 is the definition
+    for label in ("a", "step:1199", "", "ünïcødé", "日本語", 42):
+        h = _fnv1a64(str(label).encode("utf-8"))
+        expected = int(_mix64(np.array([seed ^ h], dtype=np.uint64))[0])
+        assert Rng(seed).split(label).seed == expected

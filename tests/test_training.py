@@ -1,4 +1,5 @@
 import copy
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from semireg.errors import (
     ParameterError,
     UsageError,
 )
+from semireg.mlp import MlpModel, forward, stack_models
 from semireg.rng import Rng
 from semireg.training import (
     OPTIMIZERS,
@@ -28,20 +30,26 @@ from semireg.training import (
 def scalar_linear_state(config):
     """Two 1-input, no-hidden-layer models with hand-set head parameters."""
     state = init_train_state(config, input_dim=1)
-    state.model_a.params = {
-        "head_y.weight": np.array([[0.8]]),
-        "head_y.bias": np.array([[0.1]]),
-        "head_logvar.weight": np.array([[0.2]]),
-        "head_logvar.bias": np.array([[-0.1]]),
-    }
-    state.model_b.params = {
-        "head_y.weight": np.array([[1.2]]),
-        "head_y.bias": np.array([[-0.2]]),
-        "head_logvar.weight": np.array([[-0.3]]),
-        "head_logvar.bias": np.array([[0.05]]),
-    }
-    state.opt_a = init_optimizer_state(config, state.model_a.params)
-    state.opt_b = init_optimizer_state(config, state.model_b.params)
+    model_a = MlpModel(
+        state.pair.config,
+        {
+            "head_y.weight": np.array([[0.8]]),
+            "head_y.bias": np.array([[0.1]]),
+            "head_logvar.weight": np.array([[0.2]]),
+            "head_logvar.bias": np.array([[-0.1]]),
+        },
+    )
+    model_b = MlpModel(
+        state.pair.config,
+        {
+            "head_y.weight": np.array([[1.2]]),
+            "head_y.bias": np.array([[-0.2]]),
+            "head_logvar.weight": np.array([[-0.3]]),
+            "head_logvar.bias": np.array([[0.05]]),
+        },
+    )
+    state.pair = stack_models(model_a, model_b)
+    state.opt = init_optimizer_state(config, state.pair.params)
     return state
 
 
@@ -195,7 +203,7 @@ class TestTrainStep:
 
         train_step(state, (np.array([[x_lab]]), np.array([y_lab])), np.array([[x_ulb]]), config)
         for name in expected:
-            model = state.model_a if name[0] == "a" else state.model_b
+            model = state.pair.member(0 if name[0] == "a" else 1)
             got = model.params[name[1]][0, 0]
             assert got == pytest.approx(expected[name], rel=1e-6, abs=1e-9), name
 
@@ -217,9 +225,10 @@ class TestTrainStep:
         assert b1.unlabeled_reg != 0.0
         assert b1.total == b1.labeled_reg + b1.labeled_unc
         assert b2.unlabeled_reg == 0.0
-        for name in s1.model_a.params:
-            assert np.array_equal(s1.model_a.params[name], s2.model_a.params[name])
-            assert np.array_equal(s1.model_b.params[name], s2.model_b.params[name])
+        for member in (0, 1):
+            p1, p2 = s1.pair.member(member).params, s2.pair.member(member).params
+            for name in p1:
+                assert np.array_equal(p1[name], p2[name])
 
     def test_near_fixed_point_for_target_head(self):
         # with y_hat == y, z == 0, p=0 the regression losses and the
@@ -241,16 +250,17 @@ class TestTrainStep:
             "head_logvar.weight": np.array([[0.0]]),
             "head_logvar.bias": np.array([[0.0]]),
         }
-        state.model_a.params = dict(zero_y)
-        state.model_b.params = dict(zero_y)
+        cfg = state.pair.config
+        state.pair = stack_models(MlpModel(cfg, dict(zero_y)), MlpModel(cfg, dict(zero_y)))
         x, y = 2.0, 1.0  # y_hat = 0.5*2 = 1 = y
         breakdown = train_step(state, (np.array([[x]]), np.array([y])), None, config)
         assert breakdown.labeled_reg == 0.0
         assert breakdown.labeled_unc == 0.0
-        assert state.model_a.params["head_y.weight"][0, 0] == 0.5
-        assert state.model_a.params["head_y.bias"][0, 0] == 0.0
+        model_a = state.pair.member(0)
+        assert model_a.params["head_y.weight"][0, 0] == 0.5
+        assert model_a.params["head_y.bias"][0, 0] == 0.0
         # z keeps moving: d(hetero)/dz = 1/2 at zero residual
-        assert state.model_a.params["head_logvar.bias"][0, 0] != 0.0
+        assert model_a.params["head_logvar.bias"][0, 0] != 0.0
 
     def test_variant_controls_loss_components(self):
         rng = np.random.default_rng(2)
@@ -273,13 +283,12 @@ class TestTrainStep:
         config = TrainConfig(variant="baseline", dropout_p=0.0, hidden_dims=(4,), seed=1)
         state = init_train_state(config, 2)
         x = np.random.default_rng(3).normal(size=(4, 2))
-        target_a, target_b = _cross_targets(state.model_a, state.model_b, x, Rng(0))
-        from semireg.mlp import forward
-
-        det_a = forward(state.model_a, x)
-        det_b = forward(state.model_b, x)
-        assert np.array_equal(target_a.y, det_b[0])
-        assert np.array_equal(target_b.y, det_a[0])
+        targets = _cross_targets(state.pair, x, Rng(0))
+        target_a, target_b = targets.y
+        det_a = forward(state.pair.member(0), x)
+        det_b = forward(state.pair.member(1), x)
+        assert np.array_equal(target_a, det_b[0])
+        assert np.array_equal(target_b, det_a[0])
 
     def test_no_gradient_through_pseudo_labels(self):
         # replaying the step with the pseudo-labels frozen from the pre-step
@@ -293,20 +302,20 @@ class TestTrainStep:
         s1 = init_train_state(config, 2)
         s2 = init_train_state(config, 2)
         frozen = generate_pseudo_labels(
-            s2.model_a,
-            s2.model_b,
+            s2.pair,
             x_ulb,
             config.ensemble_draws,
             s2.rng.split("step:0").split("pseudo"),
         )
         b1 = train_step(s1, (x_lab, y_lab), x_ulb, config)
         b2 = train_step(
-            s2, (x_lab, y_lab), x_ulb, config, injected_targets=(frozen, frozen)
+            s2, (x_lab, y_lab), x_ulb, config, injected_targets=frozen
         )
         assert b1 == b2
-        for name in s1.model_a.params:
-            assert np.array_equal(s1.model_a.params[name], s2.model_a.params[name])
-            assert np.array_equal(s1.model_b.params[name], s2.model_b.params[name])
+        for member in (0, 1):
+            p1, p2 = s1.pair.member(member).params, s2.pair.member(member).params
+            for name in p1:
+                assert np.array_equal(p1[name], p2[name])
 
     def test_empty_unlabeled_with_positive_weight_rejected(self):
         config = TrainConfig(unlabeled_weight=10.0, hidden_dims=(4,))
@@ -319,18 +328,23 @@ class TestTrainStep:
             unlabeled_weight=0.0, dropout_p=0.0, hidden_dims=(4,), learning_rate=1e-3, seed=2
         )
         state = init_train_state(config, 2)
-        # poison the model so the forward output overflows
-        state.model_a.params = {
-            **state.model_a.params,
-            "head_y.weight": np.array([[1e308], [1e308], [1e308], [1e308]]),
-            "layer0.weight": np.full((2, 4), 1e300),
-        }
-        before = {n: p.copy() for n, p in state.model_b.params.items()}
+        # poison model a so its forward output overflows
+        model_a, model_b = state.pair.member(0), state.pair.member(1)
+        poisoned = MlpModel(
+            model_a.config,
+            {
+                **model_a.params,
+                "head_y.weight": np.array([[1e308], [1e308], [1e308], [1e308]]),
+                "layer0.weight": np.full((2, 4), 1e300),
+            },
+        )
+        state.pair = stack_models(poisoned, model_b)
+        before = {n: p.copy() for n, p in model_b.params.items()}
         with pytest.raises(NonFiniteLossError):
             train_step(state, (np.array([[1.0, 1.0]]), np.array([0.0])), None, config)
         assert state.step == 0
         for name, arr in before.items():
-            assert np.array_equal(state.model_b.params[name], arr)
+            assert np.array_equal(state.pair.member(1).params[name], arr)
 
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     def test_rejected_update_of_model_b_leaves_model_a_untouched(self, optimizer):
@@ -341,21 +355,49 @@ class TestTrainStep:
         # A finite but huge accumulator makes model b's next update overflow,
         # while every gradient and model a's update stay finite.
         slot = "m" if optimizer == "adam" else "velocity"
-        state.opt_b.slots["head_y.bias"][slot] = np.full((1, 1), 1e308)
-        params_before = [dict(state.model_a.params), dict(state.model_b.params)]
-        opts_before = [copy.deepcopy(state.opt_a), copy.deepcopy(state.opt_b)]
+        slots = state.opt.slots["head_y.bias"]
+        slots[slot] = slots[slot].copy()
+        slots[slot][1] = np.full((1, 1), 1e308)  # model b's accumulator only
+        params_before = dict(state.pair.params)
+        opt_before = copy.deepcopy(state.opt)
         rng = np.random.default_rng(6)
         with pytest.raises(NonFiniteLossError, match="update"):
             train_step(state, (rng.normal(size=(3, 2)), rng.normal(size=3)), None, config)
-        for model, before in zip((state.model_a, state.model_b), params_before):
-            assert model.params.keys() == before.keys()
-            assert all(model.params[name] is p for name, p in before.items())
-        for opt, before in zip((state.opt_a, state.opt_b), opts_before):
-            assert opt.step == before.step == 0
-            for name, slots in before.slots.items():
-                for key, arr in slots.items():
-                    assert np.array_equal(opt.slots[name][key], arr)
+        assert state.pair.params.keys() == params_before.keys()
+        assert all(state.pair.params[name] is p for name, p in params_before.items())
+        assert state.opt.step == opt_before.step == 0
+        for name, slots in opt_before.slots.items():
+            for key, arr in slots.items():
+                assert np.array_equal(state.opt.slots[name][key], arr)
         assert state.step == 0 and state.history == []
+
+    @pytest.mark.parametrize(
+        "variant, expected",
+        [
+            ("full", {"forward": 2, "backward": 2, "optimizer_update": 1}),
+            ("baseline", {"forward": 3, "backward": 2, "optimizer_update": 1}),
+        ],
+    )
+    def test_one_step_runs_the_pair_once_per_pass(self, monkeypatch, variant, expected):
+        # counted through training's own bindings: a step that falls back to
+        # one call per model shows up as doubled counts
+        import semireg.training as training
+
+        calls = Counter()
+        for name in expected:
+            original = getattr(training, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(training, name, counted)
+        config = TrainConfig(variant=variant, hidden_dims=(6, 5), seed=5)
+        state = init_train_state(config, 2)
+        rng = np.random.default_rng(2)
+        labeled = (rng.normal(size=(5, 2)), rng.normal(size=5))
+        train_step(state, labeled, rng.normal(size=(7, 2)), config)
+        assert dict(calls) == expected
 
     def test_history_records_every_step(self):
         config = TrainConfig(unlabeled_weight=0.0, hidden_dims=(4,), seed=9)
