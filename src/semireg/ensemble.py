@@ -24,6 +24,7 @@ small.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from .data import RegressionDataset
