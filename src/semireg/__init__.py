@@ -50,7 +50,7 @@ from .mlp import (
     save_model,
     stack_models,
 )
-from .rng import Rng, gaussian_sample, sample_dropout_mask
+from .rng import Rng, sample_dropout_mask
 from .training import (
     ExperimentResult,
     TrainConfig,
@@ -84,7 +84,6 @@ __all__ = [
     "consistency_loss_labeled",
     "consistency_loss_unlabeled",
     "forward",
-    "gaussian_sample",
     "generate_pseudo_labels",
     "generate_synthetic",
     "hetero_loss",

@@ -28,6 +28,7 @@ import numpy as np
 
 from .data import (
     CsvSchema,
+    Normalizer,
     RegressionDataset,
     SemiSupervisedSplit,
     SyntheticSpec,
@@ -36,7 +37,14 @@ from .data import (
     split_semi_supervised,
 )
 from .ensemble import predict, variance_reduction_check
-from .errors import ConfigError, DivergenceError, ParameterError, UsageError
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    NonFiniteError,
+    ParameterError,
+    ShapeError,
+    UsageError,
+)
 from .evaluation import mae, r_squared, write_bin_report_csv
 from .mlp import load_model, save_model
 from .rng import Rng
@@ -390,8 +398,9 @@ def cmd_variance_demo(config: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_evaluate(config: ExperimentConfig, out_dir: Path, checkpoint_dir: Path) -> int:
-    # A checkpoint trained from another config or seed would be scored on
-    # the wrong split, so it is refused before anything is written.
+    # A checkpoint that cannot be loaded, or was trained from another config
+    # or seed (it would be scored on the wrong split), is refused before
+    # anything is written.
     provenance = {"config_sha256": config.sha256(), "seed": config["seed"]}
     model_a = load_model(checkpoint_dir / "model_a.json", provenance=provenance)
     model_b = load_model(checkpoint_dir / "model_b.json", provenance=provenance)
@@ -399,8 +408,6 @@ def cmd_evaluate(config: ExperimentConfig, out_dir: Path, checkpoint_dir: Path) 
     _, split = build_split(config)
     # The normalizer refits on the labeled partition, which is derived
     # deterministically from the config seed, so it matches training exactly.
-    from .data import Normalizer
-
     normalizer = Normalizer(split.labeled)
     x_test = normalizer.transform_features(split.test.features)
     y_pred, _ = predict(
@@ -471,7 +478,7 @@ def main(argv=None) -> int:
             return cmd_variance_demo(config, out_dir)
         checkpoints = Path(args.checkpoints) if args.checkpoints else out_dir
         return cmd_evaluate(config, out_dir, checkpoints)
-    except (ConfigError, ParameterError, UsageError) as err:
+    except (ConfigError, NonFiniteError, ParameterError, ShapeError, UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

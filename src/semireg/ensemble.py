@@ -16,9 +16,14 @@ the same stream words in the same order as one draw at a time. The masks are
 views of that block in (draw, member, rows, width) order, and the pair runs
 one forward per chunk, so the draw-independent first layer is computed once
 and one trace is built per chunk, not per draw and model. The trace is
-dropped before the next chunk's masks are drawn, and the chunk size caps the
-mask block at _CHUNK_WORDS words, which keeps the temporaries of large inputs
-small.
+dropped before the next chunk's masks are drawn.
+
+The chunk size caps the mask block at _CHUNK_WORDS = 2**17 words (1 MiB).
+That holds a whole 90-row, 5-draw call of a 64x64 pair (115,200 words) in
+one chunk, so a validation pass is one mask call and one forward; a 225-row
+call runs 2 draws per chunk, which keeps the temporaries of large inputs
+bounded. predict takes the two models; given member(0) and member(1) of one
+pair it runs on that pair's arrays instead of stacking a copy.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from .errors import ParameterError, UsageError
 from .mlp import MlpModel, forward, split_mask_block, stack_models
 from .rng import Rng, sample_dropout_mask
 
-# Most mask words one chunk of draws may hold (2**15 words = 256 KiB).
-_CHUNK_WORDS = 2**15
+# Most mask words one chunk of draws may hold (2**17 words = 1 MiB).
+_CHUNK_WORDS = 2**17
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,8 @@ def predict(
     """Test-time inference: the ensembled prediction and its log-uncertainty.
 
     The generate_pseudo_labels computation on the two models stacked into a
-    pair, exposed as the inference API.
+    pair, exposed as the inference API. Member views of one pair, as
+    ExperimentResult holds them, run on the pair's own arrays (stack_models).
     """
     labels = generate_pseudo_labels(stack_models(model_a, model_b), x, draws, rng)
     return labels.y, labels.log_var

@@ -19,7 +19,7 @@ axis, (k, 2, n, w) @ (2, w, w'), with the same bits as per-member passes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +65,8 @@ class MlpModel:
 
     config: MlpConfig
     params: dict[str, np.ndarray]
+    # Set by member(i): (i, {name: (stacked array, this member's view of it)}).
+    origin: tuple[int, dict] | None = field(default=None, repr=False, compare=False)
 
     @property
     def member_shape(self) -> tuple[int, ...]:
@@ -75,7 +77,9 @@ class MlpModel:
         """Member i of a stacked pair, with read-only views of its parameters."""
         if not self.member_shape:
             raise ParameterError("member() needs a stacked pair")
-        return MlpModel(config=self.config, params={n: p[i] for n, p in self.params.items()})
+        views = {n: (p, p[i]) for n, p in self.params.items()}
+        params = {n: view for n, (_, view) in views.items()}
+        return MlpModel(config=self.config, params=params, origin=(i, views))
 
 
 @dataclass
@@ -132,14 +136,40 @@ def init_model(config: MlpConfig, rng: Rng) -> MlpModel:
 
 
 def stack_models(a: MlpModel, b: MlpModel) -> MlpModel:
-    """The single models a and b, which share one config, as one stacked pair."""
+    """The single models a and b, which share one config, as one stacked pair.
+
+    When a and b are member(0) and member(1) of one pair and still hold
+    those views, the pair's read-only arrays are shared, not copied: they
+    hold exactly a's and b's values.
+    """
     if a.config != b.config or a.member_shape or b.member_shape:
         raise ParameterError(f"a pair needs two single models of one config: {a.config} {b.config}")
-    params = {
-        name: _read_only(np.stack((a.params[name], b.params[name])))
-        for name in _param_shapes(a.config)
-    }
+    names = _param_shapes(a.config)
+    shared = _stacked_views(a, b, names)
+    if shared is not None:
+        return MlpModel(config=a.config, params=shared)
+    params = {name: _read_only(np.stack((a.params[name], b.params[name]))) for name in names}
     return MlpModel(config=a.config, params=params)
+
+
+def _stacked_views(a: MlpModel, b: MlpModel, names) -> dict[str, np.ndarray] | None:
+    # The read-only stacked arrays whose [0] and [1] views a and b hold, or None.
+    if a.origin is None or b.origin is None or (a.origin[0], b.origin[0]) != (0, 1):
+        return None
+    shared = {}
+    for name in names:
+        whole, view_a = a.origin[1].get(name, (None, None))
+        whole_b, view_b = b.origin[1].get(name, (None, None))
+        if (
+            whole is None
+            or whole_b is not whole
+            or whole.flags.writeable
+            or a.params.get(name) is not view_a
+            or b.params.get(name) is not view_b
+        ):
+            return None
+        shared[name] = whole
+    return shared
 
 
 def split_mask_block(block: np.ndarray, rows: int, widths: tuple[int, ...]) -> list[np.ndarray]:
@@ -206,16 +236,20 @@ def forward(
     # overflow to inf is tolerated here; loss kernels reject non-finite values
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(len(widths)):
-            pre = h @ params[f"layer{i}.weight"] + params[f"layer{i}.bias"]
-            act = np.maximum(pre, 0.0) if cfg.activation == "relu" else np.tanh(pre)
+            # bias and activation in place on the fresh matmul output
+            act = _affine(h, params, f"layer{i}")
+            if cfg.activation == "relu":
+                np.maximum(act, 0.0, out=act)
+            else:
+                np.tanh(act, out=act)
             mask = masks[i] if masks is not None else _read_only(np.ones_like(act))
             h = act * mask
             activations.append(act)
             used_masks.append(mask)
             layer_inputs.append(h)
 
-        y_hat = (h @ params["head_y.weight"] + params["head_y.bias"])[..., 0]
-        raw_log_var = (h @ params["head_logvar.weight"] + params["head_logvar.bias"])[..., 0]
+        y_hat = _affine(h, params, "head_y")[..., 0]
+        raw_log_var = _affine(h, params, "head_logvar")[..., 0]
     log_var = np.clip(raw_log_var, cfg.log_var_min, cfg.log_var_max)
     clamp_active = (raw_log_var < cfg.log_var_min) | (raw_log_var > cfg.log_var_max)
     for arr in (y_hat, log_var):
@@ -230,6 +264,13 @@ def forward(
         params=params,
     )
     return y_hat, log_var, trace
+
+
+def _affine(h: np.ndarray, params: dict[str, np.ndarray], layer: str) -> np.ndarray:
+    # h @ W + b, with the bias added in place: the same bits, one array fewer
+    out = h @ params[f"{layer}.weight"]
+    out += params[f"{layer}.bias"]
+    return out
 
 
 def backward(
@@ -334,47 +375,67 @@ def save_model(model: MlpModel, path, provenance: dict | None = None) -> None:
 def load_model(path, provenance: dict | None = None) -> MlpModel:
     """Read a save_model checkpoint.
 
-    Every parameter must have the shape its config implies (ShapeError) and
-    finite values. With ``provenance``, the checkpoint's stored provenance
-    must hold the same value for each of its keys (ParameterError naming
-    both values otherwise).
+    Every failure raises one of the package's errors naming ``path``: a
+    file that cannot be read or parsed, or is not a well-formed checkpoint,
+    raises ParameterError. Every parameter must have the shape its config
+    implies (ShapeError) and finite values (NonFiniteError). With
+    ``provenance``, the checkpoint's stored provenance must hold the same
+    value for each of its keys (ParameterError naming both values otherwise).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as err:
+        raise ParameterError(f"cannot read checkpoint {path}: {err.strerror or err}") from None
+    except ValueError as err:  # invalid JSON or UTF-8
+        raise ParameterError(f"checkpoint {path} is not valid JSON: {err}") from None
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ParameterError(f"not a model checkpoint: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise ParameterError(f"unsupported checkpoint version {doc.get('version')}")
+        raise ParameterError(f"checkpoint {path} has unsupported version {doc.get('version')}")
     if provenance is not None:
-        stored = doc.get("provenance") or {}
+        stored = doc.get("provenance")
+        stored = stored if isinstance(stored, dict) else {}
         found = {key: stored.get(key) for key in provenance}
         if found != provenance:
             raise ParameterError(f"checkpoint {path} has provenance {found}, expected {provenance}")
-    cfg = MlpConfig(
-        input_dim=doc["config"]["input_dim"],
-        hidden_dims=tuple(doc["config"]["hidden_dims"]),
-        dropout_p=doc["config"]["dropout_p"],
-        activation=doc["config"]["activation"],
-        log_var_min=doc["config"]["log_var_min"],
-        log_var_max=doc["config"]["log_var_max"],
-    )
-    params = {name: _param_from_entry(name, entry) for name, entry in doc["params"].items()}
+    try:
+        cfg = MlpConfig(
+            input_dim=doc["config"]["input_dim"],
+            hidden_dims=tuple(doc["config"]["hidden_dims"]),
+            dropout_p=doc["config"]["dropout_p"],
+            activation=doc["config"]["activation"],
+            log_var_min=doc["config"]["log_var_min"],
+            log_var_max=doc["config"]["log_var_max"],
+        )
+        entries = dict(doc["params"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ParameterError(f"checkpoint {path} is malformed: {err!r}") from None
+    params = {name: _param_from_entry(path, name, entry) for name, entry in entries.items()}
     shapes = _param_shapes(cfg)
     if sorted(params) != sorted(shapes):
-        raise ParameterError("checkpoint parameter names do not match its config")
+        raise ParameterError(f"checkpoint {path}: parameter names do not match its config")
     for name, shape in shapes.items():
         if params[name].shape != shape:
             raise ShapeError(
-                f"parameter {name}: expected shape {shape}, found {params[name].shape}"
+                f"checkpoint {path}: parameter {name}: expected shape {shape}, "
+                f"found {params[name].shape}"
             )
     return MlpModel(config=cfg, params={name: params[name] for name in shapes})
 
 
-def _param_from_entry(name: str, entry: dict) -> np.ndarray:
-    rows, cols = entry["rows"], entry["cols"]
-    flat = np.array(entry["data"], dtype=np.float64)
+def _param_from_entry(path, name: str, entry: dict) -> np.ndarray:
+    try:
+        rows, cols = entry["rows"], entry["cols"]
+        if type(rows) is not int or type(cols) is not int or min(rows, cols) < 0:
+            raise TypeError(f"rows and cols must be counts, got {rows!r} and {cols!r}")
+        flat = np.array(entry["data"], dtype=np.float64)  # ValueError on a non-number
+    except (KeyError, TypeError, ValueError) as err:
+        raise ParameterError(f"checkpoint {path}: parameter {name} is malformed: {err!r}") from None
     if flat.shape != (rows * cols,):
-        raise ShapeError(f"parameter {name}: {flat.size} values for a {rows}x{cols} matrix")
+        raise ShapeError(
+            f"checkpoint {path}: parameter {name}: {flat.size} values for a {rows}x{cols} matrix"
+        )
     if not np.isfinite(flat).all():
-        raise NonFiniteError(f"parameter {name} has non-finite entries")
+        raise NonFiniteError(f"checkpoint {path}: parameter {name} has non-finite entries")
     return _read_only(flat.reshape(rows, cols))

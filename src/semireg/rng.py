@@ -147,7 +147,7 @@ def sample_dropout_mask(rng: Rng | Sequence[Rng], rows: int, cols: int, p: float
     rescaling. The raw words are compared against an integer threshold
     instead of being turned into uniforms: ``(w >> 11) * 2**-53 < p`` holds
     exactly when ``w < ceil(p * 2**53) << 11``, so the mask is the same bit
-    for bit.
+    for bit. The mask is written into the buffer that held the words.
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
@@ -163,16 +163,8 @@ def sample_dropout_mask(rng: Rng | Sequence[Rng], rows: int, cols: int, p: float
         starts = np.array([s._advance(cols) for s in streams], dtype=np.uint64)
     threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
     words = _words(seeds, starts, cols)
-    # bool * keep is exactly 0.0 or keep, as in the definition, and faster
-    mask = np.multiply(words >= threshold, 1.0 / (1.0 - p))
+    # bool * keep is exactly 0.0 or keep, as in the definition, and faster;
+    # the float64 mask overwrites the words it was computed from
+    mask = np.multiply(words >= threshold, 1.0 / (1.0 - p), out=words.view(np.float64))
     mask.setflags(write=False)
     return mask
-
-
-def gaussian_sample(rng: Rng, mean: float, std: float) -> float:
-    """One draw from N(mean, std**2); std=0 returns mean exactly."""
-    if std < 0:
-        raise ParameterError(f"std must be >= 0, got {std}")
-    if std == 0:
-        return float(mean)
-    return float(mean + std * rng.gaussians(1)[0])

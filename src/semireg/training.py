@@ -101,21 +101,44 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Optimizer accumulators; optimizer_update returns a new one, never mutates."""
+    """Optimizer accumulators; optimizer_update returns a new one, never mutates.
+
+    Each slot ("m" and "v" for adam, "velocity" for sgd_momentum) is one
+    read-only flat buffer over every parameter, in the order of ``shapes``;
+    ``slots[name][key]`` reads one parameter's part of it.
+    """
 
     kind: str
     step: int
-    slots: dict[str, dict[str, np.ndarray]]
+    shapes: dict[str, tuple[int, ...]]
+    buffers: dict[str, np.ndarray]
+
+    @property
+    def slots(self) -> dict[str, dict[str, np.ndarray]]:
+        """Per-parameter views of the slot buffers: slots[name][key]."""
+        views = {key: _unflatten(buf, self.shapes) for key, buf in self.buffers.items()}
+        return {name: {key: views[key][name] for key in views} for name in self.shapes}
+
+
+def _unflatten(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    # consecutive views of a flat buffer, one per name, in order
+    out = {}
+    lo = 0
+    for name, shape in shapes.items():
+        hi = lo + math.prod(shape)
+        out[name] = flat[lo:hi].reshape(shape)
+        lo = hi
+    return out
 
 
 def init_optimizer_state(config: TrainConfig, params: dict[str, np.ndarray]) -> OptimizerState:
-    slots: dict[str, dict[str, np.ndarray]] = {}
-    for name, p in params.items():
-        if config.optimizer == "adam":
-            slots[name] = {"m": np.zeros(p.shape), "v": np.zeros(p.shape)}
-        else:
-            slots[name] = {"velocity": np.zeros(p.shape)}
-    return OptimizerState(kind=config.optimizer, step=0, slots=slots)
+    shapes = {name: p.shape for name, p in params.items()}
+    size = sum(p.size for p in params.values())
+    keys = ("m", "v") if config.optimizer == "adam" else ("velocity",)
+    buffers = {key: np.zeros(size) for key in keys}
+    for buf in buffers.values():
+        buf.setflags(write=False)
+    return OptimizerState(kind=config.optimizer, step=0, shapes=shapes, buffers=buffers)
 
 
 def optimizer_update(
@@ -127,39 +150,47 @@ def optimizer_update(
     """One deterministic optimizer step: (new read-only params, new state).
 
     Mutates nothing, so a rejected step (NonFiniteError on a non-finite
-    updated parameter) leaves ``params`` and ``state`` as they were.
+    updated parameter) leaves ``params`` and ``state`` as they were. The
+    update runs once over all parameters laid end to end; the new
+    parameters are views of one read-only buffer. Every operation is
+    elementwise, so each value gets the same bits as a per-parameter update.
 
     sgd_momentum: v <- momentum*v + g; p <- p - lr*v
     adam: standard bias-corrected moments, p <- p - lr*m_hat/(sqrt(v_hat)+eps)
     """
-    if set(params) != set(grads):
-        raise ShapeError("params and grads must have identical keys")
+    shapes = state.shapes
+    if set(params) != set(shapes) or set(grads) != set(shapes):
+        raise ShapeError("params, grads and optimizer state must have identical keys")
+    for name, shape in shapes.items():
+        if params[name].shape != shape or grads[name].shape != shape:
+            raise ShapeError(
+                f"{name}: param {params[name].shape}, gradient {grads[name].shape}, "
+                f"optimizer slots {shape}"
+            )
     step = state.step + 1
     lr = config.learning_rate
-    new_params: dict[str, np.ndarray] = {}
-    new_slots: dict[str, dict[str, np.ndarray]] = {}
+    p = np.concatenate([params[name].ravel() for name in shapes])
+    g = np.concatenate([grads[name].ravel() for name in shapes])
+    slot = state.buffers
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, p in params.items():
-            g = grads[name]
-            if g.shape != p.shape:
-                raise ShapeError(f"gradient for {name} has shape {g.shape}, param {p.shape}")
-            slot = state.slots[name]
-            if state.kind == "adam":
-                m = config.adam_beta1 * slot["m"] + (1 - config.adam_beta1) * g
-                v = config.adam_beta2 * slot["v"] + (1 - config.adam_beta2) * g**2
-                m_hat = m / (1 - config.adam_beta1**step)
-                v_hat = v / (1 - config.adam_beta2**step)
-                new = p - lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-                new_slots[name] = {"m": m, "v": v}
-            else:
-                velocity = config.momentum * slot["velocity"] + g
-                new = p - lr * velocity
-                new_slots[name] = {"velocity": velocity}
-            if not np.isfinite(new).all():
-                raise NonFiniteError(f"update of {name} is non-finite")
-            new.setflags(write=False)
-            new_params[name] = new
-    return new_params, OptimizerState(kind=state.kind, step=step, slots=new_slots)
+        if state.kind == "adam":
+            m = config.adam_beta1 * slot["m"] + (1 - config.adam_beta1) * g
+            v = config.adam_beta2 * slot["v"] + (1 - config.adam_beta2) * g**2
+            m_hat = m / (1 - config.adam_beta1**step)
+            v_hat = v / (1 - config.adam_beta2**step)
+            new = p - lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+            buffers = {"m": m, "v": v}
+        else:
+            velocity = config.momentum * slot["velocity"] + g
+            new = p - lr * velocity
+            buffers = {"velocity": velocity}
+    for buf in (new, *buffers.values()):
+        buf.setflags(write=False)  # before any view is taken, which inherits it
+    new_params = _unflatten(new, shapes)
+    if not np.isfinite(new).all():
+        bad = next(name for name, value in new_params.items() if not np.isfinite(value).all())
+        raise NonFiniteError(f"update of {bad} is non-finite")
+    return new_params, OptimizerState(state.kind, step, shapes, buffers)
 
 
 @dataclass

@@ -212,6 +212,40 @@ class TestEvaluateCommand:
         assert not (out / "eval_metrics.json").exists()
 
 
+def _transposed_first_weight(text):
+    doc = json.loads(text)
+    weight = doc["params"]["layer0.weight"]
+    weight.update(rows=weight["cols"], cols=weight["rows"])  # same 8 values, now 8x1
+    return json.dumps(doc)
+
+
+# How a model_a.json is damaged: the new file text from the old one, or None
+# to delete it.
+CHECKPOINT_DAMAGE = {
+    "missing": lambda text: None,
+    "truncated": lambda text: text[: len(text) // 2],
+    "non_numeric": lambda text: text.replace('"data": [', '"data": ["x", ', 1),
+    "transposed_shape": _transposed_first_weight,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
+def test_unloadable_checkpoint_exits_2_naming_it(tmp_path, capsys, damage):
+    config = write_config(tmp_path)
+    out = tmp_path / "trained"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+    path = out / "model_a.json"
+    text = CHECKPOINT_DAMAGE[damage](path.read_text())
+    if text is None:
+        path.unlink()
+    else:
+        path.write_text(text)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (out / "eval_metrics.json").exists()
+
+
 def test_allocator_tuning_is_skipped_off_glibc(tmp_path, monkeypatch):
     def no_glibc(name):
         raise ValueError(name)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from semireg import ensemble
 from semireg.data import RegressionDataset
 from semireg.ensemble import generate_pseudo_labels, predict, variance_reduction_check
 from semireg.errors import ParameterError, UsageError
-from semireg.mlp import MlpConfig, forward, init_model, stack_models
+from semireg.mlp import MlpConfig, MlpModel, forward, init_model, stack_models
 from semireg.rng import Rng
+from semireg.training import TrainConfig, init_train_state, train_step
 
 
 def constant_model(y_value, log_var_value=0.0, dropout_p=0.0):
@@ -30,12 +32,50 @@ def stochastic_model(seed=0, dropout_p=0.25, hidden=(16, 16)):
 
 
 # Benchmark-like shapes: 1 row is the cycler's remainder batch, 90 the
-# validation split, 225 the test split; 225 rows and 20 draws span chunks.
+# validation split, 225 the test split; 225 rows with 20 draws span 3 chunks.
 REFERENCE_CASES = [
     *(((16, 16), "relu", rows, draws) for rows in (1, 6, 90, 225) for draws in (1, 2, 5, 20)),
     ((24, 8, 16), "tanh", 90, 5),
     ((), "relu", 6, 5),
 ]
+REFERENCE_IDS = [
+    f"{act}-{'x'.join(map(str, hidden)) or 'nohidden'}-rows{rows}-draws{draws}"
+    for hidden, act, rows, draws in REFERENCE_CASES
+]
+
+
+def assert_matches_manual_replication_of_draw_loop(hidden, activation, rows, draws):
+    # same rng stream, one forward per (draw, model) in the documented
+    # (t, a, b) order; the stacked chunked kernel must give the same bytes
+    cfg = MlpConfig(input_dim=2, hidden_dims=hidden, dropout_p=0.25, activation=activation)
+    a, b = init_model(cfg, Rng(3)), init_model(cfg, Rng(4))
+    x = np.random.default_rng(5).normal(size=(rows, 2))
+    kernel_rng = Rng(42)
+    labels = generate_pseudo_labels(stack_models(a, b), x, draws, kernel_rng)
+
+    rng = Rng(42)
+    y_acc = np.zeros(rows)
+    lv_acc = np.zeros(rows)
+    for _ in range(draws):
+        y_a, lv_a, _ = forward(a, x, rng=rng)
+        y_b, lv_b, _ = forward(b, x, rng=rng)
+        y_acc += (y_a + y_b) / 2
+        lv_acc += (lv_a + lv_b) / 2
+    assert labels.y.tobytes() == (y_acc / draws).tobytes()
+    assert labels.log_var.tobytes() == (lv_acc / draws).tobytes()
+    assert kernel_rng.counter == rng.counter
+
+
+def count_mask_calls(monkeypatch):
+    calls = []
+    original = ensemble.sample_dropout_mask
+
+    def counted(*args):
+        calls.append(args[1])  # the chunk's draw count
+        return original(*args)
+
+    monkeypatch.setattr(ensemble, "sample_dropout_mask", counted)
+    return calls
 
 
 class TestPseudoLabels:
@@ -52,34 +92,31 @@ class TestPseudoLabels:
         expected = np.mean([(ya + yb) / 2 for ya, yb in zip(per_draw_a, per_draw_b)])
         assert expected == 5.0
 
-    @pytest.mark.parametrize(
-        "hidden, activation, rows, draws",
-        REFERENCE_CASES,
-        ids=[
-            f"{act}-{'x'.join(map(str, hidden)) or 'nohidden'}-rows{rows}-draws{draws}"
-            for hidden, act, rows, draws in REFERENCE_CASES
-        ],
-    )
+    @pytest.mark.parametrize("hidden, activation, rows, draws", REFERENCE_CASES, ids=REFERENCE_IDS)
     def test_matches_manual_replication_of_draw_loop(self, hidden, activation, rows, draws):
-        # same rng stream, one forward per (draw, model) in the documented
-        # (t, a, b) order; the stacked chunked kernel must give the same bytes
-        cfg = MlpConfig(input_dim=2, hidden_dims=hidden, dropout_p=0.25, activation=activation)
-        a, b = init_model(cfg, Rng(3)), init_model(cfg, Rng(4))
-        x = np.random.default_rng(5).normal(size=(rows, 2))
-        kernel_rng = Rng(42)
-        labels = generate_pseudo_labels(stack_models(a, b), x, draws, kernel_rng)
+        assert_matches_manual_replication_of_draw_loop(hidden, activation, rows, draws)
 
-        rng = Rng(42)
-        y_acc = np.zeros(rows)
-        lv_acc = np.zeros(rows)
-        for _ in range(draws):
-            y_a, lv_a, _ = forward(a, x, rng=rng)
-            y_b, lv_b, _ = forward(b, x, rng=rng)
-            y_acc += (y_a + y_b) / 2
-            lv_acc += (lv_a + lv_b) / 2
-        assert labels.y.tobytes() == (y_acc / draws).tobytes()
-        assert labels.log_var.tobytes() == (lv_acc / draws).tobytes()
-        assert kernel_rng.counter == rng.counter
+    @pytest.mark.parametrize("hidden, activation, rows, draws", REFERENCE_CASES, ids=REFERENCE_IDS)
+    def test_one_draw_chunks_match_manual_replication_of_draw_loop(
+        self, monkeypatch, hidden, activation, rows, draws
+    ):
+        monkeypatch.setattr(ensemble, "_CHUNK_WORDS", 1)
+        calls = count_mask_calls(monkeypatch)
+        assert_matches_manual_replication_of_draw_loop(hidden, activation, rows, draws)
+        assert calls == [1] * draws
+
+    @pytest.mark.parametrize(
+        "hidden, rows, draws, chunks",
+        [((64, 64), 90, 5, [5]), ((64, 64), 225, 5, [2, 2, 1]), ((16, 16), 225, 20, [9, 9, 2])],
+    )
+    def test_chunk_cap(self, monkeypatch, hidden, rows, draws, chunks):
+        # a 64x64 pair's 90-row validation call is one chunk; the 225-row
+        # test split and the reference case above span several
+        calls = count_mask_calls(monkeypatch)
+        cfg = MlpConfig(input_dim=2, hidden_dims=hidden, dropout_p=0.1)
+        pair = stack_models(init_model(cfg, Rng(1)), init_model(cfg, Rng(2)))
+        generate_pseudo_labels(pair, np.zeros((rows, 2)), draws, Rng(0))
+        assert calls == chunks
 
     def test_models_must_share_dropout_p(self):
         a = stochastic_model(1, dropout_p=0.25)
@@ -145,7 +182,71 @@ class TestPseudoLabels:
         assert -6.0 <= labels.log_var[0] <= 6.0
 
 
+def trained_state(steps):
+    config = TrainConfig(hidden_dims=(16, 16), dropout_p=0.25, unlabeled_weight=0.0, seed=3)
+    state = init_train_state(config, 2)
+    rng = np.random.default_rng(4)
+    for _ in range(steps):
+        train_step(state, (rng.normal(size=(6, 2)), rng.normal(size=6)), None, config)
+    return state, config
+
+
+def copied(model):
+    return MlpModel(model.config, {name: p.copy() for name, p in model.params.items()})
+
+
+def predict_and_capture_pair(monkeypatch, a, b, x):
+    seen = []
+    original = ensemble.generate_pseudo_labels
+
+    def capture(pair, *args):
+        seen.append(pair)
+        return original(pair, *args)
+
+    monkeypatch.setattr(ensemble, "generate_pseudo_labels", capture)
+    y, lv = predict(a, b, x, 5, Rng(8))
+    monkeypatch.setattr(ensemble, "generate_pseudo_labels", original)
+    return y.tobytes() + lv.tobytes(), seen[0]
+
+
 class TestPredict:
+    def test_member_views_run_on_the_pair_without_a_copy(self, monkeypatch):
+        # after an update the pair's parameters are views of one flat buffer
+        state, _ = trained_state(steps=2)
+        pair = state.pair
+        a, b = pair.member(0), pair.member(1)
+        x = np.random.default_rng(5).normal(size=(7, 2))
+        got, used = predict_and_capture_pair(monkeypatch, a, b, x)
+        for name, p in pair.params.items():
+            assert used.params[name] is p
+        want, used_copy = predict_and_capture_pair(monkeypatch, copied(a), copied(b), x)
+        assert not any(np.shares_memory(used_copy.params[n], p) for n, p in pair.params.items())
+        assert got == want
+
+    def test_other_member_views_give_the_copied_result(self, monkeypatch):
+        state, config = trained_state(steps=1)
+        other, _ = trained_state(steps=2)
+        x = np.random.default_rng(6).normal(size=(7, 2))
+        before = state.pair.member(0), state.pair.member(1)
+        train_step(state, (x, np.ones(7)), None, config)
+        now = state.pair.member(0), state.pair.member(1)
+        edited = state.pair.member(0)
+        edited.params = {**edited.params, "head_y.bias": np.array([[0.5]])}
+        cases = {
+            "swapped": (now[1], now[0]),
+            "two pairs": (now[0], other.pair.member(1)),
+            "edited member": (edited, now[1]),
+            "before an update": before,
+        }
+        for name, (a, b) in cases.items():
+            got, used = predict_and_capture_pair(monkeypatch, a, b, x)
+            want, _ = predict_and_capture_pair(monkeypatch, copied(a), copied(b), x)
+            assert got == want, name
+            if name != "before an update":
+                assert not np.shares_memory(used.params["layer0.weight"], a.params["layer0.weight"])
+        current, _ = predict_and_capture_pair(monkeypatch, *now, x)
+        assert current != predict_and_capture_pair(monkeypatch, *before, x)[0]
+
     def test_shares_kernel_with_pseudo_labels(self):
         a, b = stochastic_model(1), stochastic_model(2)
         x = np.random.default_rng(9).normal(size=(5, 2))

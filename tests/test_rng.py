@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from semireg.errors import ParameterError
-from semireg.rng import Rng, _fnv1a64, _mix64, gaussian_sample, sample_dropout_mask
+from semireg.rng import Rng, _fnv1a64, _mix64, sample_dropout_mask
 
 
 def test_same_seed_same_stream():
@@ -33,15 +33,6 @@ def test_gaussian_moments_match_standard_normal():
     draws = Rng(42).gaussians(100_000)
     assert abs(draws.mean()) < 0.02
     assert abs(draws.std() - 1.0) < 0.02
-
-
-def test_gaussian_sample_degenerate_and_errors():
-    rng = Rng(0)
-    assert gaussian_sample(rng, 3.2, 0.0) == 3.2
-    with pytest.raises(ParameterError):
-        gaussian_sample(rng, 0.0, -1.0)
-    r1, r2 = Rng(9), Rng(9)
-    assert gaussian_sample(r1, 1.0, 2.0) == gaussian_sample(r2, 1.0, 2.0)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.25, 0.5])

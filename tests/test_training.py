@@ -122,6 +122,39 @@ class TestOptimizer:
         assert new["p"][0, 0] == pytest.approx(1.0 - 0.1, abs=1e-8)
 
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_flat_update_matches_the_per_parameter_formulas(self, optimizer):
+        # reference: the documented formulas applied one parameter at a time
+        config = TrainConfig(optimizer=optimizer, learning_rate=0.01, momentum=0.7)
+        rng = np.random.default_rng(7)
+        shapes = {"w": (2, 3, 4), "b": (2, 1, 4), "h": (2, 4, 1)}
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        state = init_optimizer_state(config, params)
+        ref_params = dict(params)
+        keys = ("m", "v") if optimizer == "adam" else ("velocity",)
+        ref_slots = {name: {key: np.zeros(shape) for key in keys} for name, shape in shapes.items()}
+        lr, b1, b2 = config.learning_rate, config.adam_beta1, config.adam_beta2
+        for step in range(1, 4):
+            grads = {name: rng.normal(size=shape) * 10.0**-step for name, shape in shapes.items()}
+            params, state = optimizer_update(params, grads, state, config)
+            for name, g in grads.items():
+                slot, p = ref_slots[name], ref_params[name]
+                if optimizer == "adam":
+                    slot["m"] = b1 * slot["m"] + (1 - b1) * g
+                    slot["v"] = b2 * slot["v"] + (1 - b2) * g**2
+                    m_hat = slot["m"] / (1 - b1**step)
+                    v_hat = slot["v"] / (1 - b2**step)
+                    ref_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+                else:
+                    slot["velocity"] = config.momentum * slot["velocity"] + g
+                    ref_params[name] = p - lr * slot["velocity"]
+            for name in shapes:
+                assert params[name].tobytes() == ref_params[name].tobytes()
+                for key in keys:
+                    assert state.slots[name][key].tobytes() == ref_slots[name][key].tobytes()
+        assert len({id(p.base) for p in params.values()}) == 1
+        assert not any(p.flags.writeable for p in params.values())
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     def test_rejected_update_leaves_state_unchanged(self, optimizer):
         config = TrainConfig(optimizer=optimizer, learning_rate=0.1)
         params = {"p": np.array([[1.0, -2.0]])}
@@ -355,9 +388,8 @@ class TestTrainStep:
         # A finite but huge accumulator makes model b's next update overflow,
         # while every gradient and model a's update stay finite.
         slot = "m" if optimizer == "adam" else "velocity"
-        slots = state.opt.slots["head_y.bias"]
-        slots[slot] = slots[slot].copy()
-        slots[slot][1] = np.full((1, 1), 1e308)  # model b's accumulator only
+        state.opt.buffers = {**state.opt.buffers, slot: state.opt.buffers[slot].copy()}
+        state.opt.slots["head_y.bias"][slot][1] = np.full((1, 1), 1e308)  # model b's only
         params_before = dict(state.pair.params)
         opt_before = copy.deepcopy(state.opt)
         rng = np.random.default_rng(6)
