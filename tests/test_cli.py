@@ -1,7 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,8 @@ from semireg import cli
 from semireg.cli import ExperimentConfig, main
 from semireg.errors import ConfigError
 from semireg.training import TrainConfig
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 TINY = {
     "task": "synthetic",
@@ -75,6 +79,85 @@ class TestConfigParsing:
         bad.write_text("{nope")
         with pytest.raises(ConfigError, match="JSON"):
             ExperimentConfig.from_file(bad)
+
+
+CSV_CONFIG = {
+    "task": "csv",
+    "csv_path": "data/rows.csv",
+    "csv_feature_columns": ["x0", "x1"],
+    "csv_target_column": "y",
+    "csv_has_header": False,
+    "learning_rate": 1,
+}
+
+# key: (a value of the wrong JSON type, a well-typed value out of range or None)
+BAD_VALUES = {
+    "task": (1, "regression"),
+    "synthetic_n_samples": ("many", 39),
+    "synthetic_input_dim": (1.5, 0),
+    "synthetic_target_function": (3, "cubic"),
+    "synthetic_noise_model": (0, "wild"),
+    "synthetic_noise_scale": ("loud", -0.1),
+    "csv_path": (5, None),
+    "csv_feature_columns": ([1], []),
+    "csv_target_column": (5, None),
+    "csv_has_header": ("yes", None),
+    "label_fraction": ("most", 0.0),
+    "val_fraction": ("some", 1.0),
+    "test_fraction": ([0.2], -0.1),
+    "seed": (0.5, None),
+    "seeds": ([0.5], []),
+    "variant": (1, "half"),
+    "epochs": ("many", -1),
+    "batch_labeled": (16.0, 0),
+    "batch_unlabeled": (True, 0),
+    "learning_rate": ("fast", 0.0),
+    "optimizer": (1, "rmsprop"),
+    "unlabeled_weight": ("heavy", -1.0),
+    "ensemble_draws": (2.5, 0),
+    "dropout_p": ("none", 1.0),
+    "hidden_dims": ([8.5], [8, 0]),
+    "activation": (1, "gelu"),
+    "variance_reruns": (60.5, 29),
+}
+
+BAD_CASES = [
+    pytest.param(key, value, id=f"{key}-{kind}")
+    for key, values in sorted(BAD_VALUES.items())
+    for kind, value in zip(("type", "range"), values)
+    if value is not None
+]
+
+# sha256 of canonical_json(); any change re-keys every artifact's provenance
+CONFIG_SHA256 = {
+    "quick.json": "2a900a126eb1b0f7f5207f2e7663b67309da98180be505aa152f956e56d1c327",
+    "benchmark.json": "798261f474c2aa8a2a2849e60901f667f0496b0e879d61b69920e1e6fab0cc2a",
+    "defaults": "a8b72a6cafffd83c7b64fe767687322273b6f681d6a09d88330be10a63c2e219",
+    "csv": "2373946ebcf59e15a010641c848ecd888ef3a2566488312b52ce0ebfaedb9cf8",
+}
+
+
+class TestConfigSchema:
+    def test_every_key_has_bad_values(self):
+        keys = json.loads(ExperimentConfig.from_dict({}).canonical_json())
+        assert sorted(keys) == sorted(BAD_VALUES)
+        assert len(keys) == 27
+
+    @pytest.mark.parametrize("key, value", BAD_CASES)
+    def test_bad_value_raises_config_error_naming_the_key(self, key, value):
+        base = CSV_CONFIG if key.startswith("csv_") else {}
+        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+            ExperimentConfig.from_dict({**base, key: value})
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_SHA256))
+    def test_canonical_json_sha256(self, name):
+        if name.endswith(".json"):
+            config = ExperimentConfig.from_file(CONFIGS / name)
+        else:
+            config = ExperimentConfig.from_dict(CSV_CONFIG if name == "csv" else {})
+        digest = hashlib.sha256(config.canonical_json().encode("utf-8")).hexdigest()
+        assert digest == CONFIG_SHA256[name]
+        assert config.sha256() == digest
 
 
 class TestTrainCommand:
