@@ -39,6 +39,7 @@ from .data import (
 from .ensemble import predict, variance_reduction_check
 from .errors import (
     ConfigError,
+    DataSchemaError,
     DivergenceError,
     NonFiniteError,
     ParameterError,
@@ -478,7 +479,9 @@ def main(argv=None) -> int:
             return cmd_variance_demo(config, out_dir)
         checkpoints = Path(args.checkpoints) if args.checkpoints else out_dir
         return cmd_evaluate(config, out_dir, checkpoints)
-    except (ConfigError, NonFiniteError, ParameterError, ShapeError, UsageError) as err:
+    except (
+        ConfigError, DataSchemaError, NonFiniteError, ParameterError, ShapeError, UsageError
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -161,11 +161,15 @@ def load_csv(path, schema: CsvSchema) -> RegressionDataset:
     """Parse a comma-separated file of 64-bit reals, preserving row order.
 
     Column references are names when the file has a header, otherwise 0-based
-    indices given as strings. Any unparseable or non-finite cell is rejected
-    with its row/column coordinates.
+    indices given as strings. Every failure raises DataSchemaError naming
+    ``path``: a file that cannot be read, a column it does not have, or an
+    unparseable or non-finite cell (with its row/column coordinates).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as err:
+        raise DataSchemaError(f"cannot read {path}: {err.strerror or err}") from None
     if not rows:
         raise DataSchemaError(f"{path}: file is empty")
 
@@ -184,7 +188,10 @@ def load_csv(path, schema: CsvSchema) -> RegressionDataset:
         width = len(rows[0])
 
         def resolve(name: str) -> int:
-            idx = int(name)
+            try:
+                idx = int(name)
+            except ValueError:
+                raise DataSchemaError(f"{path}: column {name!r} is not an index") from None
             if not 0 <= idx < width:
                 raise DataSchemaError(f"{path}: column index {idx} out of range")
             return idx

@@ -329,6 +329,25 @@ def test_unloadable_checkpoint_exits_2_naming_it(tmp_path, capsys, damage):
     assert not (out / "eval_metrics.json").exists()
 
 
+# csv file text, then the config's overrides of CSV_CONFIG (None: no file)
+CSV_FAILURES = {
+    "missing_target_column": ("a,b\n1,2\n3,4\n", {"csv_feature_columns": ["a"]}),
+    "missing_file": (None, {"csv_feature_columns": ["a"], "csv_target_column": "b"}),
+    "non_integer_column": ("1,2\n3,4\n", {"csv_feature_columns": ["a"], "csv_target_column": "1"}),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(CSV_FAILURES))
+def test_bad_csv_exits_2_naming_the_file(tmp_path, capsys, failure):
+    text, overrides = CSV_FAILURES[failure]
+    csv_path = tmp_path / "rows.csv"
+    if text is not None:
+        csv_path.write_text(text)
+    config = write_config(tmp_path, {**CSV_CONFIG, "csv_path": str(csv_path), **overrides})
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert str(csv_path) in capsys.readouterr().err
+
+
 def test_allocator_tuning_is_skipped_off_glibc(tmp_path, monkeypatch):
     def no_glibc(name):
         raise ValueError(name)
