@@ -47,7 +47,7 @@ from .errors import (
     UsageError,
 )
 from .evaluation import mae, r_squared, write_bin_report_csv
-from .mlp import load_model, save_model
+from .mlp import load_model, save_model, stack_models
 from .rng import Rng
 from .training import (
     OPTIMIZERS,
@@ -302,8 +302,8 @@ def cmd_train(config: ExperimentConfig, out_dir: Path) -> int:
             provenance=f"{_provenance(config)} source=oracle_unlabeled_targets",
         )
     ckpt_provenance = {"config_sha256": config.sha256(), "seed": config["seed"]}
-    save_model(result.model_a, out_dir / "model_a.json", provenance=ckpt_provenance)
-    save_model(result.model_b, out_dir / "model_b.json", provenance=ckpt_provenance)
+    save_model(result.pair.member(0), out_dir / "model_a.json", provenance=ckpt_provenance)
+    save_model(result.pair.member(1), out_dir / "model_b.json", provenance=ckpt_provenance)
     print(f"test_mae={result.test_mae!r} test_r2={result.test_r2!r}")
     return 0
 
@@ -374,8 +374,7 @@ def cmd_variance_demo(config: ExperimentConfig, out_dir: Path) -> int:
     rows = []
     for draws in VARIANCE_DEMO_DRAWS:
         report = variance_reduction_check(
-            result.model_a,
-            result.model_b,
+            result.pair,
             test_normalized,
             draws=draws,
             reruns=config["variance_reruns"],
@@ -403,8 +402,10 @@ def cmd_evaluate(config: ExperimentConfig, out_dir: Path, checkpoint_dir: Path) 
     # or seed (it would be scored on the wrong split), is refused before
     # anything is written.
     provenance = {"config_sha256": config.sha256(), "seed": config["seed"]}
-    model_a = load_model(checkpoint_dir / "model_a.json", provenance=provenance)
-    model_b = load_model(checkpoint_dir / "model_b.json", provenance=provenance)
+    pair = stack_models(
+        load_model(checkpoint_dir / "model_a.json", provenance=provenance),
+        load_model(checkpoint_dir / "model_b.json", provenance=provenance),
+    )
     out_dir.mkdir(parents=True, exist_ok=True)
     _, split = build_split(config)
     # The normalizer refits on the labeled partition, which is derived
@@ -412,7 +413,7 @@ def cmd_evaluate(config: ExperimentConfig, out_dir: Path, checkpoint_dir: Path) 
     normalizer = Normalizer(split.labeled)
     x_test = normalizer.transform_features(split.test.features)
     y_pred, _ = predict(
-        model_a, model_b, x_test, config["ensemble_draws"], Rng(config["seed"]).split("test")
+        pair, x=x_test, draws=config["ensemble_draws"], rng=Rng(config["seed"]).split("test")
     )
     y_pred = normalizer.inverse_targets(y_pred)
     payload = {

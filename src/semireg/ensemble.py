@@ -22,8 +22,7 @@ The chunk size caps the mask block at _CHUNK_WORDS = 2**17 words (1 MiB).
 That holds a whole 90-row, 5-draw call of a 64x64 pair (115,200 words) in
 one chunk, so a validation pass is one mask call and one forward; a 225-row
 call runs 2 draws per chunk, which keeps the temporaries of large inputs
-bounded. predict takes the two models; given member(0) and member(1) of one
-pair it runs on that pair's arrays instead of stacking a copy.
+bounded. predict and variance_reduction_check take the pair the same way.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 
 from .data import RegressionDataset
 from .errors import ParameterError, UsageError
-from .mlp import MlpModel, forward, split_mask_block, stack_models
+from .mlp import MlpModel, forward, split_mask_block
 from .rng import Rng, sample_dropout_mask
 
 # Most mask words one chunk of draws may hold (2**17 words = 1 MiB).
@@ -97,19 +96,14 @@ def generate_pseudo_labels(
 
 
 def predict(
-    model_a: MlpModel,
-    model_b: MlpModel,
-    x: np.ndarray,
-    draws: int,
-    rng: Rng,
+    pair: MlpModel, *, x: np.ndarray, draws: int, rng: Rng
 ) -> tuple[np.ndarray, np.ndarray]:
     """Test-time inference: the ensembled prediction and its log-uncertainty.
 
-    The generate_pseudo_labels computation on the two models stacked into a
-    pair, exposed as the inference API. Member views of one pair, as
-    ExperimentResult holds them, run on the pair's own arrays (stack_models).
+    The generate_pseudo_labels computation on a stacked pair, exposed as the
+    inference API.
     """
-    labels = generate_pseudo_labels(stack_models(model_a, model_b), x, draws, rng)
+    labels = generate_pseudo_labels(pair, x, draws, rng)
     return labels.y, labels.log_var
 
 
@@ -143,8 +137,7 @@ class VarianceReport:
 
 
 def variance_reduction_check(
-    model_a: MlpModel,
-    model_b: MlpModel,
+    pair: MlpModel,
     dataset: RegressionDataset,
     draws: int,
     reruns: int,
@@ -168,8 +161,8 @@ def variance_reduction_check(
     single = np.empty((reruns, n))
     ensemble = np.empty((reruns, n))
     for r in range(reruns):
-        single[r], _ = predict(model_a, model_b, features, 1, rng)
-        ensemble[r], _ = predict(model_a, model_b, features, draws, rng)
+        single[r], _ = predict(pair, x=features, draws=1, rng=rng)
+        ensemble[r], _ = predict(pair, x=features, draws=draws, rng=rng)
 
     def _stats(preds: np.ndarray):
         sq_err = (preds - targets) ** 2

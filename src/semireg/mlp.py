@@ -19,7 +19,7 @@ axis, (k, 2, n, w) @ (2, w, w'), with the same bits as per-member passes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,8 +65,6 @@ class MlpModel:
 
     config: MlpConfig
     params: dict[str, np.ndarray]
-    # Set by member(i): (i, {name: (stacked array, this member's view of it)}).
-    origin: tuple[int, dict] | None = field(default=None, repr=False, compare=False)
 
     @property
     def member_shape(self) -> tuple[int, ...]:
@@ -77,9 +75,7 @@ class MlpModel:
         """Member i of a stacked pair, with read-only views of its parameters."""
         if not self.member_shape:
             raise ParameterError("member() needs a stacked pair")
-        views = {n: (p, p[i]) for n, p in self.params.items()}
-        params = {n: view for n, (_, view) in views.items()}
-        return MlpModel(config=self.config, params=params, origin=(i, views))
+        return MlpModel(config=self.config, params={n: p[i] for n, p in self.params.items()})
 
 
 @dataclass
@@ -136,40 +132,12 @@ def init_model(config: MlpConfig, rng: Rng) -> MlpModel:
 
 
 def stack_models(a: MlpModel, b: MlpModel) -> MlpModel:
-    """The single models a and b, which share one config, as one stacked pair.
-
-    When a and b are member(0) and member(1) of one pair and still hold
-    those views, the pair's read-only arrays are shared, not copied: they
-    hold exactly a's and b's values.
-    """
+    """The single models a and b, which share one config, as one stacked pair (a copy)."""
     if a.config != b.config or a.member_shape or b.member_shape:
         raise ParameterError(f"a pair needs two single models of one config: {a.config} {b.config}")
     names = _param_shapes(a.config)
-    shared = _stacked_views(a, b, names)
-    if shared is not None:
-        return MlpModel(config=a.config, params=shared)
     params = {name: _read_only(np.stack((a.params[name], b.params[name]))) for name in names}
     return MlpModel(config=a.config, params=params)
-
-
-def _stacked_views(a: MlpModel, b: MlpModel, names) -> dict[str, np.ndarray] | None:
-    # The read-only stacked arrays whose [0] and [1] views a and b hold, or None.
-    if a.origin is None or b.origin is None or (a.origin[0], b.origin[0]) != (0, 1):
-        return None
-    shared = {}
-    for name in names:
-        whole, view_a = a.origin[1].get(name, (None, None))
-        whole_b, view_b = b.origin[1].get(name, (None, None))
-        if (
-            whole is None
-            or whole_b is not whole
-            or whole.flags.writeable
-            or a.params.get(name) is not view_a
-            or b.params.get(name) is not view_b
-        ):
-            return None
-        shared[name] = whole
-    return shared
 
 
 def split_mask_block(block: np.ndarray, rows: int, widths: tuple[int, ...]) -> list[np.ndarray]:

@@ -343,8 +343,7 @@ class ExperimentResult:
     history: list[LossBreakdown]
     bin_report: BinReport | None
     uncertainty_error_spearman: float | None
-    model_a: MlpModel
-    model_b: MlpModel
+    pair: MlpModel  # the best-validation weights of both models, stacked
     normalizer: Normalizer
 
 
@@ -392,11 +391,11 @@ def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> Experimen
     root = Rng(config.seed)
     state = init_train_state(config, split.labeled.input_dim)
 
-    def members() -> tuple[MlpModel, MlpModel]:
-        return state.pair.member(0), state.pair.member(1)
+    def ensembled(x: np.ndarray, stream: str) -> tuple[np.ndarray, np.ndarray]:
+        return predict(state.pair, x=x, draws=config.ensemble_draws, rng=root.split(stream))
 
     def validation_mae(epoch: int) -> float:
-        y_pred, _ = predict(*members(), x_val, config.ensemble_draws, root.split(f"val:{epoch}"))
+        y_pred, _ = ensembled(x_val, f"val:{epoch}")
         return mae(normalizer.inverse_targets(y_pred), split.validation.targets)
 
     n_lab = split.labeled.n
@@ -441,7 +440,7 @@ def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> Experimen
     bin_report = None
     spearman = None
     if has_unlabeled and split.oracle_unlabeled_targets is not None:
-        y_pl, lv_pl = predict(*members(), x_ulb, config.ensemble_draws, root.split("bin_report"))
+        y_pl, lv_pl = ensembled(x_ulb, "bin_report")
         y_pl_orig = normalizer.inverse_targets(y_pl)
         lv_orig = lv_pl + normalizer.log_var_offset
         truth = split.oracle_unlabeled_targets
@@ -453,7 +452,7 @@ def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> Experimen
 
     state.pair.params = best_params
 
-    y_test_pred, _ = predict(*members(), x_test, config.ensemble_draws, root.split("test"))
+    y_test_pred, _ = ensembled(x_test, "test")
     y_test_pred = normalizer.inverse_targets(y_test_pred)
     test_mae = mae(y_test_pred, split.test.targets)
     test_r2 = r_squared(y_test_pred, split.test.targets)
@@ -468,7 +467,6 @@ def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> Experimen
         history=state.history,
         bin_report=bin_report,
         uncertainty_error_spearman=spearman,
-        model_a=state.pair.member(0),
-        model_b=state.pair.member(1),
+        pair=state.pair,
         normalizer=normalizer,
     )

@@ -216,7 +216,7 @@ def test_criterion_3_variance_reduction():
     result = run_experiment(config.train_config(), split)
     test_normalized = result.normalizer.transform_dataset(split.test)
     rep = variance_reduction_check(
-        result.model_a, result.model_b, test_normalized, draws=5, reruns=200, rng=Rng(77)
+        result.pair, test_normalized, draws=5, reruns=200, rng=Rng(77)
     )
     mse_ok = rep.mse_ensemble <= rep.mse_single + 2 * rep.mse_gap_se
     bias_ok = abs(rep.bias_gap) <= 2 * rep.bias_gap_se
@@ -364,7 +364,7 @@ def test_criterion_8_degenerate_cases():
     x = np.linspace(-1, 1, 8).reshape(-1, 1)
     det = 0.5 * (forward(model_a, x)[0] + forward(model_b, x)[0])
     for draws in (1, 7):
-        y, _ = predict(model_a, model_b, x, draws, Rng(3))
+        y, _ = predict(stack_models(model_a, model_b), x=x, draws=draws, rng=Rng(3))
         checks[f"vme collapse T={draws}"] = bool(np.allclose(y, det, atol=1e-14))
 
     # all-zero log variance reduces the loss to MSE/2 exactly

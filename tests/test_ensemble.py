@@ -31,6 +31,10 @@ def stochastic_model(seed=0, dropout_p=0.25, hidden=(16, 16)):
     return init_model(cfg, Rng(seed))
 
 
+def stochastic_pair(dropout_p=0.25):
+    return stack_models(stochastic_model(1, dropout_p), stochastic_model(2, dropout_p))
+
+
 # Benchmark-like shapes: 1 row is the cycler's remainder batch, 90 the
 # validation split, 225 the test split; 225 rows with 20 draws span 3 chunks.
 REFERENCE_CASES = [
@@ -118,15 +122,17 @@ class TestPseudoLabels:
         generate_pseudo_labels(pair, np.zeros((rows, 2)), draws, Rng(0))
         assert calls == chunks
 
-    def test_models_must_share_dropout_p(self):
+    def test_pair_members_must_share_dropout_p(self):
         a = stochastic_model(1, dropout_p=0.25)
         b = stochastic_model(2, dropout_p=0.1)
         with pytest.raises(ParameterError, match="dropout_p"):
-            predict(a, b, np.zeros((2, 2)), 2, Rng(0))
+            stack_models(a, b)
 
     def test_kernel_needs_a_stacked_pair(self):
         with pytest.raises(ParameterError, match="stacked pair"):
             generate_pseudo_labels(stochastic_model(1), np.zeros((2, 2)), 2, Rng(0))
+        with pytest.raises(ParameterError, match="stacked pair"):
+            predict(stochastic_model(1), x=np.zeros((2, 2)), draws=2, rng=Rng(0))
 
     def test_no_dropout_collapses_to_deterministic_average(self):
         a, b = stochastic_model(1, dropout_p=0.0), stochastic_model(2, dropout_p=0.0)
@@ -191,11 +197,11 @@ def trained_state(steps):
     return state, config
 
 
-def copied(model):
-    return MlpModel(model.config, {name: p.copy() for name, p in model.params.items()})
+def copied(pair):
+    return MlpModel(pair.config, {name: p.copy() for name, p in pair.params.items()})
 
 
-def predict_and_capture_pair(monkeypatch, a, b, x):
+def predict_and_capture_pair(monkeypatch, pair, x):
     seen = []
     original = ensemble.generate_pseudo_labels
 
@@ -204,54 +210,47 @@ def predict_and_capture_pair(monkeypatch, a, b, x):
         return original(pair, *args)
 
     monkeypatch.setattr(ensemble, "generate_pseudo_labels", capture)
-    y, lv = predict(a, b, x, 5, Rng(8))
+    y, lv = predict(pair, x=x, draws=5, rng=Rng(8))
     monkeypatch.setattr(ensemble, "generate_pseudo_labels", original)
     return y.tobytes() + lv.tobytes(), seen[0]
 
 
 class TestPredict:
-    def test_member_views_run_on_the_pair_without_a_copy(self, monkeypatch):
+    def test_runs_on_the_pair_without_a_copy(self, monkeypatch):
         # after an update the pair's parameters are views of one flat buffer
         state, _ = trained_state(steps=2)
         pair = state.pair
-        a, b = pair.member(0), pair.member(1)
         x = np.random.default_rng(5).normal(size=(7, 2))
-        got, used = predict_and_capture_pair(monkeypatch, a, b, x)
+        got, used = predict_and_capture_pair(monkeypatch, pair, x)
         for name, p in pair.params.items():
             assert used.params[name] is p
-        want, used_copy = predict_and_capture_pair(monkeypatch, copied(a), copied(b), x)
+        want, used_copy = predict_and_capture_pair(monkeypatch, copied(pair), x)
         assert not any(np.shares_memory(used_copy.params[n], p) for n, p in pair.params.items())
         assert got == want
+        # the members, as checkpoints hold them, restack to the same predictor
+        restacked = stack_models(pair.member(0), pair.member(1))
+        assert predict_and_capture_pair(monkeypatch, restacked, x)[0] == want
 
-    def test_other_member_views_give_the_copied_result(self, monkeypatch):
+    def test_reads_the_pairs_current_parameters(self, monkeypatch):
         state, config = trained_state(steps=1)
-        other, _ = trained_state(steps=2)
         x = np.random.default_rng(6).normal(size=(7, 2))
-        before = state.pair.member(0), state.pair.member(1)
+        before = copied(state.pair)
         train_step(state, (x, np.ones(7)), None, config)
-        now = state.pair.member(0), state.pair.member(1)
-        edited = state.pair.member(0)
-        edited.params = {**edited.params, "head_y.bias": np.array([[0.5]])}
-        cases = {
-            "swapped": (now[1], now[0]),
-            "two pairs": (now[0], other.pair.member(1)),
-            "edited member": (edited, now[1]),
-            "before an update": before,
-        }
-        for name, (a, b) in cases.items():
-            got, used = predict_and_capture_pair(monkeypatch, a, b, x)
-            want, _ = predict_and_capture_pair(monkeypatch, copied(a), copied(b), x)
-            assert got == want, name
-            if name != "before an update":
-                assert not np.shares_memory(used.params["layer0.weight"], a.params["layer0.weight"])
-        current, _ = predict_and_capture_pair(monkeypatch, *now, x)
-        assert current != predict_and_capture_pair(monkeypatch, *before, x)[0]
+        current, _ = predict_and_capture_pair(monkeypatch, state.pair, x)
+        assert current == predict_and_capture_pair(monkeypatch, copied(state.pair), x)[0]
+        assert current != predict_and_capture_pair(monkeypatch, before, x)[0]
+
+    def test_rows_and_draws_are_keyword_only(self):
+        # the benchmark's probe reads rows and draws from these keywords
+        pair = stochastic_pair()
+        with pytest.raises(TypeError):
+            predict(pair, np.zeros((2, 2)), 2, Rng(0))
 
     def test_shares_kernel_with_pseudo_labels(self):
-        a, b = stochastic_model(1), stochastic_model(2)
+        pair = stochastic_pair()
         x = np.random.default_rng(9).normal(size=(5, 2))
-        labels = generate_pseudo_labels(stack_models(a, b), x, 4, Rng(77))
-        y, lv = predict(a, b, x, 4, Rng(77))
+        labels = generate_pseudo_labels(pair, x, 4, Rng(77))
+        y, lv = predict(pair, x=x, draws=4, rng=Rng(77))
         assert np.array_equal(y, labels.y)
         assert np.array_equal(lv, labels.log_var)
 
@@ -259,18 +258,18 @@ class TestPredict:
         m = stochastic_model(5, dropout_p=0.0)
         x = np.random.default_rng(10).normal(size=(4, 2))
         det_y, det_lv, _ = forward(m, x)
-        y, lv = predict(m, m, x, 3, Rng(0))
+        y, lv = predict(stack_models(m, m), x=x, draws=3, rng=Rng(0))
         assert np.allclose(y, det_y, atol=1e-15)
         assert np.allclose(lv, det_lv, atol=1e-15)
 
     def test_more_draws_shrink_prediction_spread(self):
-        a, b = stochastic_model(1), stochastic_model(2)
+        pair = stochastic_pair()
         x = np.random.default_rng(11).normal(size=(8, 2))
         rng = Rng(123)
         reruns = 40
 
         def spread(draws):
-            preds = np.stack([predict(a, b, x, draws, rng)[0] for _ in range(reruns)])
+            preds = np.stack([predict(pair, x=x, draws=draws, rng=rng)[0] for _ in range(reruns)])
             return preds.std(axis=0).mean()
 
         assert spread(100) < spread(5)
@@ -284,43 +283,41 @@ class TestVarianceReduction:
         return RegressionDataset(features=x, targets=y)
 
     def test_ensemble_mse_not_worse_and_bias_equal(self):
-        a, b = stochastic_model(1), stochastic_model(2)
         data = self.make_data()
-        report = variance_reduction_check(a, b, data, draws=5, reruns=120, rng=Rng(7))
+        report = variance_reduction_check(stochastic_pair(), data, draws=5, reruns=120, rng=Rng(7))
         assert report.mse_ensemble <= report.mse_single + 2 * report.mse_gap_se
         assert abs(report.bias_gap) <= 2 * report.bias_gap_se
         assert report.var_ensemble < report.var_single
 
     def test_no_dropout_means_no_variance(self):
-        a = stochastic_model(1, dropout_p=0.0)
-        b = stochastic_model(2, dropout_p=0.0)
-        report = variance_reduction_check(a, b, self.make_data(), draws=5, reruns=30, rng=Rng(8))
+        pair = stochastic_pair(dropout_p=0.0)
+        report = variance_reduction_check(pair, self.make_data(), draws=5, reruns=30, rng=Rng(8))
         # identical draws; averages only differ by summation rounding
         assert report.mse_single == pytest.approx(report.mse_ensemble, rel=1e-12)
         assert report.var_single < 1e-30 and report.var_ensemble < 1e-30
 
     def test_variance_non_increasing_in_draws(self):
-        a, b = stochastic_model(1), stochastic_model(2)
+        pair = stochastic_pair()
         data = self.make_data()
         variances = []
         for draws in (1, 2, 5, 20):
             report = variance_reduction_check(
-                a, b, data, draws=draws, reruns=80, rng=Rng(100 + draws)
+                pair, data, draws=draws, reruns=80, rng=Rng(100 + draws)
             )
             variances.append(report.var_ensemble)
         assert all(v2 < v1 for v1, v2 in zip(variances, variances[1:]))
 
     def test_mse_decomposes_into_bias_plus_variance(self):
-        a, b = stochastic_model(1), stochastic_model(2)
-        report = variance_reduction_check(a, b, self.make_data(), draws=3, reruns=50, rng=Rng(9))
+        pair = stochastic_pair()
+        report = variance_reduction_check(pair, self.make_data(), draws=3, reruns=50, rng=Rng(9))
         assert abs(report.mse_single - (report.bias_single + report.var_single)) < 1e-9
         assert abs(report.mse_ensemble - (report.bias_ensemble + report.var_ensemble)) < 1e-9
 
     def test_parameter_validation(self):
-        a, b = stochastic_model(1), stochastic_model(2)
+        pair = stochastic_pair()
         data = self.make_data()
         with pytest.raises(ParameterError):
-            variance_reduction_check(a, b, data, draws=5, reruns=10, rng=Rng(0))
+            variance_reduction_check(pair, data, draws=5, reruns=10, rng=Rng(0))
         unlabeled = RegressionDataset(features=data.features, targets=None)
         with pytest.raises(UsageError):
-            variance_reduction_check(a, b, unlabeled, draws=5, reruns=30, rng=Rng(0))
+            variance_reduction_check(pair, unlabeled, draws=5, reruns=30, rng=Rng(0))

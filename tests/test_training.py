@@ -478,8 +478,8 @@ class TestRunExperiment:
         assert r1.test_r2 == r2.test_r2
         assert r1.val_mae == r2.val_mae
         assert r1.history == r2.history
-        for name in r1.model_a.params:
-            assert np.array_equal(r1.model_a.params[name], r2.model_a.params[name])
+        for name in r1.pair.params:
+            assert np.array_equal(r1.pair.params[name], r2.pair.params[name])
 
     def test_loss_decreases_over_training(self):
         config = self.quick_config(epochs=30, unlabeled_weight=1.0)
