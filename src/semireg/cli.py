@@ -1,6 +1,6 @@
 """Experiment command line: train, ablate, variance-demo, evaluate.
 
-Configs are flat JSON objects with the documented keys below; unknown keys
+Configs are flat JSON objects with the keys of ExperimentConfig; unknown keys
 are rejected outright so a typo cannot silently change an experiment. Every
 artifact embeds the sha256 of the effective config plus the seed, and all
 randomness (data generation, splitting, inits, dropout) derives from that
@@ -21,7 +21,9 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+import types
+import typing
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +34,12 @@ from .data import (
     RegressionDataset,
     SemiSupervisedSplit,
     SyntheticSpec,
+    check_fractions,
     generate_synthetic,
     load_csv,
     split_semi_supervised,
 )
-from .ensemble import predict, variance_reduction_check
+from .ensemble import MIN_RERUNS, predict, variance_reduction_check
 from .errors import (
     ConfigError,
     DataSchemaError,
@@ -49,15 +52,10 @@ from .errors import (
 from .evaluation import mae, r_squared, write_bin_report_csv
 from .mlp import load_model, save_model, stack_models
 from .rng import Rng
-from .training import (
-    OPTIMIZERS,
-    VARIANTS,
-    ExperimentResult,
-    TrainConfig,
-    run_experiment,
-)
+from .training import VARIANTS, ExperimentResult, TrainConfig, run_experiment
 
 VARIANCE_DEMO_DRAWS = (1, 2, 5, 20)
+CHECKPOINTS = ("model_a.json", "model_b.json")  # member 0, member 1 of the pair
 
 # glibc mallopt parameters (malloc.h) and the values main() fixes them at.
 # Fixing either one turns off glibc's dynamic mmap threshold, so both are set.
@@ -65,124 +63,78 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _TRIM_THRESHOLD_BYTES = 16 << 20
 _MMAP_THRESHOLD_BYTES = 4 << 20
 
-_BOOL, _INT, _FLOAT, _STR, _INT_LIST, _STR_LIST = range(6)
-
-
-def _positive(x):
-    return x > 0
-
-
-def _fraction(x):
-    return 0.0 <= x < 1.0
-
-
-# key: (type, default, validator, description)
-CONFIG_KEYS: dict[str, tuple] = {
-    "task": (_STR, "synthetic", lambda v: v in ("synthetic", "csv"), "synthetic | csv"),
-    "synthetic_n_samples": (_INT, 1200, lambda v: v >= 40, "dataset size, >= 40"),
-    "synthetic_input_dim": (_INT, 1, _positive, "feature count"),
-    "synthetic_target_function": (
-        _STR,
-        "sinusoidal",
-        lambda v: v in ("linear", "sinusoidal", "piecewise"),
-        "linear | sinusoidal | piecewise",
-    ),
-    "synthetic_noise_model": (
-        _STR,
-        "input_dependent",
-        lambda v: v in ("constant", "input_dependent"),
-        "constant | input_dependent",
-    ),
-    "synthetic_noise_scale": (_FLOAT, 1.0, lambda v: v >= 0, "noise level, >= 0"),
-    "csv_path": (_STR, None, lambda v: True, "input CSV path (csv task)"),
-    "csv_feature_columns": (_STR_LIST, None, lambda v: len(v) > 0, "feature column names"),
-    "csv_target_column": (_STR, None, lambda v: True, "target column name"),
-    "csv_has_header": (_BOOL, True, lambda v: True, "first row is a header"),
-    "label_fraction": (_FLOAT, 0.1, lambda v: 0 < v <= 1, "labeled share of training rows"),
-    "val_fraction": (_FLOAT, 0.15, _fraction, "validation share of all rows"),
-    "test_fraction": (_FLOAT, 0.2, _fraction, "test share of all rows"),
-    "seed": (_INT, 0, lambda v: True, "master seed; every stream derives from it"),
-    "seeds": (_INT_LIST, [0, 1, 2, 3, 4], lambda v: len(v) > 0, "seed list for ablate"),
-    "variant": (_STR, "full", lambda v: v in VARIANTS, " | ".join(VARIANTS)),
-    "epochs": (_INT, 150, lambda v: v >= 0, "training epochs over the labeled set"),
-    "batch_labeled": (_INT, 32, _positive, "labeled batch size"),
-    "batch_unlabeled": (_INT, 32, _positive, "unlabeled batch size"),
-    "learning_rate": (_FLOAT, 1e-3, _positive, "optimizer learning rate"),
-    "optimizer": (_STR, "adam", lambda v: v in OPTIMIZERS, " | ".join(OPTIMIZERS)),
-    "unlabeled_weight": (_FLOAT, 10.0, lambda v: v >= 0, "weight on unlabeled losses"),
-    "ensemble_draws": (_INT, 5, _positive, "stochastic draws per model when ensembling"),
-    "dropout_p": (_FLOAT, 0.05, _fraction, "dropout probability"),
-    "hidden_dims": (_INT_LIST, [64, 64], lambda v: all(d >= 1 for d in v), "trunk widths"),
-    "activation": (_STR, "relu", lambda v: v in ("relu", "tanh"), "relu | tanh"),
-    "variance_reruns": (_INT, 200, lambda v: v >= 30, "Monte-Carlo reruns for variance-demo"),
-}
-
-_TYPE_NAMES = {
-    _BOOL: "a boolean",
-    _INT: "an integer",
-    _FLOAT: "a number",
-    _STR: "a string",
-    _INT_LIST: "a list of integers",
-    _STR_LIST: "a list of strings",
-}
-
-
-def _check_type(key: str, kind: int, value):
-    def fail():
-        raise ConfigError(f"{key}: expected {_TYPE_NAMES[kind]}, got {value!r}")
-
-    if kind == _BOOL:
-        if not isinstance(value, bool):
-            fail()
-        return value
-    if kind == _INT:
-        if isinstance(value, bool) or not isinstance(value, int):
-            fail()
-        return value
-    if kind == _FLOAT:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            fail()
-        return float(value)
-    if kind == _STR:
-        if not isinstance(value, str):
-            fail()
-        return value
-    if kind == _INT_LIST:
-        if not isinstance(value, list) or any(
-            isinstance(v, bool) or not isinstance(v, int) for v in value
-        ):
-            fail()
-        return list(value)
-    if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        fail()
-    return list(value)
+# How a type error names each JSON type a config field can hold.
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    values: dict
+    """One experiment: every config key, with its JSON type and default.
+
+    Keys shared with TrainConfig and SyntheticSpec (synthetic_*) take their
+    defaults from those classes, and each value is validated by the class
+    that uses it: TrainConfig, MlpConfig, SyntheticSpec or check_fractions.
+    Their ParameterErrors become ConfigErrors naming the key.
+    """
+
+    task: str = "synthetic"  # or "csv"
+    synthetic_n_samples: int = SyntheticSpec.n_samples
+    synthetic_input_dim: int = SyntheticSpec.input_dim
+    synthetic_target_function: str = SyntheticSpec.target_function
+    synthetic_noise_model: str = SyntheticSpec.noise_model
+    synthetic_noise_scale: float = SyntheticSpec.noise_scale
+    # required when task is "csv"
+    csv_path: str | None = None
+    csv_feature_columns: tuple[str, ...] | None = None
+    csv_target_column: str | None = None
+    csv_has_header: bool = CsvSchema.has_header
+    label_fraction: float = 0.1  # share of the training rows that keep labels
+    val_fraction: float = 0.15  # share of all rows
+    test_fraction: float = 0.2  # share of all rows
+    seed: int = TrainConfig.seed  # master seed; every stream derives from it
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)  # one run per seed in ablate
+    variant: str = TrainConfig.variant
+    epochs: int = TrainConfig.epochs
+    batch_labeled: int = TrainConfig.batch_labeled
+    batch_unlabeled: int = TrainConfig.batch_unlabeled
+    learning_rate: float = TrainConfig.learning_rate
+    optimizer: str = TrainConfig.optimizer
+    unlabeled_weight: float = TrainConfig.unlabeled_weight
+    ensemble_draws: int = TrainConfig.ensemble_draws
+    dropout_p: float = TrainConfig.dropout_p
+    hidden_dims: tuple[int, ...] = TrainConfig.hidden_dims
+    activation: str = TrainConfig.activation
+    variance_reruns: int = 200  # Monte-Carlo reruns in variance-demo
+
+    def __post_init__(self):
+        if self.task not in ("synthetic", "csv"):
+            raise ConfigError(f"task must be 'synthetic' or 'csv', got {self.task!r}")
+        if self.task == "csv":
+            for key in ("csv_path", "csv_feature_columns", "csv_target_column"):
+                if getattr(self, key) is None:
+                    raise ConfigError(f"{key}: required when task is 'csv'")
+        for key in ("csv_feature_columns", "seeds"):
+            if getattr(self, key) == ():
+                raise ConfigError(f"{key} must not be empty")
+        if self.variance_reruns < MIN_RERUNS:
+            got = self.variance_reruns
+            raise ConfigError(f"variance_reruns must be >= {MIN_RERUNS}, got {got}")
+        try:
+            self.train_config().model_config(input_dim=1)  # the data checks its own width
+            check_fractions(self.label_fraction, self.val_fraction, self.test_fraction)
+        except ParameterError as err:
+            raise ConfigError(str(err)) from None
+        try:
+            self.synthetic_spec(seed=0)
+        except ParameterError as err:  # the message starts with the field's name
+            raise ConfigError(f"synthetic_{err}") from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = sorted(set(raw) - set(CONFIG_KEYS))
+        unknown = sorted(set(raw) - set(_FIELD_TYPES))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        values = {}
-        for key, (kind, default, validate, description) in CONFIG_KEYS.items():
-            if key in raw:
-                value = _check_type(key, kind, raw[key])
-                if not validate(value):
-                    raise ConfigError(f"{key}: invalid value {value!r} ({description})")
-                values[key] = value
-            else:
-                values[key] = default
-        if values["task"] == "csv":
-            for key in ("csv_path", "csv_feature_columns", "csv_target_column"):
-                if values[key] is None:
-                    raise ConfigError(f"{key}: required when task is 'csv'")
-        if values["val_fraction"] + values["test_fraction"] >= 1.0:
-            raise ConfigError("val_fraction + test_fraction must be < 1")
-        return cls(values=values)
+        return cls(**{key: _from_json(key, _FIELD_TYPES[key], value) for key, value in raw.items()})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -197,16 +149,11 @@ class ExperimentConfig:
             raise ConfigError("config must be a JSON object")
         return cls.from_dict(raw)
 
-    def __getitem__(self, key: str):
-        return self.values[key]
-
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        values = dict(self.values)
-        values["seed"] = seed
-        return ExperimentConfig(values=values)
+        return replace(self, seed=seed)
 
     def canonical_json(self) -> str:
-        return json.dumps(self.values, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     def sha256(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
@@ -214,37 +161,47 @@ class ExperimentConfig:
     def train_config(self) -> TrainConfig:
         """The TrainConfig fields this config sets; the rest keep their defaults."""
         names = (f.name for f in fields(TrainConfig))
-        return TrainConfig(**{name: self.values[name] for name in names if name in self.values})
+        return TrainConfig(**{name: getattr(self, name) for name in names if name in _FIELD_TYPES})
+
+    def synthetic_spec(self, seed: int) -> SyntheticSpec:
+        """The synthetic_* keys as a SyntheticSpec drawing its data from ``seed``."""
+        names = (f.name for f in fields(SyntheticSpec) if f.name != "seed")
+        values = {name: getattr(self, f"synthetic_{name}") for name in names}
+        return SyntheticSpec(seed=seed, **values)
+
+
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _is_json(value, kind: type) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _from_json(key: str, kind, value):
+    """``value`` as the field type ``kind`` (lists become tuples), or a ConfigError."""
+    if isinstance(kind, types.UnionType):  # an optional key: JSON null is never valid
+        kind = typing.get_args(kind)[0]
+    item = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else None
+    if item is None and _is_json(value, kind):
+        return float(value) if kind is float else value
+    if item is not None and isinstance(value, list) and all(_is_json(v, item) for v in value):
+        return tuple(value)
+    expected = f"a list of {_JSON_TYPES[item].split()[-1]}s" if item else _JSON_TYPES[kind]
+    raise ConfigError(f"{key}: expected {expected}, got {value!r}")
 
 
 def build_split(config: ExperimentConfig) -> tuple[RegressionDataset, SemiSupervisedSplit]:
     """Dataset and partition derived from the config's single seed."""
-    root = Rng(config["seed"])
-    if config["task"] == "synthetic":
-        spec = SyntheticSpec(
-            n_samples=config["synthetic_n_samples"],
-            input_dim=config["synthetic_input_dim"],
-            target_function=config["synthetic_target_function"],
-            noise_model=config["synthetic_noise_model"],
-            noise_scale=config["synthetic_noise_scale"],
-            seed=root.split("data").seed,
-        )
-        data = generate_synthetic(spec)
+    root = Rng(config.seed)
+    if config.task == "synthetic":
+        data = generate_synthetic(config.synthetic_spec(seed=root.split("data").seed))
     else:
-        schema = CsvSchema(
-            feature_columns=tuple(config["csv_feature_columns"]),
-            target_column=config["csv_target_column"],
-            has_header=config["csv_has_header"],
-        )
-        data = load_csv(config["csv_path"], schema)
-    split = split_semi_supervised(
-        data,
-        label_fraction=config["label_fraction"],
-        val_fraction=config["val_fraction"],
-        test_fraction=config["test_fraction"],
-        rng=root.split("split"),
-    )
-    return data, split
+        columns = (config.csv_feature_columns, config.csv_target_column, config.csv_has_header)
+        data = load_csv(config.csv_path, CsvSchema(*columns))
+    fractions = (config.label_fraction, config.val_fraction, config.test_fraction)
+    return data, split_semi_supervised(data, *fractions, rng=root.split("split"))
 
 
 def _write_json(path: Path, payload: dict):
@@ -254,7 +211,7 @@ def _write_json(path: Path, payload: dict):
 
 
 def _provenance(config: ExperimentConfig) -> str:
-    return f"config_sha256={config.sha256()} seed={config['seed']}"
+    return f"config_sha256={config.sha256()} seed={config.seed}"
 
 
 def _write_loss_history(path: Path, history, config: ExperimentConfig):
@@ -271,7 +228,7 @@ def _write_loss_history(path: Path, history, config: ExperimentConfig):
 def _metrics_payload(config: ExperimentConfig, result: ExperimentResult) -> dict:
     return {
         "config_sha256": config.sha256(),
-        "seed": config["seed"],
+        "seed": config.seed,
         "variant": result.variant,
         "test_mae": result.test_mae,
         "test_r2": result.test_r2,
@@ -301,9 +258,9 @@ def cmd_train(config: ExperimentConfig, out_dir: Path) -> int:
             out_dir / "bin_report.csv",
             provenance=f"{_provenance(config)} source=oracle_unlabeled_targets",
         )
-    ckpt_provenance = {"config_sha256": config.sha256(), "seed": config["seed"]}
-    save_model(result.pair.member(0), out_dir / "model_a.json", provenance=ckpt_provenance)
-    save_model(result.pair.member(1), out_dir / "model_b.json", provenance=ckpt_provenance)
+    ckpt_provenance = {"config_sha256": config.sha256(), "seed": config.seed}
+    for i, name in enumerate(CHECKPOINTS):
+        save_model(result.pair.member(i), out_dir / name, provenance=ckpt_provenance)
     print(f"test_mae={result.test_mae!r} test_r2={result.test_r2!r}")
     return 0
 
@@ -311,15 +268,13 @@ def cmd_train(config: ExperimentConfig, out_dir: Path) -> int:
 def cmd_ablate(config: ExperimentConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = []
-    for seed in config["seeds"]:
+    for seed in config.seeds:
         seeded = config.with_seed(seed)
         _, split = build_split(seeded)
+        train_config = seeded.train_config()
         for variant in VARIANTS:
-            train_cfg_values = dict(seeded.values)
-            train_cfg_values["variant"] = variant
-            cell_cfg = ExperimentConfig(values=train_cfg_values)
             try:
-                result = run_experiment(cell_cfg.train_config(), split)
+                result = run_experiment(replace(train_config, variant=variant), split)
                 cells.append(
                     {
                         "variant": variant,
@@ -355,7 +310,7 @@ def cmd_ablate(config: ExperimentConfig, out_dir: Path) -> int:
             )
     _write_json(
         out_dir / "ablation_cells.json",
-        {"config_sha256": config.sha256(), "cells": cells, "seeds": config["seeds"]},
+        {"config_sha256": config.sha256(), "cells": cells, "seeds": config.seeds},
     )
     print(table_path.read_text(encoding="utf-8"), end="")
     return 0
@@ -370,21 +325,21 @@ def cmd_variance_demo(config: ExperimentConfig, out_dir: Path) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 3
     test_normalized = result.normalizer.transform_dataset(split.test)
-    root = Rng(config["seed"])
+    root = Rng(config.seed)
     rows = []
     for draws in VARIANCE_DEMO_DRAWS:
         report = variance_reduction_check(
             result.pair,
             test_normalized,
             draws=draws,
-            reruns=config["variance_reruns"],
+            reruns=config.variance_reruns,
             rng=root.split(f"variance:{draws}"),
         )
         rows.append(report.to_dict())
     payload = {
         "config_sha256": config.sha256(),
-        "seed": config["seed"],
-        "reruns": config["variance_reruns"],
+        "seed": config.seed,
+        "reruns": config.variance_reruns,
         "units": "standardized target scale",
         "rows": rows,
     }
@@ -401,11 +356,9 @@ def cmd_evaluate(config: ExperimentConfig, out_dir: Path, checkpoint_dir: Path) 
     # A checkpoint that cannot be loaded, or was trained from another config
     # or seed (it would be scored on the wrong split), is refused before
     # anything is written.
-    provenance = {"config_sha256": config.sha256(), "seed": config["seed"]}
-    pair = stack_models(
-        load_model(checkpoint_dir / "model_a.json", provenance=provenance),
-        load_model(checkpoint_dir / "model_b.json", provenance=provenance),
-    )
+    provenance = {"config_sha256": config.sha256(), "seed": config.seed}
+    members = (load_model(checkpoint_dir / name, provenance=provenance) for name in CHECKPOINTS)
+    pair = stack_models(*members)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, split = build_split(config)
     # The normalizer refits on the labeled partition, which is derived
@@ -413,12 +366,12 @@ def cmd_evaluate(config: ExperimentConfig, out_dir: Path, checkpoint_dir: Path) 
     normalizer = Normalizer(split.labeled)
     x_test = normalizer.transform_features(split.test.features)
     y_pred, _ = predict(
-        pair, x=x_test, draws=config["ensemble_draws"], rng=Rng(config["seed"]).split("test")
+        pair, x=x_test, draws=config.ensemble_draws, rng=Rng(config.seed).split("test")
     )
     y_pred = normalizer.inverse_targets(y_pred)
     payload = {
         "config_sha256": config.sha256(),
-        "seed": config["seed"],
+        "seed": config.seed,
         "test_mae": mae(y_pred, split.test.targets),
         "test_r2": r_squared(y_pred, split.test.targets),
     }

@@ -87,8 +87,8 @@ class SemiSupervisedSplit:
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
-    n_samples: int
+class SyntheticSpec:  # each ParameterError message starts with the field's name
+    n_samples: int = 1200
     input_dim: int = 1
     target_function: str = "sinusoidal"
     noise_model: str = "input_dependent"
@@ -99,13 +99,13 @@ class SyntheticSpec:
         if self.n_samples < 40:
             raise ParameterError(f"n_samples must be >= 40, got {self.n_samples}")
         if self.input_dim < 1:
-            raise ParameterError("input_dim must be >= 1")
+            raise ParameterError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.target_function not in TARGET_FUNCTIONS:
             raise ParameterError(f"target_function must be one of {TARGET_FUNCTIONS}")
         if self.noise_model not in NOISE_MODELS:
             raise ParameterError(f"noise_model must be one of {NOISE_MODELS}")
         if self.noise_scale < 0:
-            raise ParameterError("noise_scale must be >= 0")
+            raise ParameterError(f"noise_scale must be >= 0, got {self.noise_scale}")
 
 
 def _target_values(kind: str, x: np.ndarray) -> np.ndarray:
@@ -243,6 +243,17 @@ def save_csv(dataset: RegressionDataset, path, feature_names: list[str] | None =
             writer.writerow(row)
 
 
+def check_fractions(label_fraction: float, val_fraction: float, test_fraction: float) -> None:
+    """ParameterError naming the fraction that split_semi_supervised cannot use."""
+    if not 0.0 < label_fraction <= 1.0:
+        raise ParameterError(f"label_fraction must be in (0, 1], got {label_fraction}")
+    for name, frac in (("val_fraction", val_fraction), ("test_fraction", test_fraction)):
+        if not 0.0 <= frac < 1.0:
+            raise ParameterError(f"{name} must be in [0, 1), got {frac}")
+    if val_fraction + test_fraction >= 1.0:
+        raise ParameterError("val_fraction + test_fraction must leave training data")
+
+
 def split_semi_supervised(
     data: RegressionDataset,
     label_fraction: float,
@@ -258,13 +269,7 @@ def split_semi_supervised(
     """
     if data.targets is None:
         raise ParameterError("cannot split a dataset without targets")
-    if not 0.0 < label_fraction <= 1.0:
-        raise ParameterError(f"label_fraction must be in (0, 1], got {label_fraction}")
-    for name, frac in (("val_fraction", val_fraction), ("test_fraction", test_fraction)):
-        if not 0.0 <= frac < 1.0:
-            raise ParameterError(f"{name} must be in [0, 1), got {frac}")
-    if val_fraction + test_fraction >= 1.0:
-        raise ParameterError("val_fraction + test_fraction must leave training data")
+    check_fractions(label_fraction, val_fraction, test_fraction)
 
     n = data.n
     order = rng.permutation(n)

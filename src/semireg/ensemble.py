@@ -39,6 +39,9 @@ from .rng import Rng, sample_dropout_mask
 # Most mask words one chunk of draws may hold (2**17 words = 1 MiB).
 _CHUNK_WORDS = 2**17
 
+# Fewest reruns variance_reduction_check accepts: reruns are its unit of error.
+MIN_RERUNS = 30
+
 
 @dataclass(frozen=True)
 class PseudoLabels:
@@ -152,8 +155,8 @@ def variance_reduction_check(
     """
     if dataset.targets is None:
         raise UsageError("variance check needs ground-truth targets")
-    if reruns < 30:
-        raise ParameterError(f"reruns must be >= 30, got {reruns}")
+    if reruns < MIN_RERUNS:
+        raise ParameterError(f"reruns must be >= {MIN_RERUNS}, got {reruns}")
     features = dataset.features
     targets = np.asarray(dataset.targets, dtype=np.float64)
 

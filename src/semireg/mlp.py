@@ -19,7 +19,7 @@ axis, (k, 2, n, w) @ (2, w, w'), with the same bits as per-member passes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class MlpConfig:
             raise ParameterError(f"input_dim must be >= 1, got {self.input_dim}")
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
         if any(d < 1 for d in self.hidden_dims):
-            raise ParameterError(f"hidden dims must all be >= 1, got {self.hidden_dims}")
+            raise ParameterError(f"hidden_dims must all be >= 1, got {self.hidden_dims}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ParameterError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.activation not in _ACTIVATIONS:
@@ -316,18 +316,10 @@ def save_model(model: MlpModel, path, provenance: dict | None = None) -> None:
     ``provenance`` (e.g. config hash and seed) is stored verbatim; load_model
     can require it to match.
     """
-    cfg = model.config
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": {
-            "input_dim": cfg.input_dim,
-            "hidden_dims": list(cfg.hidden_dims),
-            "dropout_p": cfg.dropout_p,
-            "activation": cfg.activation,
-            "log_var_min": cfg.log_var_min,
-            "log_var_max": cfg.log_var_max,
-        },
+        "config": asdict(model.config),
         "params": {
             name: {"rows": p.shape[0], "cols": p.shape[1], "data": p.ravel().tolist()}
             for name, p in model.params.items()
@@ -368,14 +360,10 @@ def load_model(path, provenance: dict | None = None) -> MlpModel:
         if found != provenance:
             raise ParameterError(f"checkpoint {path} has provenance {found}, expected {provenance}")
     try:
-        cfg = MlpConfig(
-            input_dim=doc["config"]["input_dim"],
-            hidden_dims=tuple(doc["config"]["hidden_dims"]),
-            dropout_p=doc["config"]["dropout_p"],
-            activation=doc["config"]["activation"],
-            log_var_min=doc["config"]["log_var_min"],
-            log_var_max=doc["config"]["log_var_max"],
-        )
+        stored_cfg = doc["config"]
+        if sorted(stored_cfg) != sorted(f.name for f in fields(MlpConfig)):
+            raise KeyError(f"config keys {sorted(stored_cfg)}")
+        cfg = MlpConfig(**stored_cfg)
         entries = dict(doc["params"])
     except (KeyError, TypeError, ValueError) as err:
         raise ParameterError(f"checkpoint {path} is malformed: {err!r}") from None

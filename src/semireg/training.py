@@ -54,9 +54,9 @@ class TrainConfig:
     optimizer: str = "adam"
     unlabeled_weight: float = 10.0
     ensemble_draws: int = 5
-    dropout_p: float = 0.05
-    hidden_dims: tuple[int, ...] = (64, 64)
-    activation: str = "relu"
+    dropout_p: float = MlpConfig.dropout_p
+    hidden_dims: tuple[int, ...] = MlpConfig.hidden_dims
+    activation: str = MlpConfig.activation
     seed: int = 0
     variant: str = "full"
     momentum: float = 0.9
@@ -69,8 +69,9 @@ class TrainConfig:
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
         if self.epochs < 0:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_labeled < 1 or self.batch_unlabeled < 1:
-            raise ParameterError("batch sizes must be >= 1")
+        for name in ("batch_labeled", "batch_unlabeled"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.optimizer not in OPTIMIZERS:

@@ -64,13 +64,13 @@ class TestConfigParsing:
 
     def test_train_config_defaults_match_the_documented_ones(self):
         defaults = TrainConfig()
-        shared = [f.name for f in fields(TrainConfig) if f.name in cli.CONFIG_KEYS]
-        assert "epochs" in shared and "hidden_dims" in shared
+        documented = ExperimentConfig()
+        keys = {f.name for f in fields(ExperimentConfig)}
+        shared = [f.name for f in fields(TrainConfig) if f.name in keys]
+        assert "epochs" in shared and "hidden_dims" in shared and len(shared) == 12
         for name in shared:
-            documented = cli.CONFIG_KEYS[name][1]
-            if name == "hidden_dims":
-                documented = tuple(documented)
-            assert getattr(defaults, name) == documented, name
+            assert getattr(defaults, name) == getattr(documented, name), name
+        assert documented.train_config() == defaults
 
     def test_missing_file_and_bad_json(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
