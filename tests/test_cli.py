@@ -55,6 +55,8 @@ class TestConfigParsing:
     def test_csv_task_requires_csv_keys(self):
         with pytest.raises(ConfigError, match="csv_path"):
             ExperimentConfig.from_dict({"task": "csv"})
+        with pytest.raises(ConfigError, match="csv_path"):  # null is not a value
+            ExperimentConfig.from_dict({**CSV_CONFIG, "csv_path": None})
 
     def test_defaults_are_materialized_into_the_hash(self):
         c1 = ExperimentConfig.from_dict({"task": "synthetic"})
@@ -329,20 +331,22 @@ def test_unloadable_checkpoint_exits_2_naming_it(tmp_path, capsys, damage):
     assert not (out / "eval_metrics.json").exists()
 
 
-# csv file text, then the config's overrides of CSV_CONFIG (None: no file)
+# csv file bytes (None: no file), then the config's overrides of CSV_CONFIG
+NAMED = {"csv_feature_columns": ["a"], "csv_target_column": "b", "csv_has_header": True}
 CSV_FAILURES = {
-    "missing_target_column": ("a,b\n1,2\n3,4\n", {"csv_feature_columns": ["a"]}),
-    "missing_file": (None, {"csv_feature_columns": ["a"], "csv_target_column": "b"}),
-    "non_integer_column": ("1,2\n3,4\n", {"csv_feature_columns": ["a"], "csv_target_column": "1"}),
+    "missing_target_column": (b"a,c\n1,2\n3,4\n", NAMED),
+    "missing_file": (None, NAMED),
+    "not_utf8": (b"\xff\xfea,b\n1,2\n", NAMED),
+    "non_integer_column": (b"1,2\n3,4\n", {"csv_feature_columns": ["a"], "csv_target_column": "0"}),
 }
 
 
 @pytest.mark.parametrize("failure", sorted(CSV_FAILURES))
 def test_bad_csv_exits_2_naming_the_file(tmp_path, capsys, failure):
-    text, overrides = CSV_FAILURES[failure]
+    data, overrides = CSV_FAILURES[failure]
     csv_path = tmp_path / "rows.csv"
-    if text is not None:
-        csv_path.write_text(text)
+    if data is not None:
+        csv_path.write_bytes(data)
     config = write_config(tmp_path, {**CSV_CONFIG, "csv_path": str(csv_path), **overrides})
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert str(csv_path) in capsys.readouterr().err

@@ -358,6 +358,20 @@ class TestCheckpoint:
         with pytest.raises(NonFiniteError, match="layer0.weight"):
             load_model(self._corrupted(tmp_path, lambda data: data.__setitem__(0, bad)))
 
+    @pytest.mark.parametrize("edit", ["missing", "unknown"])
+    def test_config_must_hold_exactly_the_mlp_config_fields(self, tmp_path, edit):
+        # a missing field must not fall back to its MlpConfig default
+        path = tmp_path / "model.json"
+        save_model(small_model(dropout_p=0.1), path)
+        doc = json.loads(path.read_text())
+        if edit == "missing":
+            del doc["config"]["dropout_p"]
+        else:
+            doc["config"]["momentum"] = 0.9
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParameterError, match="malformed"):
+            load_model(path)
+
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "something-else"}')
