@@ -170,8 +170,8 @@ def load_csv(path, schema: CsvSchema) -> RegressionDataset:
             rows = list(csv.reader(fh))
     except OSError as err:
         raise DataSchemaError(f"cannot read {path}: {err.strerror or err}") from None
-    except UnicodeDecodeError as err:
-        raise DataSchemaError(f"{path} is not UTF-8 text: {err}") from None
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise DataSchemaError(f"{path} is not UTF-8 CSV text: {err}") from None
     if not rows:
         raise DataSchemaError(f"{path}: file is empty")
 

@@ -337,6 +337,7 @@ CSV_FAILURES = {
     "missing_target_column": (b"a,c\n1,2\n3,4\n", NAMED),
     "missing_file": (None, NAMED),
     "not_utf8": (b"\xff\xfea,b\n1,2\n", NAMED),
+    "oversized_cell": (b"a,b\n" + b"1" * 200_000 + b",2\n", NAMED),  # over csv's field limit
     "non_integer_column": (b"1,2\n3,4\n", {"csv_feature_columns": ["a"], "csv_target_column": "0"}),
 }
 
