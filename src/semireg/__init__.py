@@ -15,7 +15,6 @@ from .data import (
     SyntheticSpec,
     generate_synthetic,
     load_csv,
-    save_csv,
     split_semi_supervised,
     Normalizer,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "r_squared",
     "run_experiment",
     "sample_dropout_mask",
-    "save_csv",
     "save_model",
     "spearman_rank_corr",
     "split_semi_supervised",

@@ -19,6 +19,7 @@ import argparse
 import ctypes
 import hashlib
 import json
+import math
 import os
 import sys
 import types
@@ -72,9 +73,10 @@ class ExperimentConfig:
     """One experiment: every config key, with its JSON type and default.
 
     Keys shared with TrainConfig and SyntheticSpec (synthetic_*) take their
-    defaults from those classes, and each value is validated by the class
-    that uses it: TrainConfig, MlpConfig, SyntheticSpec or check_fractions.
-    Their ParameterErrors become ConfigErrors naming the key.
+    defaults from those classes. Each value must have its field's type (a
+    number must be finite), and is validated by the class that uses it:
+    TrainConfig, MlpConfig, SyntheticSpec or check_fractions. Every failure
+    is a ConfigError naming the key.
     """
 
     task: str = "synthetic"  # or "csv"
@@ -107,6 +109,8 @@ class ExperimentConfig:
     variance_reruns: int = 200  # Monte-Carlo reruns in variance-demo
 
     def __post_init__(self):
+        for key, kind in _FIELD_TYPES.items():
+            object.__setattr__(self, key, _typed(key, kind, getattr(self, key)))
         if self.task not in ("synthetic", "csv"):
             raise ConfigError(f"task must be 'synthetic' or 'csv', got {self.task!r}")
         if self.task == "csv":
@@ -134,7 +138,10 @@ class ExperimentConfig:
         unknown = sorted(set(raw) - set(_FIELD_TYPES))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        return cls(**{key: _from_json(key, _FIELD_TYPES[key], value) for key, value in raw.items()})
+        for key, value in raw.items():
+            if value is None:  # optional keys are left out, never null
+                raise ConfigError(f"{key}: expected a value, got null")
+        return cls(**raw)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -159,9 +166,8 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     def train_config(self) -> TrainConfig:
-        """The TrainConfig fields this config sets; the rest keep their defaults."""
-        names = (f.name for f in fields(TrainConfig))
-        return TrainConfig(**{name: getattr(self, name) for name in names if name in _FIELD_TYPES})
+        """Every TrainConfig field, each one a key of this config."""
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def synthetic_spec(self, seed: int) -> SyntheticSpec:
         """The synthetic_* keys as a SyntheticSpec drawing its data from ``seed``."""
@@ -179,14 +185,18 @@ def _is_json(value, kind: type) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _from_json(key: str, kind, value):
+def _typed(key: str, kind, value):
     """``value`` as the field type ``kind`` (lists become tuples), or a ConfigError."""
-    if isinstance(kind, types.UnionType):  # an optional key: JSON null is never valid
+    if isinstance(kind, types.UnionType):  # an optional key: None leaves it unset
+        if value is None:
+            return None
         kind = typing.get_args(kind)[0]
     item = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else None
     if item is None and _is_json(value, kind):
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
         return float(value) if kind is float else value
-    if item is not None and isinstance(value, list) and all(_is_json(v, item) for v in value):
+    if isinstance(value, (list, tuple)) and item and all(_is_json(v, item) for v in value):
         return tuple(value)
     expected = f"a list of {_JSON_TYPES[item].split()[-1]}s" if item else _JSON_TYPES[kind]
     raise ConfigError(f"{key}: expected {expected}, got {value!r}")
@@ -247,6 +257,8 @@ def cmd_train(config: ExperimentConfig, out_dir: Path) -> int:
     try:
         result = run_experiment(config.train_config(), split)
     except DivergenceError as err:
+        for name in ("metrics.json", "bin_report.csv", *CHECKPOINTS):  # a run's stale results
+            (out_dir / name).unlink(missing_ok=True)
         _write_loss_history(out_dir / "loss_history.csv", err.history, config)
         print(f"error: {err}", file=sys.stderr)
         return 3
@@ -322,6 +334,7 @@ def cmd_variance_demo(config: ExperimentConfig, out_dir: Path) -> int:
     try:
         result = run_experiment(config.train_config(), split)
     except DivergenceError as err:
+        (out_dir / "variance_report.json").unlink(missing_ok=True)  # a run's stale report
         print(f"error: {err}", file=sys.stderr)
         return 3
     test_normalized = result.normalizer.transform_dataset(split.test)
@@ -335,7 +348,7 @@ def cmd_variance_demo(config: ExperimentConfig, out_dir: Path) -> int:
             reruns=config.variance_reruns,
             rng=root.split(f"variance:{draws}"),
         )
-        rows.append(report.to_dict())
+        rows.append(asdict(report))
     payload = {
         "config_sha256": config.sha256(),
         "seed": config.seed,

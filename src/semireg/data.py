@@ -31,7 +31,6 @@ class RegressionDataset:
 
     features: np.ndarray
     targets: np.ndarray | None = None
-    true_noise_sigma: np.ndarray | None = None
 
     def __post_init__(self):
         features = np.array(self.features, dtype=np.float64, order="C")
@@ -41,15 +40,12 @@ class RegressionDataset:
             raise NonFiniteError("features must be finite")
         features.setflags(write=False)
         object.__setattr__(self, "features", features)
-        for name in ("targets", "true_noise_sigma"):
-            vec = getattr(self, name)
-            if vec is None:
-                continue
-            vec = np.asarray(vec, dtype=np.float64)
-            if vec.shape != (self.n,):
-                raise ParameterError(f"{name} must have one value per feature row")
-            vec.setflags(write=False)
-            object.__setattr__(self, name, vec)
+        if self.targets is not None:
+            targets = np.asarray(self.targets, dtype=np.float64)
+            if targets.shape != (self.n,):
+                raise ParameterError("targets must have one value per feature row")
+            targets.setflags(write=False)
+            object.__setattr__(self, "targets", targets)
 
     @property
     def n(self) -> int:
@@ -63,9 +59,6 @@ class RegressionDataset:
         return RegressionDataset(
             features=self.features[idx],
             targets=None if self.targets is None else self.targets[idx],
-            true_noise_sigma=None
-            if self.true_noise_sigma is None
-            else self.true_noise_sigma[idx],
         )
 
 
@@ -82,7 +75,6 @@ class SemiSupervisedSplit:
     unlabeled: RegressionDataset
     validation: RegressionDataset
     test: RegressionDataset
-    label_fraction: float
     oracle_unlabeled_targets: np.ndarray | None = None
 
 
@@ -141,19 +133,14 @@ def generate_synthetic(spec: SyntheticSpec) -> RegressionDataset:
         spec.n_samples, spec.input_dim
     ) * 6.0 - 3.0
     clean = _target_values(spec.target_function, x)
-    sigma = noise_sigma(spec, x)
-    noise = rng.gaussians(spec.n_samples) * sigma
-    return RegressionDataset(
-        features=x,
-        targets=clean + noise,
-        true_noise_sigma=sigma,
-    )
+    noise = rng.gaussians(spec.n_samples) * noise_sigma(spec, x)
+    return RegressionDataset(features=x, targets=clean + noise)
 
 
 @dataclass(frozen=True)
 class CsvSchema:
     feature_columns: tuple[str, ...]
-    target_column: str | None
+    target_column: str
     has_header: bool = True
 
 
@@ -161,12 +148,13 @@ def load_csv(path, schema: CsvSchema) -> RegressionDataset:
     """Parse a comma-separated file of 64-bit reals, preserving row order.
 
     Column references are names when the file has a header, otherwise 0-based
-    indices given as strings. Every failure raises DataSchemaError naming
-    ``path``: a file that cannot be read, a column it does not have, or an
-    unparseable or non-finite cell (with its row/column coordinates).
+    indices given as strings; a leading byte-order mark is skipped. Every
+    failure raises DataSchemaError naming ``path``: a file that cannot be
+    read, a column it does not have, or an unparseable or non-finite cell
+    (with its row/column coordinates).
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as err:
         raise DataSchemaError(f"cannot read {path}: {err.strerror or err}") from None
@@ -201,7 +189,8 @@ def load_csv(path, schema: CsvSchema) -> RegressionDataset:
     if not data_rows:
         raise DataSchemaError(f"{path}: no data rows")
     feature_idx = [resolve(c) for c in schema.feature_columns]
-    target_idx = resolve(schema.target_column) if schema.target_column is not None else None
+    target_idx = resolve(schema.target_column)
+    needed = max(feature_idx + [target_idx])
 
     def parse_cell(row_no: int, col_no: int, text: str) -> float:
         try:
@@ -217,32 +206,16 @@ def load_csv(path, schema: CsvSchema) -> RegressionDataset:
         return value
 
     features = np.empty((len(data_rows), len(feature_idx)))
-    targets = np.empty(len(data_rows)) if target_idx is not None else None
+    targets = np.empty(len(data_rows))
     first_data_row = 1 if schema.has_header else 0
     for r, row in enumerate(data_rows):
         row_no = r + first_data_row
-        needed = max(feature_idx + ([target_idx] if target_idx is not None else []))
         if len(row) <= needed:
             raise DataSchemaError(f"{path}: row {row_no} has only {len(row)} cells")
         for j, c in enumerate(feature_idx):
             features[r, j] = parse_cell(row_no, c, row[c])
-        if targets is not None:
-            targets[r] = parse_cell(row_no, target_idx, row[target_idx])
+        targets[r] = parse_cell(row_no, target_idx, row[target_idx])
     return RegressionDataset(features=features, targets=targets)
-
-
-def save_csv(dataset: RegressionDataset, path, feature_names: list[str] | None = None):
-    """Inverse of load_csv for datasets with targets: header + full-precision reals."""
-    names = feature_names or [f"x{i}" for i in range(dataset.input_dim)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = list(names) + (["y"] if dataset.targets is not None else [])
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            if dataset.targets is not None:
-                row.append(repr(float(dataset.targets[i])))
-            writer.writerow(row)
 
 
 def check_fractions(label_fraction: float, val_fraction: float, test_fraction: float) -> None:
@@ -289,17 +262,11 @@ def split_semi_supervised(
     unlabeled_idx = order[n_test + n_val + n_labeled :]
 
     unlabeled_full = data.subset(unlabeled_idx)
-    unlabeled = RegressionDataset(
-        features=unlabeled_full.features,
-        targets=None,
-        true_noise_sigma=unlabeled_full.true_noise_sigma,
-    )
     return SemiSupervisedSplit(
         labeled=data.subset(labeled_idx),
-        unlabeled=unlabeled,
+        unlabeled=RegressionDataset(features=unlabeled_full.features),
         validation=data.subset(val_idx),
         test=data.subset(test_idx),
-        label_fraction=label_fraction,
         oracle_unlabeled_targets=unlabeled_full.targets,
     )
 
@@ -355,7 +322,4 @@ class Normalizer:
         return RegressionDataset(
             features=self.transform_features(dataset.features),
             targets=None if dataset.targets is None else self.transform_targets(dataset.targets),
-            true_noise_sigma=None
-            if dataset.true_noise_sigma is None
-            else dataset.true_noise_sigma / self.target_std,
         )

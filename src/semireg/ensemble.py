@@ -53,7 +53,6 @@ class PseudoLabels:
 
     y: np.ndarray
     log_var: np.ndarray
-    draws: int
 
     def __post_init__(self):
         if self.y.shape != self.log_var.shape:
@@ -95,7 +94,7 @@ def generate_pseudo_labels(
         for t in range(k):
             y_sum += 0.5 * (y[t, 0] + y[t, 1])
             lv_sum += 0.5 * (lv[t, 0] + lv[t, 1])
-    return PseudoLabels(y=y_sum / draws, log_var=lv_sum / draws, draws=draws)
+    return PseudoLabels(y=y_sum / draws, log_var=lv_sum / draws)
 
 
 def predict(
@@ -134,9 +133,6 @@ class VarianceReport:
     mse_gap_se: float
     bias_gap: float
     bias_gap_se: float
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def variance_reduction_check(

@@ -42,7 +42,17 @@ from .mlp import MlpConfig, MlpModel, backward, forward, init_model, stack_model
 from .rng import Rng
 
 VARIANTS = ("baseline", "baseline_con", "baseline_ens", "full")
-OPTIMIZERS = ("adam", "sgd_momentum")
+# Each optimizer's slots: one flat accumulator buffer per key.
+OPTIMIZER_SLOTS = {"adam": ("m", "v"), "sgd_momentum": ("velocity",)}
+OPTIMIZERS = tuple(OPTIMIZER_SLOTS)
+
+# Fixed settings, not config keys: the optimizer hyperparameters and the
+# number of bins in the uncertainty report.
+MOMENTUM = 0.9
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+REPORT_BINS = 10
 
 
 @dataclass(frozen=True)
@@ -59,11 +69,6 @@ class TrainConfig:
     activation: str = MlpConfig.activation
     seed: int = 0
     variant: str = "full"
-    momentum: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    report_bins: int = 10
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
@@ -104,21 +109,13 @@ class TrainConfig:
 class OptimizerState:
     """Optimizer accumulators; optimizer_update returns a new one, never mutates.
 
-    Each slot ("m" and "v" for adam, "velocity" for sgd_momentum) is one
-    read-only flat buffer over every parameter, in the order of ``shapes``;
-    ``slots[name][key]`` reads one parameter's part of it.
+    Each slot (OPTIMIZER_SLOTS) is one read-only flat buffer over every
+    parameter, laid end to end in the order of ``shapes``.
     """
 
-    kind: str
     step: int
     shapes: dict[str, tuple[int, ...]]
     buffers: dict[str, np.ndarray]
-
-    @property
-    def slots(self) -> dict[str, dict[str, np.ndarray]]:
-        """Per-parameter views of the slot buffers: slots[name][key]."""
-        views = {key: _unflatten(buf, self.shapes) for key, buf in self.buffers.items()}
-        return {name: {key: views[key][name] for key in views} for name in self.shapes}
 
 
 def _unflatten(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
@@ -135,11 +132,10 @@ def _unflatten(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str
 def init_optimizer_state(config: TrainConfig, params: dict[str, np.ndarray]) -> OptimizerState:
     shapes = {name: p.shape for name, p in params.items()}
     size = sum(p.size for p in params.values())
-    keys = ("m", "v") if config.optimizer == "adam" else ("velocity",)
-    buffers = {key: np.zeros(size) for key in keys}
+    buffers = {key: np.zeros(size) for key in OPTIMIZER_SLOTS[config.optimizer]}
     for buf in buffers.values():
         buf.setflags(write=False)
-    return OptimizerState(kind=config.optimizer, step=0, shapes=shapes, buffers=buffers)
+    return OptimizerState(step=0, shapes=shapes, buffers=buffers)
 
 
 def optimizer_update(
@@ -155,10 +151,14 @@ def optimizer_update(
     update runs once over all parameters laid end to end; the new
     parameters are views of one read-only buffer. Every operation is
     elementwise, so each value gets the same bits as a per-parameter update.
+    A state whose slots are not those of ``config.optimizer`` is refused.
 
-    sgd_momentum: v <- momentum*v + g; p <- p - lr*v
-    adam: standard bias-corrected moments, p <- p - lr*m_hat/(sqrt(v_hat)+eps)
+    sgd_momentum: v <- MOMENTUM*v + g; p <- p - lr*v
+    adam: standard bias-corrected moments, p <- p - lr*m_hat/(sqrt(v_hat)+ADAM_EPS)
     """
+    slot = state.buffers
+    if set(slot) != set(OPTIMIZER_SLOTS[config.optimizer]):
+        raise ParameterError(f"optimizer state slots {sorted(slot)} do not fit {config.optimizer}")
     shapes = state.shapes
     if set(params) != set(shapes) or set(grads) != set(shapes):
         raise ShapeError("params, grads and optimizer state must have identical keys")
@@ -172,17 +172,16 @@ def optimizer_update(
     lr = config.learning_rate
     p = np.concatenate([params[name].ravel() for name in shapes])
     g = np.concatenate([grads[name].ravel() for name in shapes])
-    slot = state.buffers
     with np.errstate(over="ignore", invalid="ignore"):
-        if state.kind == "adam":
-            m = config.adam_beta1 * slot["m"] + (1 - config.adam_beta1) * g
-            v = config.adam_beta2 * slot["v"] + (1 - config.adam_beta2) * g**2
-            m_hat = m / (1 - config.adam_beta1**step)
-            v_hat = v / (1 - config.adam_beta2**step)
-            new = p - lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+        if config.optimizer == "adam":
+            m = ADAM_BETA1 * slot["m"] + (1 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * slot["v"] + (1 - ADAM_BETA2) * g**2
+            m_hat = m / (1 - ADAM_BETA1**step)
+            v_hat = v / (1 - ADAM_BETA2**step)
+            new = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             buffers = {"m": m, "v": v}
         else:
-            velocity = config.momentum * slot["velocity"] + g
+            velocity = MOMENTUM * slot["velocity"] + g
             new = p - lr * velocity
             buffers = {"velocity": velocity}
     for buf in (new, *buffers.values()):
@@ -191,7 +190,7 @@ def optimizer_update(
     if not np.isfinite(new).all():
         bad = next(name for name, value in new_params.items() if not np.isfinite(value).all())
         raise NonFiniteError(f"update of {bad} is non-finite")
-    return new_params, OptimizerState(state.kind, step, shapes, buffers)
+    return new_params, OptimizerState(step, shapes, buffers)
 
 
 @dataclass
@@ -219,7 +218,7 @@ def _cross_targets(pair: MlpModel, x: np.ndarray, rng: Rng) -> PseudoLabels:
     # One stochastic pass of the pair; each member's prediction becomes the
     # *other* member's detached target, hence the member swap.
     y, log_var, _ = forward(pair, x, rng=(rng.split("a"), rng.split("b")))
-    return PseudoLabels(y=y[::-1], log_var=log_var[::-1], draws=1)
+    return PseudoLabels(y=y[::-1], log_var=log_var[::-1])
 
 
 def _pair_total(loss: np.ndarray) -> float:
@@ -335,7 +334,6 @@ def train_step(
 
 @dataclass
 class ExperimentResult:
-    seed: int
     variant: str
     test_mae: float
     test_r2: float
@@ -348,23 +346,12 @@ class ExperimentResult:
     normalizer: Normalizer
 
 
-class _BatchCycler:
-    """Endless stream of index batches, reshuffled whenever it runs out."""
-
-    def __init__(self, n: int, batch: int, rng: Rng):
-        self.n = n
-        self.batch = batch
-        self.rng = rng
-        self.order = rng.permutation(n)
-        self.pos = 0
-
-    def next_batch(self) -> np.ndarray:
-        if self.pos >= self.n:
-            self.order = self.rng.permutation(self.n)
-            self.pos = 0
-        batch = self.order[self.pos : self.pos + self.batch]
-        self.pos += self.batch
-        return batch
+def _cycle_batches(n: int, batch: int, rng: Rng):
+    """Endless stream of index batches of range(n), n > 0, reshuffled as it runs out."""
+    while True:
+        order = rng.permutation(n)
+        for pos in range(0, n, batch):
+            yield order[pos : pos + batch]
 
 
 def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> ExperimentResult:
@@ -405,20 +392,15 @@ def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> Experimen
     best_mae, best_epoch = val_curve[0], 0
     best_params = dict(state.pair.params)
 
-    unlabeled_cycler = (
-        _BatchCycler(split.unlabeled.n, config.batch_unlabeled, root.split("unlabeled_order"))
-        if has_unlabeled
-        else None
-    )
+    ulb_rng = root.split("unlabeled_order")
+    unlabeled_batches = _cycle_batches(split.unlabeled.n, config.batch_unlabeled, ulb_rng)
     consecutive_bad = 0
     for epoch in range(1, config.epochs + 1):
         order = root.split(f"batches:{epoch}").permutation(n_lab)
         for s in range(steps_per_epoch):
             idx = order[s * config.batch_labeled : (s + 1) * config.batch_labeled]
             batch = (x_lab[idx], y_lab[idx])
-            ulb_batch = None
-            if unlabeled_cycler is not None:
-                ulb_batch = x_ulb[unlabeled_cycler.next_batch()]
+            ulb_batch = x_ulb[next(unlabeled_batches)] if has_unlabeled else None
             try:
                 train_step(state, batch, ulb_batch, config)
             except NonFiniteLossError as err:
@@ -445,8 +427,8 @@ def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> Experimen
         y_pl_orig = normalizer.inverse_targets(y_pl)
         lv_orig = lv_pl + normalizer.log_var_offset
         truth = split.oracle_unlabeled_targets
-        if split.unlabeled.n >= config.report_bins:
-            bin_report = uncertainty_binning(lv_orig, y_pl_orig, truth, config.report_bins)
+        if split.unlabeled.n >= REPORT_BINS:
+            bin_report = uncertainty_binning(lv_orig, y_pl_orig, truth, REPORT_BINS)
         sq_err = (y_pl_orig - truth) ** 2
         if split.unlabeled.n >= 3 and not np.all(lv_orig == lv_orig[0]):
             spearman = spearman_rank_corr(np.exp(lv_orig), sq_err)
@@ -459,7 +441,6 @@ def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> Experimen
     test_r2 = r_squared(y_test_pred, split.test.targets)
 
     return ExperimentResult(
-        seed=config.seed,
         variant=config.variant,
         test_mae=test_mae,
         test_r2=test_r2,

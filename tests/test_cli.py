@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from dataclasses import fields
@@ -52,6 +53,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="hidden_dims"):
             ExperimentConfig.from_dict({"task": "synthetic", "hidden_dims": [8.5]})
 
+    def test_type_errors_name_field_when_built_in_python(self):
+        with pytest.raises(ConfigError, match="epochs"):
+            ExperimentConfig(epochs="5")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["learning_rate", "unlabeled_weight", "synthetic_noise_scale"])
+    def test_non_finite_number_exits_2_naming_field(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, {key: value})  # json writes NaN and Infinity
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_csv_task_requires_csv_keys(self):
         with pytest.raises(ConfigError, match="csv_path"):
             ExperimentConfig.from_dict({"task": "csv"})
@@ -65,12 +78,14 @@ class TestConfigParsing:
         assert c1.with_seed(1).sha256() != c1.sha256()
 
     def test_train_config_defaults_match_the_documented_ones(self):
+        # a training setting outside the config keys would escape the config hash
         defaults = TrainConfig()
         documented = ExperimentConfig()
         keys = {f.name for f in fields(ExperimentConfig)}
-        shared = [f.name for f in fields(TrainConfig) if f.name in keys]
-        assert "epochs" in shared and "hidden_dims" in shared and len(shared) == 12
-        for name in shared:
+        names = [f.name for f in fields(TrainConfig)]
+        assert len(names) == 12
+        for name in names:
+            assert name in keys, name
             assert getattr(defaults, name) == getattr(documented, name), name
         assert documented.train_config() == defaults
 
@@ -192,6 +207,31 @@ class TestTrainCommand:
         config = write_config(tmp_path, {"unlabeled_weight": -1.0})
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert "unlabeled_weight" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, written, kept",
+        [
+            (
+                "train",
+                {"metrics.json", "bin_report.csv", *cli.CHECKPOINTS},
+                {"loss_history.csv"},
+            ),
+            ("variance-demo", {"variance_report.json"}, set()),
+        ],
+    )
+    def test_divergence_leaves_no_stale_artifacts(self, tmp_path, capsys, command, written, kept):
+        out = tmp_path / "out"
+        good = write_config(tmp_path, {"variance_reruns": 30}, name="good.json")
+        assert main([command, "--config", str(good), "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == written | kept
+        diverging = {"optimizer": "sgd_momentum", "learning_rate": 1e30, "epochs": 5}
+        bad = write_config(tmp_path, {"variance_reruns": 30, **diverging}, name="bad.json")
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 3
+        assert "diverged" in capsys.readouterr().err
+        assert {p.name for p in out.iterdir()} == kept
+        for name in kept:  # rewritten by the diverged run
+            sha256 = ExperimentConfig.from_file(bad).sha256()
+            assert (out / name).read_text().startswith(f"# config_sha256={sha256} ")
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config = write_config(tmp_path)
@@ -369,10 +409,14 @@ def test_allocator_tuning_is_skipped_off_glibc(tmp_path, monkeypatch):
 def test_module_entrypoint_runs(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "proc"
+    # the child imports the package the tests import, installed or not
+    package_root = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "semireg.cli", "train", "--config", str(config), "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert "test_mae=" in proc.stdout

@@ -9,7 +9,6 @@ from semireg.data import (
     generate_synthetic,
     load_csv,
     noise_sigma,
-    save_csv,
     split_semi_supervised,
 )
 from semireg.errors import DataSchemaError, NonFiniteError, ParameterError, ShapeError
@@ -45,7 +44,7 @@ class TestSynthetic:
         slopes = np.array([1.0])
         expected = data.features @ slopes + 0.5
         assert np.array_equal(data.targets, expected)
-        assert np.all(data.true_noise_sigma == 0.0)
+        assert np.all(noise_sigma(spec, data.features) == 0.0)
 
     def test_ols_recovers_linear_slope(self):
         spec = SyntheticSpec(
@@ -81,9 +80,10 @@ class TestSynthetic:
         data = generate_synthetic(spec)
         x0 = data.features[:, 0]
         residual = data.targets - (np.sin(2 * x0) + 0.5 * x0)
-        order = np.argsort(data.true_noise_sigma)
+        sigma = noise_sigma(spec, data.features)
+        order = np.argsort(sigma)
         bins = np.array_split(order, 20)
-        true_sigma = np.array([data.true_noise_sigma[b].mean() for b in bins])
+        true_sigma = np.array([sigma[b].mean() for b in bins])
         emp_var = np.array([residual[b].var() for b in bins])
         corr = np.corrcoef(true_sigma, emp_var)[0, 1]
         assert corr > 0.8
@@ -151,13 +151,22 @@ class TestCsv:
         assert data.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert data.targets.tolist() == [10.0, 20.0]
 
-    def test_save_load_roundtrip(self, tmp_path):
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n")
+        data = load_csv(path, CsvSchema(feature_columns=("a",), target_column="b"))
+        assert data.features.tolist() == [[1.0], [3.0]]
+        assert data.targets.tolist() == [2.0, 4.0]
+
+    def test_full_precision_reals_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)
         original = RegressionDataset(
             features=rng.normal(size=(11, 3)), targets=rng.normal(size=11)
         )
         path = tmp_path / "roundtrip.csv"
-        save_csv(original, path)
+        rows = np.column_stack([original.features, original.targets])
+        lines = ["x0,x1,x2,y"] + [",".join(repr(float(v)) for v in row) for row in rows]
+        path.write_text("\n".join(lines) + "\n")
         again = load_csv(
             path, CsvSchema(feature_columns=("x0", "x1", "x2"), target_column="y")
         )

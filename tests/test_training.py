@@ -16,9 +16,15 @@ from semireg.errors import (
 from semireg.mlp import MlpModel, forward, stack_models
 from semireg.rng import Rng
 from semireg.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    MOMENTUM,
+    OPTIMIZER_SLOTS,
     OPTIMIZERS,
     TrainConfig,
     _cross_targets,
+    _unflatten,
     init_optimizer_state,
     init_train_state,
     optimizer_update,
@@ -85,21 +91,21 @@ class TestConfig:
 
 class TestOptimizer:
     def test_sgd_hand_value(self):
-        config = TrainConfig(optimizer="sgd_momentum", learning_rate=0.1, momentum=0.0)
-        params = {"p": np.array([[1.0]])}
+        config = TrainConfig(optimizer="sgd_momentum", learning_rate=0.1)
+        params = {"p": np.array([[1.0]])}  # a first step: the velocity is the gradient
         state = init_optimizer_state(config, params)
         new, _ = optimizer_update(params, {"p": np.array([[2.0]])}, state, config)
         assert new["p"][0, 0] == pytest.approx(0.8, abs=1e-15)
 
     def test_sgd_momentum_accumulates(self):
-        config = TrainConfig(optimizer="sgd_momentum", learning_rate=0.1, momentum=0.5)
+        config = TrainConfig(optimizer="sgd_momentum", learning_rate=0.1)
         params = {"p": np.array([[0.0]])}
         state = init_optimizer_state(config, params)
         params, state = optimizer_update(params, {"p": np.array([[1.0]])}, state, config)
         assert params["p"][0, 0] == pytest.approx(-0.1)
         params, state = optimizer_update(params, {"p": np.array([[1.0]])}, state, config)
-        # velocity = 0.5*1 + 1 = 1.5 -> -0.1 - 0.15
-        assert params["p"][0, 0] == pytest.approx(-0.25)
+        # velocity = MOMENTUM*1 + 1 = 1.9 -> -0.1 - 0.19 = -0.29
+        assert params["p"][0, 0] == pytest.approx(-0.1 - 0.1 * (MOMENTUM + 1.0))
 
     def test_zero_gradient_is_a_fixed_point(self):
         for opt in ("adam", "sgd_momentum"):
@@ -116,7 +122,7 @@ class TestOptimizer:
         g = 2.0
         new, _ = optimizer_update(params, {"p": np.array([[g]])}, state, config)
         # bias-corrected first step: m_hat = g, v_hat = g^2
-        expected = 1.0 - 0.1 * g / (np.sqrt(g * g) + config.adam_eps)
+        expected = 1.0 - 0.1 * g / (np.sqrt(g * g) + ADAM_EPS)
         assert new["p"][0, 0] == expected
         # direction is -sign(g) * lr, up to the epsilon correction
         assert new["p"][0, 0] == pytest.approx(1.0 - 0.1, abs=1e-8)
@@ -124,15 +130,15 @@ class TestOptimizer:
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     def test_flat_update_matches_the_per_parameter_formulas(self, optimizer):
         # reference: the documented formulas applied one parameter at a time
-        config = TrainConfig(optimizer=optimizer, learning_rate=0.01, momentum=0.7)
+        config = TrainConfig(optimizer=optimizer, learning_rate=0.01)
         rng = np.random.default_rng(7)
         shapes = {"w": (2, 3, 4), "b": (2, 1, 4), "h": (2, 4, 1)}
         params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
         state = init_optimizer_state(config, params)
         ref_params = dict(params)
-        keys = ("m", "v") if optimizer == "adam" else ("velocity",)
+        keys = OPTIMIZER_SLOTS[optimizer]
         ref_slots = {name: {key: np.zeros(shape) for key in keys} for name, shape in shapes.items()}
-        lr, b1, b2 = config.learning_rate, config.adam_beta1, config.adam_beta2
+        lr, b1, b2 = config.learning_rate, ADAM_BETA1, ADAM_BETA2
         for step in range(1, 4):
             grads = {name: rng.normal(size=shape) * 10.0**-step for name, shape in shapes.items()}
             params, state = optimizer_update(params, grads, state, config)
@@ -143,14 +149,16 @@ class TestOptimizer:
                     slot["v"] = b2 * slot["v"] + (1 - b2) * g**2
                     m_hat = slot["m"] / (1 - b1**step)
                     v_hat = slot["v"] / (1 - b2**step)
-                    ref_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+                    ref_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                 else:
-                    slot["velocity"] = config.momentum * slot["velocity"] + g
+                    slot["velocity"] = MOMENTUM * slot["velocity"] + g
                     ref_params[name] = p - lr * slot["velocity"]
+            assert set(state.buffers) == set(keys)
+            for key in keys:
+                ref_buffer = np.concatenate([ref_slots[name][key].ravel() for name in shapes])
+                assert state.buffers[key].tobytes() == ref_buffer.tobytes()
             for name in shapes:
                 assert params[name].tobytes() == ref_params[name].tobytes()
-                for key in keys:
-                    assert state.slots[name][key].tobytes() == ref_slots[name][key].tobytes()
         assert len({id(p.base) for p in params.values()}) == 1
         assert not any(p.flags.writeable for p in params.values())
 
@@ -162,9 +170,19 @@ class TestOptimizer:
         with pytest.raises(NonFiniteError):
             optimizer_update(params, {"p": np.full((1, 2), np.inf)}, state, config)
         assert state.step == 0
-        for slot in state.slots["p"].values():
-            assert np.array_equal(slot, np.zeros((1, 2)))
+        assert set(state.buffers) == set(OPTIMIZER_SLOTS[optimizer])
+        for buffer in state.buffers.values():
+            assert np.array_equal(buffer, np.zeros(2))
         assert np.array_equal(params["p"], [[1.0, -2.0]])
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_state_of_the_other_optimizer_is_refused(self, optimizer):
+        other = next(name for name in OPTIMIZERS if name != optimizer)
+        params = {"p": np.array([[1.0]])}
+        state = init_optimizer_state(TrainConfig(optimizer=other), params)
+        config = TrainConfig(optimizer=optimizer)
+        with pytest.raises(ParameterError, match=optimizer):
+            optimizer_update(params, {"p": np.array([[1.0]])}, state, config)
 
 
 class TestTrainStep:
@@ -172,7 +190,6 @@ class TestTrainStep:
         config = TrainConfig(
             optimizer="sgd_momentum",
             learning_rate=0.1,
-            momentum=0.0,
             unlabeled_weight=10.0,
             ensemble_draws=2,
             dropout_p=0.0,
@@ -269,7 +286,6 @@ class TestTrainStep:
         config = TrainConfig(
             optimizer="sgd_momentum",
             learning_rate=0.1,
-            momentum=0.0,
             unlabeled_weight=0.0,
             dropout_p=0.0,
             hidden_dims=(),
@@ -387,9 +403,10 @@ class TestTrainStep:
         state = init_train_state(config, 2)
         # A finite but huge accumulator makes model b's next update overflow,
         # while every gradient and model a's update stay finite.
-        slot = "m" if optimizer == "adam" else "velocity"
+        slot = OPTIMIZER_SLOTS[optimizer][0]
         state.opt.buffers = {**state.opt.buffers, slot: state.opt.buffers[slot].copy()}
-        state.opt.slots["head_y.bias"][slot][1] = np.full((1, 1), 1e308)  # model b's only
+        views = _unflatten(state.opt.buffers[slot], state.opt.shapes)
+        views["head_y.bias"][1] = np.full((1, 1), 1e308)  # model b's only
         params_before = dict(state.pair.params)
         opt_before = copy.deepcopy(state.opt)
         rng = np.random.default_rng(6)
@@ -398,9 +415,9 @@ class TestTrainStep:
         assert state.pair.params.keys() == params_before.keys()
         assert all(state.pair.params[name] is p for name, p in params_before.items())
         assert state.opt.step == opt_before.step == 0
-        for name, slots in opt_before.slots.items():
-            for key, arr in slots.items():
-                assert np.array_equal(state.opt.slots[name][key], arr)
+        assert state.opt.buffers.keys() == opt_before.buffers.keys()
+        for key, buffer in opt_before.buffers.items():
+            assert np.array_equal(state.opt.buffers[key], buffer)
         assert state.step == 0 and state.history == []
 
     @pytest.mark.parametrize(
