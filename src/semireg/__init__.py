@@ -39,7 +39,6 @@ from .losses import (
     hetero_loss,
 )
 from .mlp import (
-    ForwardTrace,
     MlpConfig,
     MlpModel,
     backward,
@@ -51,9 +50,8 @@ from .mlp import (
 )
 from .rng import Rng, sample_dropout_mask
 from .training import (
+    ExperimentConfig,
     ExperimentResult,
-    TrainConfig,
-    TrainState,
     init_train_state,
     optimizer_update,
     run_experiment,
@@ -65,8 +63,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BinReport",
     "CsvSchema",
+    "ExperimentConfig",
     "ExperimentResult",
-    "ForwardTrace",
     "LossBreakdown",
     "MlpConfig",
     "MlpModel",
@@ -76,8 +74,6 @@ __all__ = [
     "Rng",
     "SemiSupervisedSplit",
     "SyntheticSpec",
-    "TrainConfig",
-    "TrainState",
     "VarianceReport",
     "backward",
     "consistency_loss_labeled",

@@ -1,11 +1,12 @@
 """Experiment command line: train, ablate, variance-demo, evaluate.
 
-Configs are flat JSON objects with the keys of ExperimentConfig; unknown keys
-are rejected outright so a typo cannot silently change an experiment. Every
-artifact embeds the sha256 of the effective config plus the seed, and all
-randomness (data generation, splitting, inits, dropout) derives from that
-single seed, so re-running a command with the same config reproduces every
-artifact byte for byte.
+This module holds the commands and the files they write. Configs are flat
+JSON objects with the keys of training.ExperimentConfig, the one config that
+commands and training runs read; unknown keys are rejected outright so a typo
+cannot silently change an experiment. Every artifact embeds the sha256 of the
+effective config plus the seed, and all randomness (data generation,
+splitting, inits, dropout) derives from that single seed, so re-running a
+command with the same config reproduces every artifact byte for byte.
 
 Artifacts: metrics.json, loss_history.csv, bin_report.csv, model_a.json,
 model_b.json (train/evaluate); ablation_table.csv, ablation_cells.json
@@ -17,14 +18,10 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import hashlib
 import json
-import math
 import os
 import sys
-import types
-import typing
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +31,11 @@ from .data import (
     Normalizer,
     RegressionDataset,
     SemiSupervisedSplit,
-    SyntheticSpec,
-    check_fractions,
     generate_synthetic,
     load_csv,
     split_semi_supervised,
 )
-from .ensemble import MIN_RERUNS, predict, variance_reduction_check
+from .ensemble import predict, variance_reduction_check
 from .errors import (
     ConfigError,
     DataSchemaError,
@@ -53,7 +48,7 @@ from .errors import (
 from .evaluation import mae, r_squared, write_bin_report_csv
 from .mlp import load_model, save_model, stack_models
 from .rng import Rng
-from .training import VARIANTS, ExperimentResult, TrainConfig, run_experiment
+from .training import VARIANTS, ExperimentConfig, ExperimentResult, run_experiment
 
 VARIANCE_DEMO_DRAWS = (1, 2, 5, 20)
 CHECKPOINTS = ("model_a.json", "model_b.json")  # member 0, member 1 of the pair
@@ -63,144 +58,6 @@ CHECKPOINTS = ("model_a.json", "model_b.json")  # member 0, member 1 of the pair
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _TRIM_THRESHOLD_BYTES = 16 << 20
 _MMAP_THRESHOLD_BYTES = 4 << 20
-
-# How a type error names each JSON type a config field can hold.
-_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment: every config key, with its JSON type and default.
-
-    Keys shared with TrainConfig and SyntheticSpec (synthetic_*) take their
-    defaults from those classes. Each value must have its field's type (a
-    number must be finite), and is validated by the class that uses it:
-    TrainConfig, MlpConfig, SyntheticSpec or check_fractions. Every failure
-    is a ConfigError naming the key.
-    """
-
-    task: str = "synthetic"  # or "csv"
-    synthetic_n_samples: int = SyntheticSpec.n_samples
-    synthetic_input_dim: int = SyntheticSpec.input_dim
-    synthetic_target_function: str = SyntheticSpec.target_function
-    synthetic_noise_model: str = SyntheticSpec.noise_model
-    synthetic_noise_scale: float = SyntheticSpec.noise_scale
-    # required when task is "csv"
-    csv_path: str | None = None
-    csv_feature_columns: tuple[str, ...] | None = None
-    csv_target_column: str | None = None
-    csv_has_header: bool = CsvSchema.has_header
-    label_fraction: float = 0.1  # share of the training rows that keep labels
-    val_fraction: float = 0.15  # share of all rows
-    test_fraction: float = 0.2  # share of all rows
-    seed: int = TrainConfig.seed  # master seed; every stream derives from it
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)  # one run per seed in ablate
-    variant: str = TrainConfig.variant
-    epochs: int = TrainConfig.epochs
-    batch_labeled: int = TrainConfig.batch_labeled
-    batch_unlabeled: int = TrainConfig.batch_unlabeled
-    learning_rate: float = TrainConfig.learning_rate
-    optimizer: str = TrainConfig.optimizer
-    unlabeled_weight: float = TrainConfig.unlabeled_weight
-    ensemble_draws: int = TrainConfig.ensemble_draws
-    dropout_p: float = TrainConfig.dropout_p
-    hidden_dims: tuple[int, ...] = TrainConfig.hidden_dims
-    activation: str = TrainConfig.activation
-    variance_reruns: int = 200  # Monte-Carlo reruns in variance-demo
-
-    def __post_init__(self):
-        for key, kind in _FIELD_TYPES.items():
-            object.__setattr__(self, key, _typed(key, kind, getattr(self, key)))
-        if self.task not in ("synthetic", "csv"):
-            raise ConfigError(f"task must be 'synthetic' or 'csv', got {self.task!r}")
-        if self.task == "csv":
-            for key in ("csv_path", "csv_feature_columns", "csv_target_column"):
-                if getattr(self, key) is None:
-                    raise ConfigError(f"{key}: required when task is 'csv'")
-        for key in ("csv_feature_columns", "seeds"):
-            if getattr(self, key) == ():
-                raise ConfigError(f"{key} must not be empty")
-        if self.variance_reruns < MIN_RERUNS:
-            got = self.variance_reruns
-            raise ConfigError(f"variance_reruns must be >= {MIN_RERUNS}, got {got}")
-        try:
-            self.train_config().model_config(input_dim=1)  # the data checks its own width
-            check_fractions(self.label_fraction, self.val_fraction, self.test_fraction)
-        except ParameterError as err:
-            raise ConfigError(str(err)) from None
-        try:
-            self.synthetic_spec(seed=0)
-        except ParameterError as err:  # the message starts with the field's name
-            raise ConfigError(f"synthetic_{err}") from None
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = sorted(set(raw) - set(_FIELD_TYPES))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        for key, value in raw.items():
-            if value is None:  # optional keys are left out, never null
-                raise ConfigError(f"{key}: expected a value, got null")
-        return cls(**raw)
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config is not valid JSON: {err}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        return cls.from_dict(raw)
-
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, seed=seed)
-
-    def canonical_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    def sha256(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
-
-    def train_config(self) -> TrainConfig:
-        """Every TrainConfig field, each one a key of this config."""
-        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
-
-    def synthetic_spec(self, seed: int) -> SyntheticSpec:
-        """The synthetic_* keys as a SyntheticSpec drawing its data from ``seed``."""
-        names = (f.name for f in fields(SyntheticSpec) if f.name != "seed")
-        values = {name: getattr(self, f"synthetic_{name}") for name in names}
-        return SyntheticSpec(seed=seed, **values)
-
-
-_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
-
-
-def _is_json(value, kind: type) -> bool:
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _typed(key: str, kind, value):
-    """``value`` as the field type ``kind`` (lists become tuples), or a ConfigError."""
-    if isinstance(kind, types.UnionType):  # an optional key: None leaves it unset
-        if value is None:
-            return None
-        kind = typing.get_args(kind)[0]
-    item = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else None
-    if item is None and _is_json(value, kind):
-        if kind is float and not math.isfinite(value):
-            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
-        return float(value) if kind is float else value
-    if isinstance(value, (list, tuple)) and item and all(_is_json(v, item) for v in value):
-        return tuple(value)
-    expected = f"a list of {_JSON_TYPES[item].split()[-1]}s" if item else _JSON_TYPES[kind]
-    raise ConfigError(f"{key}: expected {expected}, got {value!r}")
-
 
 def build_split(config: ExperimentConfig) -> tuple[RegressionDataset, SemiSupervisedSplit]:
     """Dataset and partition derived from the config's single seed."""
@@ -255,7 +112,7 @@ def cmd_train(config: ExperimentConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _, split = build_split(config)
     try:
-        result = run_experiment(config.train_config(), split)
+        result = run_experiment(config, split)
     except DivergenceError as err:
         for name in ("metrics.json", "bin_report.csv", *CHECKPOINTS):  # a run's stale results
             (out_dir / name).unlink(missing_ok=True)
@@ -283,10 +140,9 @@ def cmd_ablate(config: ExperimentConfig, out_dir: Path) -> int:
     for seed in config.seeds:
         seeded = config.with_seed(seed)
         _, split = build_split(seeded)
-        train_config = seeded.train_config()
         for variant in VARIANTS:
             try:
-                result = run_experiment(replace(train_config, variant=variant), split)
+                result = run_experiment(replace(seeded, variant=variant), split)
                 cells.append(
                     {
                         "variant": variant,
@@ -332,7 +188,7 @@ def cmd_variance_demo(config: ExperimentConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _, split = build_split(config)
     try:
-        result = run_experiment(config.train_config(), split)
+        result = run_experiment(config, split)
     except DivergenceError as err:
         (out_dir / "variance_report.json").unlink(missing_ok=True)  # a run's stale report
         print(f"error: {err}", file=sys.stderr)

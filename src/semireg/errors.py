@@ -22,7 +22,7 @@ class NonFiniteLossError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Training diverged (non-finite loss on consecutive steps)."""
+    """Training diverged: non-finite losses on consecutive steps, or a non-finite result."""
 
     def __init__(self, message: str, history: list):
         super().__init__(message)

@@ -16,19 +16,28 @@ Variants (the ablation lattice):
   baseline_ens  baseline with cross-supervision replaced by ensembled
                 pseudo-labels shared by both models.
   full          consistency losses and ensembled pseudo-labels.
+
+ExperimentConfig is the one config: every key of a JSON config file, its
+type, default and range, and the only settings a run reads.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
-from dataclasses import dataclass, field
+import sys
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import losses
-from .data import Normalizer, SemiSupervisedSplit
-from .ensemble import PseudoLabels, generate_pseudo_labels, predict
+from .data import CsvSchema, Normalizer, SemiSupervisedSplit, SyntheticSpec, check_fractions
+from .ensemble import MIN_RERUNS, PseudoLabels, generate_pseudo_labels, predict
 from .errors import (
+    ConfigError,
     DivergenceError,
     NonFiniteError,
     NonFiniteLossError,
@@ -55,8 +64,39 @@ ADAM_EPS = 1e-8
 REPORT_BINS = 10
 
 
+# How a type error names each JSON type a config field can hold.
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+# The least value of each config key with a lower bound (learning_rate must be > 0).
+_MINIMUMS = {"epochs": 0, "batch_labeled": 1, "batch_unlabeled": 1, "unlabeled_weight": 0,
+             "ensemble_draws": 1, "variance_reruns": MIN_RERUNS}
+
+
 @dataclass(frozen=True)
-class TrainConfig:
+class ExperimentConfig:
+    """One experiment: every config key, with its JSON type and default.
+
+    Each value must have its field's type (a number must be finite). The
+    training ranges are checked here; MlpConfig, SyntheticSpec and
+    check_fractions check the rest. Every failure is a ConfigError naming the key.
+    """
+
+    task: str = "synthetic"  # or "csv"
+    synthetic_n_samples: int = SyntheticSpec.n_samples
+    synthetic_input_dim: int = SyntheticSpec.input_dim
+    synthetic_target_function: str = SyntheticSpec.target_function
+    synthetic_noise_model: str = SyntheticSpec.noise_model
+    synthetic_noise_scale: float = SyntheticSpec.noise_scale
+    # required when task is "csv"
+    csv_path: str | None = None
+    csv_feature_columns: tuple[str, ...] | None = None
+    csv_target_column: str | None = None
+    csv_has_header: bool = CsvSchema.has_header
+    label_fraction: float = 0.1  # share of the training rows that keep labels
+    val_fraction: float = 0.15  # share of all rows
+    test_fraction: float = 0.2  # share of all rows
+    seed: int = 0  # master seed; every stream derives from it
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)  # one run per seed in ablate
+    variant: str = "full"
     epochs: int = 150
     batch_labeled: int = 32
     batch_unlabeled: int = 32
@@ -67,26 +107,69 @@ class TrainConfig:
     dropout_p: float = MlpConfig.dropout_p
     hidden_dims: tuple[int, ...] = MlpConfig.hidden_dims
     activation: str = MlpConfig.activation
-    seed: int = 0
-    variant: str = "full"
+    variance_reruns: int = 200  # Monte-Carlo reruns in variance-demo
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
-        if self.epochs < 0:
-            raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
-        for name in ("batch_labeled", "batch_unlabeled"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for key, kind in _FIELD_TYPES.items():
+            object.__setattr__(self, key, _typed(key, kind, getattr(self, key)))
+        if self.task not in ("synthetic", "csv"):
+            raise ConfigError(f"task must be 'synthetic' or 'csv', got {self.task!r}")
+        if self.task == "csv":
+            for key in ("csv_path", "csv_feature_columns", "csv_target_column"):
+                if getattr(self, key) is None:
+                    raise ConfigError(f"{key}: required when task is 'csv'")
+        for key in ("csv_feature_columns", "seeds"):
+            if getattr(self, key) == ():
+                raise ConfigError(f"{key} must not be empty")
+        for key, low in _MINIMUMS.items():
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.learning_rate <= 0:
-            raise ParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ParameterError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.unlabeled_weight < 0:
-            raise ParameterError(f"unlabeled_weight must be >= 0, got {self.unlabeled_weight}")
-        if self.ensemble_draws < 1:
-            raise ParameterError(f"ensemble_draws must be >= 1, got {self.ensemble_draws}")
-        if self.variant not in VARIANTS:
-            raise ParameterError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for key, allowed in (("optimizer", OPTIMIZERS), ("variant", VARIANTS)):
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
+        try:
+            self.model_config(input_dim=1)  # the data checks its own width
+            check_fractions(self.label_fraction, self.val_fraction, self.test_fraction)
+        except ParameterError as err:
+            raise ConfigError(str(err)) from None
+        try:
+            self.synthetic_spec(seed=0)
+        except ParameterError as err:  # the message starts with the field's name
+            raise ConfigError(f"synthetic_{err}") from None
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        unknown = sorted(set(raw) - set(_FIELD_TYPES))
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in raw.items():
+            if value is None:  # optional keys are left out, never null
+                raise ConfigError(f"{key}: expected a value, got null")
+        return cls(**raw)
+
+    @classmethod
+    def from_file(cls, path) -> "ExperimentConfig":
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except ValueError as err:  # bad JSON or UTF-8, or an integer past int's digit limit
+            raise ConfigError(f"config is not valid JSON: {err}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
+        return cls.from_dict(raw)
+
+    def with_seed(self, seed: int) -> "ExperimentConfig":
+        return replace(self, seed=seed)
+
+    def canonical_json(self) -> str:
+        return json.dumps(asdict(self), sort_keys=True)
+
+    def sha256(self) -> str:
+        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     @property
     def uses_consistency(self) -> bool:
@@ -103,6 +186,38 @@ class TrainConfig:
             dropout_p=self.dropout_p,
             activation=self.activation,
         )
+
+    def synthetic_spec(self, seed: int) -> SyntheticSpec:
+        """The synthetic_* keys as a SyntheticSpec drawing its data from ``seed``."""
+        names = (f.name for f in fields(SyntheticSpec) if f.name != "seed")
+        values = {name: getattr(self, f"synthetic_{name}") for name in names}
+        return SyntheticSpec(seed=seed, **values)
+
+
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _is_json(value, kind: type) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _typed(key: str, kind, value):
+    """``value`` as the field type ``kind`` (lists become tuples), or a ConfigError."""
+    if isinstance(kind, types.UnionType):  # an optional key: None leaves it unset
+        if value is None:
+            return None
+        kind = typing.get_args(kind)[0]
+    item = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else None
+    if item is None and _is_json(value, kind):
+        if kind is float and not abs(value) <= sys.float_info.max:  # nan, inf or a huge int
+            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+        return float(value) if kind is float else value
+    if isinstance(value, (list, tuple)) and item and all(_is_json(v, item) for v in value):
+        return tuple(value)
+    expected = f"a list of {_JSON_TYPES[item].split()[-1]}s" if item else _JSON_TYPES[kind]
+    raise ConfigError(f"{key}: expected {expected}, got {value!r}")
 
 
 @dataclass
@@ -129,7 +244,9 @@ def _unflatten(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str
     return out
 
 
-def init_optimizer_state(config: TrainConfig, params: dict[str, np.ndarray]) -> OptimizerState:
+def init_optimizer_state(
+    config: ExperimentConfig, params: dict[str, np.ndarray]
+) -> OptimizerState:
     shapes = {name: p.shape for name, p in params.items()}
     size = sum(p.size for p in params.values())
     buffers = {key: np.zeros(size) for key in OPTIMIZER_SLOTS[config.optimizer]}
@@ -142,7 +259,7 @@ def optimizer_update(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: OptimizerState,
-    config: TrainConfig,
+    config: ExperimentConfig,
 ) -> tuple[dict[str, np.ndarray], OptimizerState]:
     """One deterministic optimizer step: (new read-only params, new state).
 
@@ -202,7 +319,7 @@ class TrainState:
     history: list[LossBreakdown] = field(default_factory=list)
 
 
-def init_train_state(config: TrainConfig, input_dim: int) -> TrainState:
+def init_train_state(config: ExperimentConfig, input_dim: int) -> TrainState:
     """Two models with identical architecture, independently seeded inits."""
     root = Rng(config.seed)
     model_cfg = config.model_config(input_dim)
@@ -230,7 +347,7 @@ def train_step(
     state: TrainState,
     labeled: tuple[np.ndarray, np.ndarray],
     unlabeled: np.ndarray | None,
-    config: TrainConfig,
+    config: ExperimentConfig,
     *,
     injected_targets: PseudoLabels | None = None,
 ) -> LossBreakdown:
@@ -354,14 +471,16 @@ def _cycle_batches(n: int, batch: int, rng: Rng):
             yield order[pos : pos + batch]
 
 
-def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, split: SemiSupervisedSplit) -> ExperimentResult:
     """Train on a split, select the best epoch by validation MAE, score the test set.
 
     Features and labeled targets are standardized with labeled-set statistics;
     all reported metrics are in original target units. Validation before the
     first epoch is included, so epochs=0 reports untrained-model metrics. The
-    experiment fails with the loss history attached if two consecutive steps
-    produce non-finite losses.
+    experiment fails with the loss history attached (DivergenceError) if two
+    consecutive steps produce non-finite losses, or if a value it reports (a
+    validation MAE, a bin of the uncertainty report, test MAE or R^2) is not
+    finite, as when the weights grow huge but stay finite.
     """
     if split.labeled.targets is None:
         raise UsageError("labeled partition must carry targets")
@@ -382,9 +501,17 @@ def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> Experimen
     def ensembled(x: np.ndarray, stream: str) -> tuple[np.ndarray, np.ndarray]:
         return predict(state.pair, x=x, draws=config.ensemble_draws, rng=root.split(stream))
 
+    def reported(what: str, values):
+        if not np.isfinite(values).all():
+            raise DivergenceError(
+                f"training diverged at step {state.step}: {what} is not finite", state.history
+            )
+        return values
+
     def validation_mae(epoch: int) -> float:
         y_pred, _ = ensembled(x_val, f"val:{epoch}")
-        return mae(normalizer.inverse_targets(y_pred), split.validation.targets)
+        value = mae(normalizer.inverse_targets(y_pred), split.validation.targets)
+        return reported(f"validation MAE of epoch {epoch}", value)
 
     n_lab = split.labeled.n
     steps_per_epoch = max(1, math.ceil(n_lab / config.batch_labeled))
@@ -429,6 +556,7 @@ def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> Experimen
         truth = split.oracle_unlabeled_targets
         if split.unlabeled.n >= REPORT_BINS:
             bin_report = uncertainty_binning(lv_orig, y_pl_orig, truth, REPORT_BINS)
+            reported("the bin report", (bin_report.mean_uncertainty, bin_report.pseudo_label_mse))
         sq_err = (y_pl_orig - truth) ** 2
         if split.unlabeled.n >= 3 and not np.all(lv_orig == lv_orig[0]):
             spearman = spearman_rank_corr(np.exp(lv_orig), sq_err)
@@ -437,8 +565,8 @@ def run_experiment(config: TrainConfig, split: SemiSupervisedSplit) -> Experimen
 
     y_test_pred, _ = ensembled(x_test, "test")
     y_test_pred = normalizer.inverse_targets(y_test_pred)
-    test_mae = mae(y_test_pred, split.test.targets)
-    test_r2 = r_squared(y_test_pred, split.test.targets)
+    test_mae = reported("test MAE", mae(y_test_pred, split.test.targets))
+    test_r2 = reported("test R^2", r_squared(y_test_pred, split.test.targets))
 
     return ExperimentResult(
         variant=config.variant,

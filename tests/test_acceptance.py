@@ -34,7 +34,7 @@ from semireg.mlp import (
     stack_models,
 )
 from semireg.rng import Rng, sample_dropout_mask
-from semireg.training import TrainConfig, run_experiment
+from semireg.training import run_experiment
 
 BENCHMARK = json.loads(
     (Path(__file__).parent.parent / "configs" / "benchmark.json").read_text()
@@ -213,7 +213,7 @@ def test_criterion_3_variance_reduction():
         {k: v for k, v in config_values.items() if k != "seeds"} | {"seeds": SEEDS}
     )
     _, split = build_split(config)
-    result = run_experiment(config.train_config(), split)
+    result = run_experiment(config, split)
     test_normalized = result.normalizer.transform_dataset(split.test)
     rep = variance_reduction_check(
         result.pair, test_normalized, draws=5, reruns=200, rng=Rng(77)
@@ -245,11 +245,11 @@ def benchmark_runs():
         _, split = build_split(seeded)
         for variant in ("baseline", "baseline_con", "baseline_ens", "full"):
             cfg = ExperimentConfig.from_dict({**BENCHMARK, "seed": seed, "variant": variant})
-            runs[(variant, seed)] = run_experiment(cfg.train_config(), split)
+            runs[(variant, seed)] = run_experiment(cfg, split)
         w0 = ExperimentConfig.from_dict(
             {**BENCHMARK, "seed": seed, "variant": "full", "unlabeled_weight": 0.0}
         )
-        runs[("labeled_only", seed)] = run_experiment(w0.train_config(), split)
+        runs[("labeled_only", seed)] = run_experiment(w0, split)
     runs["elapsed"] = time.time() - started
     return runs
 
@@ -377,13 +377,13 @@ def test_criterion_8_degenerate_cases():
     data = generate_synthetic(SyntheticSpec(n_samples=80, input_dim=1, seed=5))
     split = split_semi_supervised(data, 1.0, 0.1, 0.2, Rng(6))
     checks["boundary split empty unlabeled"] = split.unlabeled.n == 0
-    small = TrainConfig(epochs=1, hidden_dims=(4,), batch_labeled=8, batch_unlabeled=8)
+    small = ExperimentConfig(epochs=1, hidden_dims=(4,), batch_labeled=8, batch_unlabeled=8)
     try:
         run_experiment(small, split)
         checks["w>0 empty unlabeled rejected"] = False
     except UsageError:
         checks["w>0 empty unlabeled rejected"] = True
-    w0 = TrainConfig(
+    w0 = ExperimentConfig(
         epochs=1, hidden_dims=(4,), batch_labeled=8, batch_unlabeled=8, unlabeled_weight=0.0
     )
     result = run_experiment(w0, split)

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,7 +10,6 @@ import pytest
 from semireg import cli
 from semireg.cli import ExperimentConfig, main
 from semireg.errors import ConfigError
-from semireg.training import TrainConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -57,10 +55,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="epochs"):
             ExperimentConfig(epochs="5")
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    # json writes NaN and Infinity; 10**400 is a JSON integer too large for a float
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), pytest.param(10**400, id="10**400")]
+    )
     @pytest.mark.parametrize("key", ["learning_rate", "unlabeled_weight", "synthetic_noise_scale"])
     def test_non_finite_number_exits_2_naming_field(self, tmp_path, capsys, key, value):
-        config = write_config(tmp_path, {key: value})  # json writes NaN and Infinity
+        config = write_config(tmp_path, {key: value})
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
@@ -77,25 +78,15 @@ class TestConfigParsing:
         assert c1.sha256() == c2.sha256()  # 150 is the default
         assert c1.with_seed(1).sha256() != c1.sha256()
 
-    def test_train_config_defaults_match_the_documented_ones(self):
-        # a training setting outside the config keys would escape the config hash
-        defaults = TrainConfig()
-        documented = ExperimentConfig()
-        keys = {f.name for f in fields(ExperimentConfig)}
-        names = [f.name for f in fields(TrainConfig)]
-        assert len(names) == 12
-        for name in names:
-            assert name in keys, name
-            assert getattr(defaults, name) == getattr(documented, name), name
-        assert documented.train_config() == defaults
-
     def test_missing_file_and_bad_json(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             ExperimentConfig.from_file(tmp_path / "nope.json")
         bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
-        with pytest.raises(ConfigError, match="JSON"):
-            ExperimentConfig.from_file(bad)
+        # not JSON, not UTF-8, and an integer past Python's int parsing limit
+        for data in (b"{nope", b"\xff\xfe{}", b'{"seed": ' + b"1" * 5000 + b"}"):
+            bad.write_bytes(data)
+            with pytest.raises(ConfigError, match="JSON"):
+                ExperimentConfig.from_file(bad)
 
 
 CSV_CONFIG = {
@@ -232,6 +223,14 @@ class TestTrainCommand:
         for name in kept:  # rewritten by the diverged run
             sha256 = ExperimentConfig.from_file(bad).sha256()
             assert (out / name).read_text().startswith(f"# config_sha256={sha256} ")
+
+    def test_huge_finite_weights_exit_3(self, tmp_path, capsys):
+        # two epochs leave the weights finite, but the pseudo-label errors overflow
+        bad = write_config(tmp_path, {"optimizer": "sgd_momentum", "learning_rate": 1e30})
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(bad), "--out", str(out)]) == 3
+        assert "bin report is not finite" in capsys.readouterr().err
+        assert {p.name for p in out.iterdir()} == {"loss_history.csv"}
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config = write_config(tmp_path)

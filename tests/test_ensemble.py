@@ -7,7 +7,7 @@ from semireg.ensemble import generate_pseudo_labels, predict, variance_reduction
 from semireg.errors import ParameterError, UsageError
 from semireg.mlp import MlpConfig, MlpModel, forward, init_model, stack_models
 from semireg.rng import Rng
-from semireg.training import TrainConfig, init_train_state, train_step
+from semireg.training import ExperimentConfig, init_train_state, train_step
 
 
 def constant_model(y_value, log_var_value=0.0, dropout_p=0.0):
@@ -189,7 +189,7 @@ class TestPseudoLabels:
 
 
 def trained_state(steps):
-    config = TrainConfig(hidden_dims=(16, 16), dropout_p=0.25, unlabeled_weight=0.0, seed=3)
+    config = ExperimentConfig(hidden_dims=(16, 16), dropout_p=0.25, unlabeled_weight=0.0, seed=3)
     state = init_train_state(config, 2)
     rng = np.random.default_rng(4)
     for _ in range(steps):

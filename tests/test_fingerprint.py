@@ -76,5 +76,5 @@ def test_quick_ablate_artifacts_sha256(tmp_path):
 def test_benchmark_cell_seed0_test_mae():
     config = ExperimentConfig.from_file(CONFIGS / "benchmark.json").with_seed(0)
     _, split = build_split(config)
-    result = run_experiment(config.train_config(), split)
+    result = run_experiment(config, split)
     assert repr(result.test_mae) == BENCHMARK_SEED0_TEST_MAE

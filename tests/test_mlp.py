@@ -15,7 +15,7 @@ from semireg.mlp import (
     stack_models,
 )
 from semireg.rng import Rng
-from semireg.training import TrainConfig, init_optimizer_state, optimizer_update
+from semireg.training import ExperimentConfig, init_optimizer_state, optimizer_update
 
 
 def small_model(hidden=(4,), dropout_p=0.0, activation="relu", seed=0, input_dim=2):
@@ -272,7 +272,7 @@ class TestBackward:
         model = small_model(hidden=(4,))
         x = np.random.default_rng(4).normal(size=(3, 2))
         _, _, old_trace = forward(model, x)
-        config = TrainConfig(optimizer="sgd_momentum", learning_rate=0.1)
+        config = ExperimentConfig(optimizer="sgd_momentum", learning_rate=0.1)
         grads = backward(model, old_trace, np.ones(3), np.ones(3))
         new_params, _ = optimizer_update(
             model.params, grads, init_optimizer_state(config, model.params), config

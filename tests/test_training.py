@@ -7,6 +7,7 @@ import pytest
 from semireg.data import RegressionDataset, split_semi_supervised
 from semireg.ensemble import generate_pseudo_labels
 from semireg.errors import (
+    ConfigError,
     DivergenceError,
     NonFiniteError,
     NonFiniteLossError,
@@ -22,7 +23,7 @@ from semireg.training import (
     MOMENTUM,
     OPTIMIZER_SLOTS,
     OPTIMIZERS,
-    TrainConfig,
+    ExperimentConfig,
     _cross_targets,
     _unflatten,
     init_optimizer_state,
@@ -69,36 +70,36 @@ def make_split(n=300, label_fraction=0.2, seed=0, input_dim=2):
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            TrainConfig(learning_rate=0.0)
-        with pytest.raises(ParameterError):
-            TrainConfig(unlabeled_weight=-1.0)
-        with pytest.raises(ParameterError):
-            TrainConfig(ensemble_draws=0)
-        with pytest.raises(ParameterError):
-            TrainConfig(variant="everything")
-        with pytest.raises(ParameterError):
-            TrainConfig(optimizer="lbfgs")
+        with pytest.raises(ConfigError, match="learning_rate"):
+            ExperimentConfig(learning_rate=0.0)
+        with pytest.raises(ConfigError, match="unlabeled_weight"):
+            ExperimentConfig(unlabeled_weight=-1.0)
+        with pytest.raises(ConfigError, match="ensemble_draws"):
+            ExperimentConfig(ensemble_draws=0)
+        with pytest.raises(ConfigError, match="variant"):
+            ExperimentConfig(variant="everything")
+        with pytest.raises(ConfigError, match="optimizer"):
+            ExperimentConfig(optimizer="lbfgs")
 
     def test_variant_switches(self):
-        assert not TrainConfig(variant="baseline").uses_consistency
-        assert not TrainConfig(variant="baseline").uses_ensembling
-        assert TrainConfig(variant="baseline_con").uses_consistency
-        assert TrainConfig(variant="baseline_ens").uses_ensembling
-        assert TrainConfig(variant="full").uses_consistency
-        assert TrainConfig(variant="full").uses_ensembling
+        assert not ExperimentConfig(variant="baseline").uses_consistency
+        assert not ExperimentConfig(variant="baseline").uses_ensembling
+        assert ExperimentConfig(variant="baseline_con").uses_consistency
+        assert ExperimentConfig(variant="baseline_ens").uses_ensembling
+        assert ExperimentConfig(variant="full").uses_consistency
+        assert ExperimentConfig(variant="full").uses_ensembling
 
 
 class TestOptimizer:
     def test_sgd_hand_value(self):
-        config = TrainConfig(optimizer="sgd_momentum", learning_rate=0.1)
+        config = ExperimentConfig(optimizer="sgd_momentum", learning_rate=0.1)
         params = {"p": np.array([[1.0]])}  # a first step: the velocity is the gradient
         state = init_optimizer_state(config, params)
         new, _ = optimizer_update(params, {"p": np.array([[2.0]])}, state, config)
         assert new["p"][0, 0] == pytest.approx(0.8, abs=1e-15)
 
     def test_sgd_momentum_accumulates(self):
-        config = TrainConfig(optimizer="sgd_momentum", learning_rate=0.1)
+        config = ExperimentConfig(optimizer="sgd_momentum", learning_rate=0.1)
         params = {"p": np.array([[0.0]])}
         state = init_optimizer_state(config, params)
         params, state = optimizer_update(params, {"p": np.array([[1.0]])}, state, config)
@@ -109,14 +110,14 @@ class TestOptimizer:
 
     def test_zero_gradient_is_a_fixed_point(self):
         for opt in ("adam", "sgd_momentum"):
-            config = TrainConfig(optimizer=opt, learning_rate=0.5)
+            config = ExperimentConfig(optimizer=opt, learning_rate=0.5)
             params = {"p": np.array([[3.0, -1.0]])}
             state = init_optimizer_state(config, params)
             new, _ = optimizer_update(params, {"p": np.zeros((1, 2))}, state, config)
             assert np.array_equal(new["p"], params["p"])
 
     def test_adam_first_step_hand_value(self):
-        config = TrainConfig(optimizer="adam", learning_rate=0.1)
+        config = ExperimentConfig(optimizer="adam", learning_rate=0.1)
         params = {"p": np.array([[1.0]])}
         state = init_optimizer_state(config, params)
         g = 2.0
@@ -130,7 +131,7 @@ class TestOptimizer:
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     def test_flat_update_matches_the_per_parameter_formulas(self, optimizer):
         # reference: the documented formulas applied one parameter at a time
-        config = TrainConfig(optimizer=optimizer, learning_rate=0.01)
+        config = ExperimentConfig(optimizer=optimizer, learning_rate=0.01)
         rng = np.random.default_rng(7)
         shapes = {"w": (2, 3, 4), "b": (2, 1, 4), "h": (2, 4, 1)}
         params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
@@ -164,7 +165,7 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     def test_rejected_update_leaves_state_unchanged(self, optimizer):
-        config = TrainConfig(optimizer=optimizer, learning_rate=0.1)
+        config = ExperimentConfig(optimizer=optimizer, learning_rate=0.1)
         params = {"p": np.array([[1.0, -2.0]])}
         state = init_optimizer_state(config, params)
         with pytest.raises(NonFiniteError):
@@ -179,15 +180,15 @@ class TestOptimizer:
     def test_state_of_the_other_optimizer_is_refused(self, optimizer):
         other = next(name for name in OPTIMIZERS if name != optimizer)
         params = {"p": np.array([[1.0]])}
-        state = init_optimizer_state(TrainConfig(optimizer=other), params)
-        config = TrainConfig(optimizer=optimizer)
+        state = init_optimizer_state(ExperimentConfig(optimizer=other), params)
+        config = ExperimentConfig(optimizer=optimizer)
         with pytest.raises(ParameterError, match=optimizer):
             optimizer_update(params, {"p": np.array([[1.0]])}, state, config)
 
 
 class TestTrainStep:
     def test_hand_oracle_single_sgd_step(self):
-        config = TrainConfig(
+        config = ExperimentConfig(
             optimizer="sgd_momentum",
             learning_rate=0.1,
             unlabeled_weight=10.0,
@@ -258,7 +259,7 @@ class TestTrainStep:
             assert got == pytest.approx(expected[name], rel=1e-6, abs=1e-9), name
 
     def test_weight_zero_matches_supervised_step_and_reports_components(self):
-        config = TrainConfig(
+        config = ExperimentConfig(
             unlabeled_weight=0.0, dropout_p=0.1, hidden_dims=(8,), epochs=1, seed=3
         )
         rng = np.random.default_rng(1)
@@ -283,7 +284,7 @@ class TestTrainStep:
     def test_near_fixed_point_for_target_head(self):
         # with y_hat == y, z == 0, p=0 the regression losses and the
         # y-head gradients vanish (the log-variance penalty still pulls on z)
-        config = TrainConfig(
+        config = ExperimentConfig(
             optimizer="sgd_momentum",
             learning_rate=0.1,
             unlabeled_weight=0.0,
@@ -318,7 +319,7 @@ class TestTrainStep:
         x_ulb = rng.normal(size=(7, 2))
         components = {}
         for variant in ("baseline", "baseline_con", "baseline_ens", "full"):
-            config = TrainConfig(variant=variant, hidden_dims=(6,), seed=5)
+            config = ExperimentConfig(variant=variant, hidden_dims=(6,), seed=5)
             state = init_train_state(config, 2)
             components[variant] = train_step(state, (x_lab, y_lab), x_ulb, config)
         assert components["baseline"].labeled_unc == 0.0
@@ -329,7 +330,7 @@ class TestTrainStep:
         assert components["full"].unlabeled_unc > 0.0
 
     def test_cross_supervision_swaps_targets(self):
-        config = TrainConfig(variant="baseline", dropout_p=0.0, hidden_dims=(4,), seed=1)
+        config = ExperimentConfig(variant="baseline", dropout_p=0.0, hidden_dims=(4,), seed=1)
         state = init_train_state(config, 2)
         x = np.random.default_rng(3).normal(size=(4, 2))
         targets = _cross_targets(state.pair, x, Rng(0))
@@ -342,7 +343,7 @@ class TestTrainStep:
     def test_no_gradient_through_pseudo_labels(self):
         # replaying the step with the pseudo-labels frozen from the pre-step
         # weights gives a bitwise-identical update
-        config = TrainConfig(variant="full", hidden_dims=(8,), dropout_p=0.1, seed=7)
+        config = ExperimentConfig(variant="full", hidden_dims=(8,), dropout_p=0.1, seed=7)
         rng = np.random.default_rng(4)
         x_lab = rng.normal(size=(6, 2))
         y_lab = rng.normal(size=6)
@@ -367,13 +368,13 @@ class TestTrainStep:
                 assert np.array_equal(p1[name], p2[name])
 
     def test_empty_unlabeled_with_positive_weight_rejected(self):
-        config = TrainConfig(unlabeled_weight=10.0, hidden_dims=(4,))
+        config = ExperimentConfig(unlabeled_weight=10.0, hidden_dims=(4,))
         state = init_train_state(config, 2)
         with pytest.raises(UsageError):
             train_step(state, (np.zeros((3, 2)), np.zeros(3)), None, config)
 
     def test_non_finite_loss_aborts_without_update(self):
-        config = TrainConfig(
+        config = ExperimentConfig(
             unlabeled_weight=0.0, dropout_p=0.0, hidden_dims=(4,), learning_rate=1e-3, seed=2
         )
         state = init_train_state(config, 2)
@@ -397,7 +398,7 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     def test_rejected_update_of_model_b_leaves_model_a_untouched(self, optimizer):
-        config = TrainConfig(
+        config = ExperimentConfig(
             optimizer=optimizer, learning_rate=10.0, unlabeled_weight=0.0, hidden_dims=(4,), seed=4
         )
         state = init_train_state(config, 2)
@@ -441,7 +442,7 @@ class TestTrainStep:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(training, name, counted)
-        config = TrainConfig(variant=variant, hidden_dims=(6, 5), seed=5)
+        config = ExperimentConfig(variant=variant, hidden_dims=(6, 5), seed=5)
         state = init_train_state(config, 2)
         rng = np.random.default_rng(2)
         labeled = (rng.normal(size=(5, 2)), rng.normal(size=5))
@@ -449,7 +450,7 @@ class TestTrainStep:
         assert dict(calls) == expected
 
     def test_history_records_every_step(self):
-        config = TrainConfig(unlabeled_weight=0.0, hidden_dims=(4,), seed=9)
+        config = ExperimentConfig(unlabeled_weight=0.0, hidden_dims=(4,), seed=9)
         state = init_train_state(config, 2)
         rng = np.random.default_rng(5)
         for _ in range(4):
@@ -469,7 +470,7 @@ class TestRunExperiment:
             seed=11,
         )
         defaults.update(kwargs)
-        return TrainConfig(**defaults)
+        return ExperimentConfig(**defaults)
 
     def test_runs_and_reports(self):
         result = run_experiment(self.quick_config(), make_split())
@@ -517,8 +518,16 @@ class TestRunExperiment:
         # SGD with an absurd learning rate overflows within a few steps
         # (adam would not: its updates are magnitude-normalized)
         config = self.quick_config(
-            learning_rate=1e30, epochs=3, unlabeled_weight=0.0, optimizer="sgd_momentum"
+            learning_rate=1e60, epochs=3, unlabeled_weight=0.0, optimizer="sgd_momentum"
         )
-        with pytest.raises(DivergenceError) as err:
+        with pytest.raises(DivergenceError, match="non-finite loss") as err:
             run_experiment(config, make_split())
         assert isinstance(err.value.history, list)
+
+    def test_non_finite_report_raises_with_history(self):
+        # both steps of the first epoch succeed, leaving weights so large but
+        # finite that the validation MAE overflows
+        config = self.quick_config(learning_rate=1e30, epochs=3, optimizer="sgd_momentum")
+        with pytest.raises(DivergenceError, match="validation MAE of epoch 1 is not finite") as err:
+            run_experiment(config, make_split())
+        assert len(err.value.history) == 2
