@@ -21,8 +21,13 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from tracer import QUANTITIES, rebind  # noqa: E402
 
 # command: (predict calls, row-draws); train is 41 validation passes, the bin
-# report and the test pass, variance-demo adds 2 calls per rerun per T
-QUICK_PREDICT_COUNTS = {"train": (43, 6870), "variance-demo": (523, 83670)}
+# report and the test pass, variance-demo adds 2 calls per rerun per T, and
+# evaluate is one test pass: 40 rows x 5 draws
+QUICK_PREDICT_COUNTS = {
+    "train": (43, 6870),
+    "variance-demo": (523, 83670),
+    "evaluate": (1, 200),
+}
 
 
 @pytest.fixture
@@ -44,6 +49,9 @@ def predict_counts():
 @pytest.mark.parametrize("command", sorted(QUICK_PREDICT_COUNTS))
 def test_quick_predict_calls_and_row_draws(tmp_path, predict_counts, command):
     argv = [command, "--config", str(ROOT / "configs" / "quick.json"), "--out", str(tmp_path)]
+    if command == "evaluate":  # only evaluate's calls count, on an uncounted train's checkpoints
+        assert cli.main(["train", *argv[1:]]) == 0
+        predict_counts.update(calls=0, row_draws=0)
     assert cli.main(argv) == 0
     counted = (predict_counts["calls"], predict_counts["row_draws"])
     assert counted == QUICK_PREDICT_COUNTS[command]
