@@ -9,9 +9,10 @@ splitting, inits, dropout) derives from that single seed, so re-running a
 command with the same config reproduces every artifact byte for byte.
 
 Artifacts: metrics.json, loss_history.csv, bin_report.csv, model_a.json,
-model_b.json (train/evaluate); ablation_table.csv, ablation_cells.json
-(ablate); variance_report.json (variance-demo). CSV files start with one
-'#'-prefixed provenance line.
+model_b.json (train); eval_metrics.json (evaluate); ablation_table.csv,
+ablation_cells.json (ablate); variance_report.json (variance-demo). CSV files
+start with one '#'-prefixed provenance line, then a header; string cells are
+written as they are and numbers by repr, so every float round-trips exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import ctypes
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .data import (
     load_csv,
     split_semi_supervised,
 )
-from .ensemble import predict, variance_reduction_check
+from .ensemble import variance_reduction_check
 from .errors import (
     ConfigError,
     DataSchemaError,
@@ -43,12 +44,13 @@ from .errors import (
     NonFiniteError,
     ParameterError,
     ShapeError,
+    UndefinedMetricError,
     UsageError,
 )
-from .evaluation import mae, r_squared, write_bin_report_csv
+from .losses import LossBreakdown
 from .mlp import load_model, save_model, stack_models
 from .rng import Rng
-from .training import VARIANTS, ExperimentConfig, ExperimentResult, run_experiment
+from .training import VARIANTS, ExperimentConfig, ExperimentResult, run_experiment, score_test
 
 VARIANCE_DEMO_DRAWS = (1, 2, 5, 20)
 CHECKPOINTS = ("model_a.json", "model_b.json")  # member 0, member 1 of the pair
@@ -77,25 +79,31 @@ def _write_json(path: Path, payload: dict):
         fh.write("\n")
 
 
+def _stamp(config: ExperimentConfig) -> dict:
+    """The provenance every artifact carries: the config's sha256 and the seed."""
+    return {"config_sha256": config.sha256(), "seed": config.seed}
+
+
 def _provenance(config: ExperimentConfig) -> str:
-    return f"config_sha256={config.sha256()} seed={config.seed}"
+    return " ".join(f"{key}={value}" for key, value in _stamp(config).items())
+
+
+def _write_csv(path: Path, provenance: str, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# {provenance}\n{','.join(header)}\n")
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n")
 
 
 def _write_loss_history(path: Path, history, config: ExperimentConfig):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {_provenance(config)}\n")
-        fh.write("step,labeled_reg,labeled_unc,unlabeled_reg,unlabeled_unc,unlabeled_weight,total\n")
-        for i, item in enumerate(history):
-            fh.write(
-                f"{i},{item.labeled_reg!r},{item.labeled_unc!r},{item.unlabeled_reg!r},"
-                f"{item.unlabeled_unc!r},{item.unlabeled_weight!r},{item.total!r}\n"
-            )
+    header = ("step", *(f.name for f in fields(LossBreakdown)))
+    rows = ((i, *astuple(item)) for i, item in enumerate(history))
+    _write_csv(path, _provenance(config), header, rows)
 
 
 def _metrics_payload(config: ExperimentConfig, result: ExperimentResult) -> dict:
     return {
-        "config_sha256": config.sha256(),
-        "seed": config.seed,
+        **_stamp(config),
         "variant": result.variant,
         "test_mae": result.test_mae,
         "test_r2": result.test_r2,
@@ -122,14 +130,14 @@ def cmd_train(config: ExperimentConfig, out_dir: Path) -> int:
     _write_json(out_dir / "metrics.json", _metrics_payload(config, result))
     _write_loss_history(out_dir / "loss_history.csv", result.history, config)
     if result.bin_report is not None:
-        write_bin_report_csv(
-            result.bin_report,
-            out_dir / "bin_report.csv",
-            provenance=f"{_provenance(config)} source=oracle_unlabeled_targets",
-        )
-    ckpt_provenance = {"config_sha256": config.sha256(), "seed": config.seed}
+        bins = result.bin_report
+        columns = (bins.mean_uncertainty, bins.pseudo_label_mse, bins.counts)
+        rows = zip(range(bins.n_bins), *(column.tolist() for column in columns))
+        header = ("bin_index", "mean_uncertainty", "pseudo_label_mse", "count")
+        provenance = f"{_provenance(config)} source=oracle_unlabeled_targets"
+        _write_csv(out_dir / "bin_report.csv", provenance, header, rows)
     for i, name in enumerate(CHECKPOINTS):
-        save_model(result.pair.member(i), out_dir / name, provenance=ckpt_provenance)
+        save_model(result.pair.member(i), out_dir / name, provenance=_stamp(config))
     print(f"test_mae={result.test_mae!r} test_r2={result.test_r2!r}")
     return 0
 
@@ -158,24 +166,19 @@ def cmd_ablate(config: ExperimentConfig, out_dir: Path) -> int:
                     {"variant": variant, "seed": seed, "failed": True, "error": str(err)}
                 )
 
+    rows = []
+    for variant in VARIANTS:
+        ok = [c for c in cells if c["variant"] == variant and not c["failed"]]
+        n_failed = sum(c["variant"] == variant and c["failed"] for c in cells)
+        stats = []
+        for key in ("test_mae", "test_r2"):  # mean and sample std over the seeds
+            values = np.array([c[key] for c in ok])
+            std = float(values.std(ddof=1)) if len(ok) > 1 else 0.0
+            stats += (float(values.mean()), std) if ok else ("", "")
+        rows.append((variant, *stats, len(ok), n_failed))
     table_path = out_dir / "ablation_table.csv"
-    with open(table_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {_provenance(config)}\n")
-        fh.write("variant,mae_mean,mae_std,r2_mean,r2_std,n_seeds,n_failed\n")
-        for variant in VARIANTS:
-            ok = [c for c in cells if c["variant"] == variant and not c["failed"]]
-            failed = [c for c in cells if c["variant"] == variant and c["failed"]]
-            maes = np.array([c["test_mae"] for c in ok])
-            r2s = np.array([c["test_r2"] for c in ok])
-            if len(ok) == 0:
-                fh.write(f"{variant},,,,,0,{len(failed)}\n")
-                continue
-            mae_std = float(maes.std(ddof=1)) if len(ok) > 1 else 0.0
-            r2_std = float(r2s.std(ddof=1)) if len(ok) > 1 else 0.0
-            fh.write(
-                f"{variant},{float(maes.mean())!r},{mae_std!r},"
-                f"{float(r2s.mean())!r},{r2_std!r},{len(ok)},{len(failed)}\n"
-            )
+    header = ("variant", "mae_mean", "mae_std", "r2_mean", "r2_std", "n_seeds", "n_failed")
+    _write_csv(table_path, _provenance(config), header, rows)
     _write_json(
         out_dir / "ablation_cells.json",
         {"config_sha256": config.sha256(), "cells": cells, "seeds": config.seeds},
@@ -206,8 +209,7 @@ def cmd_variance_demo(config: ExperimentConfig, out_dir: Path) -> int:
         )
         rows.append(asdict(report))
     payload = {
-        "config_sha256": config.sha256(),
-        "seed": config.seed,
+        **_stamp(config),
         "reruns": config.variance_reruns,
         "units": "standardized target scale",
         "rows": rows,
@@ -225,27 +227,19 @@ def cmd_evaluate(config: ExperimentConfig, out_dir: Path, checkpoint_dir: Path) 
     # A checkpoint that cannot be loaded, or was trained from another config
     # or seed (it would be scored on the wrong split), is refused before
     # anything is written.
-    provenance = {"config_sha256": config.sha256(), "seed": config.seed}
-    members = (load_model(checkpoint_dir / name, provenance=provenance) for name in CHECKPOINTS)
+    members = (load_model(checkpoint_dir / name, provenance=_stamp(config)) for name in CHECKPOINTS)
     pair = stack_models(*members)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, split = build_split(config)
     # The normalizer refits on the labeled partition, which is derived
     # deterministically from the config seed, so it matches training exactly.
-    normalizer = Normalizer(split.labeled)
-    x_test = normalizer.transform_features(split.test.features)
-    y_pred, _ = predict(
-        pair, x=x_test, draws=config.ensemble_draws, rng=Rng(config.seed).split("test")
-    )
-    y_pred = normalizer.inverse_targets(y_pred)
-    payload = {
-        "config_sha256": config.sha256(),
-        "seed": config.seed,
-        "test_mae": mae(y_pred, split.test.targets),
-        "test_r2": r_squared(y_pred, split.test.targets),
-    }
+    try:
+        test_mae, test_r2 = score_test(pair, Normalizer(split.labeled), split, config)
+    except NonFiniteError as err:
+        raise NonFiniteError(f"checkpoints in {checkpoint_dir}: {err}") from None
+    payload = {**_stamp(config), "test_mae": test_mae, "test_r2": test_r2}
     _write_json(out_dir / "eval_metrics.json", payload)
-    print(f"test_mae={payload['test_mae']!r} test_r2={payload['test_r2']!r}")
+    print(f"test_mae={test_mae!r} test_r2={test_r2!r}")
     return 0
 
 
@@ -289,22 +283,24 @@ def main(argv=None) -> int:
             )
     args = parser.parse_args(argv)
 
+    # Every non-finite value is refused explicitly (exit 2 or 3), so numpy's
+    # floating-point warnings would only bury the one error line.
     try:
         config = ExperimentConfig.from_file(args.config)
         if args.seed is not None:
             config = config.with_seed(args.seed)
         out_dir = Path(args.out)
-        if args.command == "train":
-            return cmd_train(config, out_dir)
-        if args.command == "ablate":
-            return cmd_ablate(config, out_dir)
-        if args.command == "variance-demo":
-            return cmd_variance_demo(config, out_dir)
-        checkpoints = Path(args.checkpoints) if args.checkpoints else out_dir
-        return cmd_evaluate(config, out_dir, checkpoints)
-    except (
-        ConfigError, DataSchemaError, NonFiniteError, ParameterError, ShapeError, UsageError
-    ) as err:
+        with np.errstate(all="ignore"):
+            if args.command == "train":
+                return cmd_train(config, out_dir)
+            if args.command == "ablate":
+                return cmd_ablate(config, out_dir)
+            if args.command == "variance-demo":
+                return cmd_variance_demo(config, out_dir)
+            checkpoints = Path(args.checkpoints) if args.checkpoints else out_dir
+            return cmd_evaluate(config, out_dir, checkpoints)
+    except (ConfigError, DataSchemaError, NonFiniteError, ParameterError, ShapeError,
+            UndefinedMetricError, UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

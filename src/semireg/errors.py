@@ -14,7 +14,7 @@ class NonFiniteError(ValueError):
 
 
 class NonFiniteLossError(RuntimeError):
-    """A training step produced a non-finite loss; no update was applied."""
+    """A non-finite loss, gradient or update aborted a step; ``components``: the losses so far."""
 
     def __init__(self, message: str, components: dict):
         super().__init__(message)

@@ -86,19 +86,6 @@ def uncertainty_binning(log_var_pred, y_pseudo, y_truth, n_bins: int) -> BinRepo
     )
 
 
-def write_bin_report_csv(report: BinReport, path, provenance: str | None = None):
-    """Plot-ready CSV; an optional leading '#' line carries provenance."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if provenance:
-            fh.write(f"# {provenance}\n")
-        fh.write("bin_index,mean_uncertainty,pseudo_label_mse,count\n")
-        for b in range(report.n_bins):
-            fh.write(
-                f"{b},{float(report.mean_uncertainty[b])!r},"
-                f"{float(report.pseudo_label_mse[b])!r},{int(report.counts[b])}\n"
-            )
-
-
 def _ranks(values: np.ndarray) -> np.ndarray:
     # average ranks for ties, 1-based
     order = np.argsort(values, kind="stable")

@@ -356,7 +356,8 @@ def train_step(
     Mutates ``state`` (parameters, optimizer state, counters, history) and
     returns the step's loss components. A non-finite loss, gradient or update
     of either member aborts the step before anything in ``state`` changes and
-    raises NonFiniteLossError carrying the offending components.
+    raises NonFiniteLossError naming the first non-finite value and carrying
+    the loss components computed before the failure.
     ``injected_targets`` replaces the unlabeled targets (a test hook).
     """
     x_lab, y_lab = labeled
@@ -373,22 +374,21 @@ def train_step(
     step_rng = state.rng.split(f"step:{state.step}")
     pair = state.pair
 
+    parts = {}  # the loss components computed so far
     try:
         labeled_streams = (step_rng.split("labeled_a"), step_rng.split("labeled_b"))
         y, lv, trace = forward(pair, x_lab, rng=labeled_streams)
         reg, d_y, d_lv = losses.hetero_loss(y, lv, np.broadcast_to(y_lab, y.shape))
-        labeled_reg = _pair_total(reg)
+        parts["labeled_reg"] = _pair_total(reg)
 
+        parts["labeled_unc"] = 0.0
         if config.uses_consistency:
-            labeled_unc, d_con_a, d_con_b = losses.consistency_loss_labeled(lv[0], lv[1])
+            parts["labeled_unc"], d_con_a, d_con_b = losses.consistency_loss_labeled(lv[0], lv[1])
             d_lv = d_lv + np.stack((d_con_a, d_con_b))
-        else:
-            labeled_unc = 0.0
 
-        unlabeled_reg = 0.0
-        unlabeled_unc = 0.0
-        grads_ulb = None
-        if unlabeled is not None and unlabeled.shape[0] > 0:
+        w = config.unlabeled_weight
+        has_unlabeled = unlabeled is not None and unlabeled.shape[0] > 0
+        if has_unlabeled:
             if injected_targets is not None:
                 targets = injected_targets
             elif config.uses_ensembling:
@@ -406,40 +406,25 @@ def train_step(
             # Targets are constants: the log-variance gradient of the hetero
             # kernel is discarded, only d w.r.t. the live prediction survives.
             ureg, d_yu, _ = losses.hetero_loss(yu, target_lv, target_y)
-            unlabeled_reg = _pair_total(ureg)
+            parts["unlabeled_reg"] = _pair_total(ureg)
 
             d_lvu = np.zeros_like(lvu)
+            parts["unlabeled_unc"] = 0.0
             if config.uses_consistency:
                 ucon, d_lvu = losses.consistency_loss_unlabeled(lvu, target_lv)
-                unlabeled_unc = _pair_total(ucon)
+                parts["unlabeled_unc"] = _pair_total(ucon)
+        else:
+            parts.update(unlabeled_reg=0.0, unlabeled_unc=0.0)
 
-            w = config.unlabeled_weight
-            if w > 0:
-                grads_ulb = backward(pair, trace_u, w * d_yu, w * d_lvu)
-    except NonFiniteError as err:
-        raise NonFiniteLossError(f"non-finite loss at step {state.step}: {err}", {}) from err
-
-    components = {
-        "labeled_reg": labeled_reg,
-        "labeled_unc": labeled_unc,
-        "unlabeled_reg": unlabeled_reg,
-        "unlabeled_unc": unlabeled_unc,
-    }
-    if not all(math.isfinite(v) for v in components.values()):
-        raise NonFiniteLossError(f"non-finite loss at step {state.step}", components)
-
-    breakdown = LossBreakdown.build(
-        labeled_reg, labeled_unc, unlabeled_reg, unlabeled_unc, config.unlabeled_weight
-    )
-
-    try:
+        breakdown = LossBreakdown.build(**parts, unlabeled_weight=w)
         grads = backward(pair, trace, d_y, d_lv)
-        if grads_ulb is not None:
+        if has_unlabeled and w > 0:
+            grads_ulb = backward(pair, trace_u, w * d_yu, w * d_lvu)
             grads = {name: g + grads_ulb[name] for name, g in grads.items()}
         new_params, opt = optimizer_update(pair.params, grads, state.opt, config)
     except NonFiniteError as err:
         raise NonFiniteLossError(
-            f"non-finite gradient or update at step {state.step}: {err}", components
+            f"non-finite loss, gradient or update at step {state.step}: {err}", parts
         ) from err
     pair.params = new_params
     state.opt = opt
@@ -471,6 +456,26 @@ def _cycle_batches(n: int, batch: int, rng: Rng):
             yield order[pos : pos + batch]
 
 
+def score_test(
+    pair: MlpModel, normalizer: Normalizer, split: SemiSupervisedSplit, config: ExperimentConfig
+) -> tuple[float, float]:
+    """Test MAE and R^2, in target units, of the pair's ensembled prediction.
+
+    The one scoring of the test split: run_experiment and the evaluate
+    command both call it, so evaluate re-derives train's numbers exactly.
+    A metric that is not finite raises NonFiniteError naming it.
+    """
+    x_test = normalizer.transform_features(split.test.features)
+    rng = Rng(config.seed).split("test")
+    y_pred, _ = predict(pair, x=x_test, draws=config.ensemble_draws, rng=rng)
+    y_pred, truth = normalizer.inverse_targets(y_pred), split.test.targets
+    test_mae, test_r2 = mae(y_pred, truth), r_squared(y_pred, truth)
+    for what, value in (("test MAE", test_mae), ("test R^2", test_r2)):
+        if not math.isfinite(value):
+            raise NonFiniteError(f"{what} is not finite")
+    return test_mae, test_r2
+
+
 def run_experiment(config: ExperimentConfig, split: SemiSupervisedSplit) -> ExperimentResult:
     """Train on a split, select the best epoch by validation MAE, score the test set.
 
@@ -493,7 +498,6 @@ def run_experiment(config: ExperimentConfig, split: SemiSupervisedSplit) -> Expe
     y_lab = normalizer.transform_targets(split.labeled.targets)
     x_ulb = normalizer.transform_features(split.unlabeled.features) if has_unlabeled else None
     x_val = normalizer.transform_features(split.validation.features)
-    x_test = normalizer.transform_features(split.test.features)
 
     root = Rng(config.seed)
     state = init_train_state(config, split.labeled.input_dim)
@@ -501,11 +505,12 @@ def run_experiment(config: ExperimentConfig, split: SemiSupervisedSplit) -> Expe
     def ensembled(x: np.ndarray, stream: str) -> tuple[np.ndarray, np.ndarray]:
         return predict(state.pair, x=x, draws=config.ensemble_draws, rng=root.split(stream))
 
+    def diverged(reason) -> DivergenceError:
+        return DivergenceError(f"training diverged at step {state.step}: {reason}", state.history)
+
     def reported(what: str, values):
         if not np.isfinite(values).all():
-            raise DivergenceError(
-                f"training diverged at step {state.step}: {what} is not finite", state.history
-            )
+            raise diverged(f"{what} is not finite")
         return values
 
     def validation_mae(epoch: int) -> float:
@@ -533,9 +538,7 @@ def run_experiment(config: ExperimentConfig, split: SemiSupervisedSplit) -> Expe
             except NonFiniteLossError as err:
                 consecutive_bad += 1
                 if consecutive_bad >= 2:
-                    raise DivergenceError(
-                        f"training diverged at step {state.step}: {err}", state.history
-                    ) from err
+                    raise diverged(err) from err
             else:
                 consecutive_bad = 0
         epoch_mae = validation_mae(epoch)
@@ -562,11 +565,10 @@ def run_experiment(config: ExperimentConfig, split: SemiSupervisedSplit) -> Expe
             spearman = spearman_rank_corr(np.exp(lv_orig), sq_err)
 
     state.pair.params = best_params
-
-    y_test_pred, _ = ensembled(x_test, "test")
-    y_test_pred = normalizer.inverse_targets(y_test_pred)
-    test_mae = reported("test MAE", mae(y_test_pred, split.test.targets))
-    test_r2 = reported("test R^2", r_squared(y_test_pred, split.test.targets))
+    try:
+        test_mae, test_r2 = score_test(state.pair, normalizer, split, config)
+    except NonFiniteError as err:
+        raise diverged(err) from err
 
     return ExperimentResult(
         variant=config.variant,

@@ -199,6 +199,8 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         assert "unlabeled_weight" in capsys.readouterr().err
 
+    # numpy's floating-point warnings fail these tests: the one error line must stand alone
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "command, written, kept",
         [
@@ -215,22 +217,47 @@ class TestTrainCommand:
         good = write_config(tmp_path, {"variance_reruns": 30}, name="good.json")
         assert main([command, "--config", str(good), "--out", str(out)]) == 0
         assert {p.name for p in out.iterdir()} == written | kept
+        capsys.readouterr()
         diverging = {"optimizer": "sgd_momentum", "learning_rate": 1e30, "epochs": 5}
         bad = write_config(tmp_path, {"variance_reruns": 30, **diverging}, name="bad.json")
         assert main([command, "--config", str(bad), "--out", str(out)]) == 3
-        assert "diverged" in capsys.readouterr().err
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: training diverged")
         assert {p.name for p in out.iterdir()} == kept
         for name in kept:  # rewritten by the diverged run
             sha256 = ExperimentConfig.from_file(bad).sha256()
             assert (out / name).read_text().startswith(f"# config_sha256={sha256} ")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_finite_weights_exit_3(self, tmp_path, capsys):
         # two epochs leave the weights finite, but the pseudo-label errors overflow
         bad = write_config(tmp_path, {"optimizer": "sgd_momentum", "learning_rate": 1e30})
         out = tmp_path / "out"
         assert main(["train", "--config", str(bad), "--out", str(out)]) == 3
-        assert "bin report is not finite" in capsys.readouterr().err
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: training diverged") and "bin report is not finite" in line
         assert {p.name for p in out.iterdir()} == {"loss_history.csv"}
+
+    def test_constant_target_csv_exits_2_without_traceback(self, tmp_path, capsys):
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("".join(f"{i / 10},1.5\n" for i in range(60)))
+        overrides = {**CSV_CONFIG, "csv_path": str(csv_path), "csv_feature_columns": ["0"]}
+        config = write_config(tmp_path, {**overrides, "csv_target_column": "1"})
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: r_squared is undefined for constant truth" in err
+        assert "Traceback" not in err
+        assert not (out / "metrics.json").exists()
+
+    def test_bin_report_csv_shape(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+        lines = (out / "bin_report.csv").read_text().strip().split("\n")
+        assert lines[0].startswith("#")
+        assert lines[1] == "bin_index,mean_uncertainty,pseudo_label_mse,count"
+        assert len(lines) == 12  # comment + header + 10 bins
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config = write_config(tmp_path)
@@ -333,6 +360,23 @@ class TestEvaluateCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "'seed': 0" in err and "'seed': 1" in err
+        assert not (out / "eval_metrics.json").exists()
+
+    def test_huge_finite_weights_exit_2(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        trained = tmp_path / "trained"
+        assert main(["train", "--config", str(config), "--out", str(trained)]) == 0
+        for name in cli.CHECKPOINTS:  # finite weights whose test predictions overflow
+            doc = json.loads((trained / name).read_text())
+            for entry in doc["params"].values():
+                entry["data"] = [value * 1e120 for value in entry["data"]]
+            (trained / name).write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        argv = ["evaluate", "--config", str(config), "--out", str(out)]
+        assert main([*argv, "--checkpoints", str(trained)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: checkpoints in {trained}: test ") and "not finite" in line
         assert not (out / "eval_metrics.json").exists()
 
 

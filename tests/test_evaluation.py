@@ -7,7 +7,6 @@ from semireg.evaluation import (
     r_squared,
     spearman_rank_corr,
     uncertainty_binning,
-    write_bin_report_csv,
 )
 
 
@@ -95,18 +94,6 @@ class TestBinning:
     def test_too_many_bins_rejected(self):
         with pytest.raises(ParameterError):
             uncertainty_binning(np.zeros(5), np.zeros(5), np.zeros(5), 6)
-
-    def test_csv_shape(self, tmp_path):
-        rng = np.random.default_rng(6)
-        report = uncertainty_binning(
-            rng.normal(size=40), rng.normal(size=40), rng.normal(size=40), 10
-        )
-        path = tmp_path / "bins.csv"
-        write_bin_report_csv(report, path, provenance="seed=0")
-        lines = path.read_text().strip().split("\n")
-        assert lines[0].startswith("#")
-        assert lines[1] == "bin_index,mean_uncertainty,pseudo_label_mse,count"
-        assert len(lines) == 12  # comment + header + 10 bins
 
 
 class TestSpearman:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semireg.data import RegressionDataset, split_semi_supervised
-from semireg.ensemble import generate_pseudo_labels
+from semireg.ensemble import PseudoLabels, generate_pseudo_labels
 from semireg.errors import (
     ConfigError,
     DivergenceError,
@@ -395,6 +395,29 @@ class TestTrainStep:
         assert state.step == 0
         for name, arr in before.items():
             assert np.array_equal(state.pair.member(1).params[name], arr)
+
+    def test_failure_names_the_first_non_finite_loss_component(self):
+        config = ExperimentConfig(unlabeled_weight=0.0, hidden_dims=(4,), seed=2)
+        state = init_train_state(config, 2)
+        # finite inputs whose squared residual overflows
+        labeled = (np.ones((2, 2)), np.full(2, 1e200))
+        with pytest.raises(NonFiniteLossError, match="labeled_reg is non-finite") as err:
+            train_step(state, labeled, None, config)
+        assert err.value.components["labeled_reg"] == np.inf
+        assert state.step == 0 and state.history == []
+
+    def test_failure_carries_the_components_computed_before_it(self):
+        config = ExperimentConfig(hidden_dims=(4,), seed=2)
+        state = init_train_state(config, 2)
+        rng = np.random.default_rng(3)
+        labeled = (rng.normal(size=(3, 2)), rng.normal(size=3))
+        targets = PseudoLabels(y=np.full(4, np.nan), log_var=np.zeros(4))
+        with pytest.raises(NonFiniteLossError, match="y_target") as err:
+            train_step(state, labeled, rng.normal(size=(4, 2)), config, injected_targets=targets)
+        components = err.value.components
+        assert list(components) == ["labeled_reg", "labeled_unc"]
+        assert all(np.isfinite(value) for value in components.values())
+        assert state.step == 0
 
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     def test_rejected_update_of_model_b_leaves_model_a_untouched(self, optimizer):
