@@ -8,11 +8,9 @@ effective config plus the seed, and all randomness (data generation,
 splitting, inits, dropout) derives from that single seed, so re-running a
 command with the same config reproduces every artifact byte for byte.
 
-Artifacts: metrics.json, loss_history.csv, bin_report.csv, model_a.json,
-model_b.json (train); eval_metrics.json (evaluate); ablation_table.csv,
-ablation_cells.json (ablate); variance_report.json (variance-demo). CSV files
-start with one '#'-prefixed provenance line, then a header; string cells are
-written as they are and numbers by repr, so every float round-trips exactly.
+ARTIFACTS names the files of each command. CSV files start with one
+'#'-prefixed provenance line, then a header; string cells are written as
+they are and numbers by repr, so every float round-trips exactly.
 """
 
 from __future__ import annotations
@@ -37,16 +35,7 @@ from .data import (
     split_semi_supervised,
 )
 from .ensemble import variance_reduction_check
-from .errors import (
-    ConfigError,
-    DataSchemaError,
-    DivergenceError,
-    NonFiniteError,
-    ParameterError,
-    ShapeError,
-    UndefinedMetricError,
-    UsageError,
-)
+from .errors import DivergenceError, NonFiniteError, SemiregError
 from .losses import LossBreakdown
 from .mlp import load_model, save_model, stack_models
 from .rng import Rng
@@ -54,6 +43,14 @@ from .training import VARIANTS, ExperimentConfig, ExperimentResult, run_experime
 
 VARIANCE_DEMO_DRAWS = (1, 2, 5, 20)
 CHECKPOINTS = ("model_a.json", "model_b.json")  # member 0, member 1 of the pair
+# The files each command writes. main removes them before the command runs,
+# so a refused run leaves none of an earlier run's results in --out.
+ARTIFACTS = {
+    "train": ("metrics.json", "loss_history.csv", "bin_report.csv", *CHECKPOINTS),
+    "ablate": ("ablation_table.csv", "ablation_cells.json"),
+    "variance-demo": ("variance_report.json",),
+    "evaluate": ("eval_metrics.json",),
+}
 
 # glibc mallopt parameters (malloc.h) and the values main() fixes them at.
 # Fixing either one turns off glibc's dynamic mmap threshold, so both are set.
@@ -116,17 +113,13 @@ def _metrics_payload(config: ExperimentConfig, result: ExperimentResult) -> dict
     }
 
 
-def cmd_train(config: ExperimentConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_train(config: ExperimentConfig, out_dir: Path) -> None:
     _, split = build_split(config)
     try:
         result = run_experiment(config, split)
-    except DivergenceError as err:
-        for name in ("metrics.json", "bin_report.csv", *CHECKPOINTS):  # a run's stale results
-            (out_dir / name).unlink(missing_ok=True)
+    except DivergenceError as err:  # the diverged run's losses explain the failure
         _write_loss_history(out_dir / "loss_history.csv", err.history, config)
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        raise
     _write_json(out_dir / "metrics.json", _metrics_payload(config, result))
     _write_loss_history(out_dir / "loss_history.csv", result.history, config)
     if result.bin_report is not None:
@@ -139,11 +132,9 @@ def cmd_train(config: ExperimentConfig, out_dir: Path) -> int:
     for i, name in enumerate(CHECKPOINTS):
         save_model(result.pair.member(i), out_dir / name, provenance=_stamp(config))
     print(f"test_mae={result.test_mae!r} test_r2={result.test_r2!r}")
-    return 0
 
 
-def cmd_ablate(config: ExperimentConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_ablate(config: ExperimentConfig, out_dir: Path) -> None:
     cells = []
     for seed in config.seeds:
         seeded = config.with_seed(seed)
@@ -184,18 +175,11 @@ def cmd_ablate(config: ExperimentConfig, out_dir: Path) -> int:
         {"config_sha256": config.sha256(), "cells": cells, "seeds": config.seeds},
     )
     print(table_path.read_text(encoding="utf-8"), end="")
-    return 0
 
 
-def cmd_variance_demo(config: ExperimentConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_variance_demo(config: ExperimentConfig, out_dir: Path) -> None:
     _, split = build_split(config)
-    try:
-        result = run_experiment(config, split)
-    except DivergenceError as err:
-        (out_dir / "variance_report.json").unlink(missing_ok=True)  # a run's stale report
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+    result = run_experiment(config, split)
     test_normalized = result.normalizer.transform_dataset(split.test)
     root = Rng(config.seed)
     rows = []
@@ -220,16 +204,14 @@ def cmd_variance_demo(config: ExperimentConfig, out_dir: Path) -> int:
             f"t_draws={row['t_draws']} mse_single={row['mse_single']:.6f} "
             f"mse_ensemble={row['mse_ensemble']:.6f}"
         )
-    return 0
 
 
-def cmd_evaluate(config: ExperimentConfig, out_dir: Path, checkpoint_dir: Path) -> int:
+def cmd_evaluate(config: ExperimentConfig, out_dir: Path, checkpoint_dir: Path) -> None:
     # A checkpoint that cannot be loaded, or was trained from another config
-    # or seed (it would be scored on the wrong split), is refused before
-    # anything is written.
+    # or seed (it would be scored on the wrong split), is refused, and no
+    # eval_metrics.json is written.
     members = (load_model(checkpoint_dir / name, provenance=_stamp(config)) for name in CHECKPOINTS)
     pair = stack_models(*members)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _, split = build_split(config)
     # The normalizer refits on the labeled partition, which is derived
     # deterministically from the config seed, so it matches training exactly.
@@ -240,7 +222,15 @@ def cmd_evaluate(config: ExperimentConfig, out_dir: Path, checkpoint_dir: Path) 
     payload = {**_stamp(config), "test_mae": test_mae, "test_r2": test_r2}
     _write_json(out_dir / "eval_metrics.json", payload)
     print(f"test_mae={test_mae!r} test_r2={test_r2!r}")
-    return 0
+
+
+def _clear_artifacts(out_dir: Path, names) -> None:
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name in names:
+            (out_dir / name).unlink(missing_ok=True)
+    except OSError as err:
+        raise SemiregError(f"cannot write to --out {out_dir}: {err.strerror}") from None
 
 
 def _fix_malloc_thresholds() -> None:
@@ -283,26 +273,28 @@ def main(argv=None) -> int:
             )
     args = parser.parse_args(argv)
 
-    # Every non-finite value is refused explicitly (exit 2 or 3), so numpy's
-    # floating-point warnings would only bury the one error line.
+    # A refusal prints one line and exits with its error's code. Every
+    # non-finite value is refused explicitly, so numpy's floating-point
+    # warnings would only bury that line.
     try:
         config = ExperimentConfig.from_file(args.config)
         if args.seed is not None:
             config = config.with_seed(args.seed)
         out_dir = Path(args.out)
+        _clear_artifacts(out_dir, ARTIFACTS[args.command])
         with np.errstate(all="ignore"):
             if args.command == "train":
-                return cmd_train(config, out_dir)
-            if args.command == "ablate":
-                return cmd_ablate(config, out_dir)
-            if args.command == "variance-demo":
-                return cmd_variance_demo(config, out_dir)
-            checkpoints = Path(args.checkpoints) if args.checkpoints else out_dir
-            return cmd_evaluate(config, out_dir, checkpoints)
-    except (ConfigError, DataSchemaError, NonFiniteError, ParameterError, ShapeError,
-            UndefinedMetricError, UsageError) as err:
+                cmd_train(config, out_dir)
+            elif args.command == "ablate":
+                cmd_ablate(config, out_dir)
+            elif args.command == "variance-demo":
+                cmd_variance_demo(config, out_dir)
+            else:
+                cmd_evaluate(config, out_dir, Path(args.checkpoints or args.out))
+    except SemiregError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return err.exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,15 +1,24 @@
 """Exception types shared across the package."""
 
 
-class ShapeError(ValueError):
+class SemiregError(Exception):
+    """A refusal: the command line prints it as one line and exits ``exit_code``.
+
+    Errors outside this class end a command in a traceback: they are bugs.
+    """
+
+    exit_code = 2
+
+
+class ShapeError(SemiregError, ValueError):
     """Operands have incompatible or unexpected dimensions."""
 
 
-class ParameterError(ValueError):
+class ParameterError(SemiregError, ValueError):
     """An argument value is outside its valid range."""
 
 
-class NonFiniteError(ValueError):
+class NonFiniteError(SemiregError, ValueError):
     """A NaN or Inf appeared where finite values are required."""
 
 
@@ -21,8 +30,10 @@ class NonFiniteLossError(RuntimeError):
         self.components = components
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(SemiregError, RuntimeError):
     """Training diverged: non-finite losses on consecutive steps, or a non-finite result."""
+
+    exit_code = 3
 
     def __init__(self, message: str, history: list):
         super().__init__(message)
@@ -33,17 +44,17 @@ class StaleTraceError(RuntimeError):
     """A forward trace no longer matches the model it came from."""
 
 
-class DataSchemaError(ValueError):
+class DataSchemaError(SemiregError, ValueError):
     """A data file does not match its declared schema."""
 
 
-class UndefinedMetricError(ValueError):
+class UndefinedMetricError(SemiregError, ValueError):
     """The requested metric is undefined for this input (e.g. constant truth)."""
 
 
-class UsageError(RuntimeError):
+class UsageError(SemiregError, RuntimeError):
     """An API was called in a way its contract forbids."""
 
 
-class ConfigError(ValueError):
+class ConfigError(SemiregError, ValueError):
     """An experiment config is invalid; message names the offending field."""

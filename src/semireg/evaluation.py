@@ -89,15 +89,11 @@ def uncertainty_binning(log_var_pred, y_pseudo, y_truth, n_bins: int) -> BinRepo
 def _ranks(values: np.ndarray) -> np.ndarray:
     # average ranks for ties, 1-based
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
     sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    first = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])  # tie-run starts
+    last = np.r_[first[1:], values.size] - 1
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 from semireg import cli
 from semireg.cli import ExperimentConfig, main
-from semireg.errors import ConfigError
+from semireg.errors import ConfigError, DivergenceError, SemiregError, StaleTraceError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -168,6 +169,59 @@ class TestConfigSchema:
         assert config.sha256() == digest
 
 
+def _csv_target_config(tmp_path, target):
+    """A csv config over 60 rows of feature i / 10 and target(i)."""
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_text("".join(f"{i / 10},{target(i)}\n" for i in range(60)))
+    overrides = {**CSV_CONFIG, "csv_path": str(csv_path), "csv_feature_columns": ["0"]}
+    return write_config(tmp_path, {**overrides, "csv_target_column": "1"})
+
+
+# Each setup runs `command` successfully in `out`, then returns the config of
+# a second run that is refused.
+def _then_diverge(tmp_path, command, out):
+    good = write_config(tmp_path, {"variance_reruns": 30}, name="good.json")
+    assert main([command, "--config", str(good), "--out", str(out)]) == 0
+    diverging = {"optimizer": "sgd_momentum", "learning_rate": 1e30, "epochs": 5}
+    return write_config(tmp_path, {"variance_reruns": 30, **diverging}, name="bad.json")
+
+
+def _then_make_csv_target_constant(tmp_path, command, out):
+    config = _csv_target_config(tmp_path, lambda i: i % 7)
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    _csv_target_config(tmp_path, lambda i: 1.5)
+    return config
+
+
+def _then_damage_checkpoint(tmp_path, command, out):
+    config = write_config(tmp_path)
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    (out / "model_a.json").write_text("{")
+    return config
+
+
+# command, setup, exit code, start of the error line, expected UserWarning,
+# the files left in --out, and those of them the refused run wrote
+REFUSALS = {
+    "train_diverges": (
+        "train", _then_diverge, 3, "error: training diverged", None,
+        {"loss_history.csv"}, {"loss_history.csv"},
+    ),
+    "variance_demo_diverges": (
+        "variance-demo", _then_diverge, 3, "error: training diverged", None, set(), set(),
+    ),
+    "train_constant_csv_target": (
+        "train", _then_make_csv_target_constant, 2, "error: r_squared is undefined",
+        "targets have zero variance", set(), set(),
+    ),
+    "evaluate_damaged_checkpoint": (
+        "evaluate", _then_damage_checkpoint, 2, "error: checkpoint", None,
+        set(cli.ARTIFACTS["train"]), set(),
+    ),
+}
+
+
 class TestTrainCommand:
     def test_happy_path_writes_all_artifacts(self, tmp_path):
         config = write_config(tmp_path)
@@ -195,36 +249,31 @@ class TestTrainCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_invalid_config_exits_nonzero_naming_field(self, tmp_path, capsys):
-        config = write_config(tmp_path, {"unlabeled_weight": -1.0})
-        assert main(["train", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        config = write_config(tmp_path, {"unlabeled_weight": -1.0}, name="typo.json")
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
         assert "unlabeled_weight" in capsys.readouterr().err
+        # a config error leaves the earlier run's results in --out
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     # numpy's floating-point warnings fail these tests: the one error line must stand alone
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize(
-        "command, written, kept",
-        [
-            (
-                "train",
-                {"metrics.json", "bin_report.csv", *cli.CHECKPOINTS},
-                {"loss_history.csv"},
-            ),
-            ("variance-demo", {"variance_report.json"}, set()),
-        ],
-    )
-    def test_divergence_leaves_no_stale_artifacts(self, tmp_path, capsys, command, written, kept):
+    @pytest.mark.parametrize("refusal", sorted(REFUSALS))
+    def test_refused_run_leaves_no_stale_artifacts(self, tmp_path, capsys, refusal):
+        command, setup, code, message, warning, kept, rewritten = REFUSALS[refusal]
         out = tmp_path / "out"
-        good = write_config(tmp_path, {"variance_reruns": 30}, name="good.json")
-        assert main([command, "--config", str(good), "--out", str(out)]) == 0
-        assert {p.name for p in out.iterdir()} == written | kept
+        bad = setup(tmp_path, command, out)
+        assert {p.name for p in out.iterdir()} == set(cli.ARTIFACTS[command]) | kept
         capsys.readouterr()
-        diverging = {"optimizer": "sgd_momentum", "learning_rate": 1e30, "epochs": 5}
-        bad = write_config(tmp_path, {"variance_reruns": 30, **diverging}, name="bad.json")
-        assert main([command, "--config", str(bad), "--out", str(out)]) == 3
+        with pytest.warns(UserWarning, match=warning) if warning else contextlib.nullcontext():
+            assert main([command, "--config", str(bad), "--out", str(out)]) == code
         [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: training diverged")
+        assert line.startswith(message)
         assert {p.name for p in out.iterdir()} == kept
-        for name in kept:  # rewritten by the diverged run
+        for name in rewritten:  # by the refused run
             sha256 = ExperimentConfig.from_file(bad).sha256()
             assert (out / name).read_text().startswith(f"# config_sha256={sha256} ")
 
@@ -239,12 +288,10 @@ class TestTrainCommand:
         assert {p.name for p in out.iterdir()} == {"loss_history.csv"}
 
     def test_constant_target_csv_exits_2_without_traceback(self, tmp_path, capsys):
-        csv_path = tmp_path / "rows.csv"
-        csv_path.write_text("".join(f"{i / 10},1.5\n" for i in range(60)))
-        overrides = {**CSV_CONFIG, "csv_path": str(csv_path), "csv_feature_columns": ["0"]}
-        config = write_config(tmp_path, {**overrides, "csv_target_column": "1"})
+        config = _csv_target_config(tmp_path, lambda i: 1.5)
         out = tmp_path / "out"
-        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+        with pytest.warns(UserWarning, match="targets have zero variance"):
+            assert main(["train", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error: r_squared is undefined for constant truth" in err
         assert "Traceback" not in err
@@ -434,6 +481,36 @@ def test_bad_csv_exits_2_naming_the_file(tmp_path, capsys, failure):
     config = write_config(tmp_path, {**CSV_CONFIG, "csv_path": str(csv_path), **overrides})
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert str(csv_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", SemiregError.__subclasses__(), ids=lambda e: e.__name__)
+def test_every_refusal_exits_with_its_code_and_one_line(tmp_path, capsys, monkeypatch, error):
+    def refuse(config, out_dir):
+        raise error("refused", []) if error is DivergenceError else error("refused")
+
+    monkeypatch.setattr(cli, "cmd_train", refuse)
+    config = write_config(tmp_path)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == error.exit_code
+    assert error.exit_code == (3 if error is DivergenceError else 2)
+    assert capsys.readouterr().err == "error: refused\n"
+
+
+def test_a_bug_is_not_a_refusal(tmp_path, monkeypatch):
+    def fail(config, out_dir):
+        raise StaleTraceError("bug")
+
+    monkeypatch.setattr(cli, "cmd_train", fail)
+    with pytest.raises(StaleTraceError):
+        main(["train", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")])
+
+
+def test_out_that_is_a_file_exits_2_naming_it(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file")
+    assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(out) in line
+    assert out.read_text() == "a file"
 
 
 def test_allocator_tuning_is_skipped_off_glibc(tmp_path, monkeypatch):

@@ -7,6 +7,15 @@ that alters numerics must re-pin the values here and say so.
 Dataset noise goes through Box-Muller gaussians, which call libm's log, cos
 and sin (see semireg.rng). Those are exact on a given platform build but not
 across builds, so the pins hold per platform build of numpy and libm.
+
+They also hold per CPU family. numpy dispatches float64 exp, log, sin and cos
+to per-CPU SIMD code, and OpenBLAS picks its gemv kernel per core (a product
+with a transposed operand, such as backward's head gradient, differs between
+its SkylakeX and Haswell kernels). Measured on an AVX-512 Xeon with numpy
+2.4.6 and OpenBLAS 0.3.31 (SkylakeX kernel): under OPENBLAS_CORETYPE=Haswell,
+Sandybridge or Prescott, and under NPY_DISABLE_CPU_FEATURES="X86_V4
+AVX512_ICL AVX512_SPR", all seven quick-config pins (train, variance-demo,
+ablate) fail. The benchmark cell's test_mae pin fails under Sandybridge only.
 """
 
 import hashlib

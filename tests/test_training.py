@@ -402,7 +402,8 @@ class TestTrainStep:
         # finite inputs whose squared residual overflows
         labeled = (np.ones((2, 2)), np.full(2, 1e200))
         with pytest.raises(NonFiniteLossError, match="labeled_reg is non-finite") as err:
-            train_step(state, labeled, None, config)
+            with np.errstate(all="ignore"):
+                train_step(state, labeled, None, config)
         assert err.value.components["labeled_reg"] == np.inf
         assert state.step == 0 and state.history == []
 
@@ -544,7 +545,8 @@ class TestRunExperiment:
             learning_rate=1e60, epochs=3, unlabeled_weight=0.0, optimizer="sgd_momentum"
         )
         with pytest.raises(DivergenceError, match="non-finite loss") as err:
-            run_experiment(config, make_split())
+            with np.errstate(all="ignore"):
+                run_experiment(config, make_split())
         assert isinstance(err.value.history, list)
 
     def test_non_finite_report_raises_with_history(self):
@@ -552,5 +554,6 @@ class TestRunExperiment:
         # finite that the validation MAE overflows
         config = self.quick_config(learning_rate=1e30, epochs=3, optimizer="sgd_momentum")
         with pytest.raises(DivergenceError, match="validation MAE of epoch 1 is not finite") as err:
-            run_experiment(config, make_split())
+            with np.errstate(all="ignore"):
+                run_experiment(config, make_split())
         assert len(err.value.history) == 2
