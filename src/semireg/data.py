@@ -150,8 +150,8 @@ def load_csv(path, schema: CsvSchema) -> RegressionDataset:
     Column references are names when the file has a header, otherwise 0-based
     indices given as strings; a leading byte-order mark is skipped. Every
     failure raises DataSchemaError naming ``path``: a file that cannot be
-    read, a column it does not have, or an unparseable or non-finite cell
-    (with its row/column coordinates).
+    read, a column it does not have, an unparseable or non-finite cell
+    (with its row/column coordinates), or a constant target column.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -215,6 +215,8 @@ def load_csv(path, schema: CsvSchema) -> RegressionDataset:
         for j, c in enumerate(feature_idx):
             features[r, j] = parse_cell(row_no, c, row[c])
         targets[r] = parse_cell(row_no, target_idx, row[target_idx])
+    if np.all(targets == targets[0]):  # nothing to regress on
+        raise DataSchemaError(f"target column {schema.target_column!r} of {path} is constant")
     return RegressionDataset(features=features, targets=targets)
 
 

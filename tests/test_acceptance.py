@@ -8,13 +8,16 @@ bit-for-bit across reruns.
 """
 
 import json
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semireg.cli import ExperimentConfig, build_split, main
+from semireg.cli import ExperimentConfig, _fix_malloc_thresholds, build_split, main
 from semireg.data import SyntheticSpec, generate_synthetic, split_semi_supervised
 from semireg.ensemble import generate_pseudo_labels, predict, variance_reduction_check
 from semireg.errors import UsageError
@@ -237,19 +240,30 @@ def test_criterion_3_variance_reduction():
 
 @pytest.fixture(scope="module")
 def benchmark_runs():
-    """All ablation cells plus the labeled-only control, 5 seeds each."""
+    """All ablation cells plus the labeled-only control, 5 seeds each.
+
+    Each run is a pure function of its config and split, so the runs are
+    spread over one spawned worker process per core.
+    """
     started = time.time()
-    runs = {}
+    jobs = {}
     for seed in SEEDS:
         seeded = ExperimentConfig.from_dict({**BENCHMARK, "seed": seed})
         _, split = build_split(seeded)
         for variant in ("baseline", "baseline_con", "baseline_ens", "full"):
             cfg = ExperimentConfig.from_dict({**BENCHMARK, "seed": seed, "variant": variant})
-            runs[(variant, seed)] = run_experiment(cfg, split)
+            jobs[(variant, seed)] = (cfg, split)
         w0 = ExperimentConfig.from_dict(
             {**BENCHMARK, "seed": seed, "variant": "full", "unlabeled_weight": 0.0}
         )
-        runs[("labeled_only", seed)] = run_experiment(w0, split)
+        jobs[("labeled_only", seed)] = (w0, split)
+    with ProcessPoolExecutor(
+        min(os.cpu_count() or 1, len(jobs)),
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=_fix_malloc_thresholds,
+    ) as pool:
+        results = pool.map(run_experiment, *zip(*jobs.values()), timeout=1800)
+        runs = dict(zip(jobs, results))
     runs["elapsed"] = time.time() - started
     return runs
 

@@ -1,4 +1,3 @@
-import contextlib
 import hashlib
 import json
 import os
@@ -188,7 +187,8 @@ def _then_diverge(tmp_path, command, out):
 
 def _then_make_csv_target_constant(tmp_path, command, out):
     config = _csv_target_config(tmp_path, lambda i: i % 7)
-    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    for run in dict.fromkeys(["train", command]):  # evaluate scores train's checkpoints
+        assert main([run, "--config", str(config), "--out", str(out)]) == 0
     _csv_target_config(tmp_path, lambda i: 1.5)
     return config
 
@@ -201,22 +201,26 @@ def _then_damage_checkpoint(tmp_path, command, out):
     return config
 
 
-# command, setup, exit code, start of the error line, expected UserWarning,
-# the files left in --out, and those of them the refused run wrote
+# command, setup, exit code, start of the error line, the files left in
+# --out, and those of them the refused run wrote
 REFUSALS = {
     "train_diverges": (
-        "train", _then_diverge, 3, "error: training diverged", None,
+        "train", _then_diverge, 3, "error: training diverged",
         {"loss_history.csv"}, {"loss_history.csv"},
     ),
     "variance_demo_diverges": (
-        "variance-demo", _then_diverge, 3, "error: training diverged", None, set(), set(),
+        "variance-demo", _then_diverge, 3, "error: training diverged", set(), set(),
     ),
     "train_constant_csv_target": (
-        "train", _then_make_csv_target_constant, 2, "error: r_squared is undefined",
-        "targets have zero variance", set(), set(),
+        "train", _then_make_csv_target_constant, 2, "error: target column '1' of ",
+        set(), set(),
+    ),
+    "evaluate_constant_csv_target": (
+        "evaluate", _then_make_csv_target_constant, 2, "error: target column '1' of ",
+        set(cli.ARTIFACTS["train"]), set(),
     ),
     "evaluate_damaged_checkpoint": (
-        "evaluate", _then_damage_checkpoint, 2, "error: checkpoint", None,
+        "evaluate", _then_damage_checkpoint, 2, "error: checkpoint",
         set(cli.ARTIFACTS["train"]), set(),
     ),
 }
@@ -263,13 +267,12 @@ class TestTrainCommand:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("refusal", sorted(REFUSALS))
     def test_refused_run_leaves_no_stale_artifacts(self, tmp_path, capsys, refusal):
-        command, setup, code, message, warning, kept, rewritten = REFUSALS[refusal]
+        command, setup, code, message, kept, rewritten = REFUSALS[refusal]
         out = tmp_path / "out"
         bad = setup(tmp_path, command, out)
         assert {p.name for p in out.iterdir()} == set(cli.ARTIFACTS[command]) | kept
         capsys.readouterr()
-        with pytest.warns(UserWarning, match=warning) if warning else contextlib.nullcontext():
-            assert main([command, "--config", str(bad), "--out", str(out)]) == code
+        assert main([command, "--config", str(bad), "--out", str(out)]) == code
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(message)
         assert {p.name for p in out.iterdir()} == kept
@@ -290,11 +293,10 @@ class TestTrainCommand:
     def test_constant_target_csv_exits_2_without_traceback(self, tmp_path, capsys):
         config = _csv_target_config(tmp_path, lambda i: 1.5)
         out = tmp_path / "out"
-        with pytest.warns(UserWarning, match="targets have zero variance"):
-            assert main(["train", "--config", str(config), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "error: r_squared is undefined for constant truth" in err
-        assert "Traceback" not in err
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+        csv_path = tmp_path / "rows.csv"
+        expected = f"error: target column '1' of {csv_path} is constant"
+        assert capsys.readouterr().err.splitlines() == [expected]
         assert not (out / "metrics.json").exists()
 
     def test_bin_report_csv_shape(self, tmp_path):

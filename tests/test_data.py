@@ -142,6 +142,13 @@ class TestCsv:
         with pytest.raises(DataSchemaError, match="empty"):
             load_csv(path, CsvSchema(feature_columns=("x",), target_column="y"))
 
+    def test_constant_target_rejected_naming_file_and_column(self, tmp_path):
+        path = tmp_path / "flat.csv"
+        path.write_text("x,y\n1,1.5\n2,1.5\n3,1.5\n")
+        with pytest.raises(DataSchemaError) as err:
+            load_csv(path, CsvSchema(feature_columns=("x",), target_column="y"))
+        assert str(err.value) == f"target column 'y' of {path} is constant"
+
     def test_headerless_indices(self, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("1,2,10\n3,4,20\n")

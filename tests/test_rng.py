@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import semireg.rng
 from semireg.errors import ParameterError
 from semireg.rng import Rng, _fnv1a64, _mix64, sample_dropout_mask
 
@@ -138,3 +143,16 @@ def test_split_matches_the_numpy_finalizer(seed):
         h = _fnv1a64(str(label).encode("utf-8"))
         expected = int(_mix64(np.array([seed ^ h], dtype=np.uint64))[0])
         assert Rng(seed).split(label).seed == expected
+
+
+def test_importing_rng_leaves_training_unloaded():
+    # the package root imports no submodule, so one module loads on its own
+    package_root = str(Path(semireg.rng.__file__).parents[1])
+    probe = "import sys, semireg.rng; print('semireg.training' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {package_root!r}); {probe}"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
