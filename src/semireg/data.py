@@ -242,7 +242,9 @@ def split_semi_supervised(
 
     ``val_fraction`` and ``test_fraction`` are fractions of the full dataset;
     ``label_fraction`` applies to the remaining training rows, with the rest
-    becoming the unlabeled set (possibly empty at label_fraction=1).
+    becoming the unlabeled set (possibly empty at label_fraction=1). A
+    partition that cannot be scored, no validation row or fewer than 2 test
+    rows (R^2 needs two), is refused with a ParameterError naming its fraction.
     """
     if data.targets is None:
         raise ParameterError("cannot split a dataset without targets")
@@ -255,6 +257,15 @@ def split_semi_supervised(
     n_train = n - n_test - n_val
     if n_train < 1:
         raise ParameterError("fractions leave no training rows")
+    for name, frac, part, rows, least in (
+        ("val_fraction", val_fraction, "validation", n_val, 1),
+        ("test_fraction", test_fraction, "test", n_test, 2),
+    ):
+        if rows < least:
+            raise ParameterError(
+                f"{name}={frac} gives the {part} partition {rows} of {n} rows; "
+                f"it needs at least {least}"
+            )
     n_labeled = int(round(label_fraction * n_train))
     n_labeled = max(1, min(n_labeled, n_train))
 

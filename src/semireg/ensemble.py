@@ -23,18 +23,24 @@ That holds a whole 90-row, 5-draw call of a 64x64 pair (115,200 words) in
 one chunk, so a validation pass is one mask call and one forward; a 225-row
 call runs 2 draws per chunk, which keeps the temporaries of large inputs
 bounded. predict and variance_reduction_check take the pair the same way.
+
+A call's mask blocks are known before it runs (mask_schedule), so callers
+that make many calls on fixed inputs, the validation passes of a training
+run and the reruns of variance_reduction_check, have them computed ahead by
+rng.mask_helper. The blocks, and so every result, are the same bits.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import RegressionDataset
 from .errors import ParameterError, UsageError
-from .mlp import MlpModel, forward, split_mask_block
-from .rng import Rng, sample_dropout_mask
+from .mlp import MlpConfig, MlpModel, forward, split_mask_block
+from .rng import Rng, mask_helper, sample_dropout_mask
 
 # Most mask words one chunk of draws may hold (2**17 words = 1 MiB).
 _CHUNK_WORDS = 2**17
@@ -79,8 +85,7 @@ def generate_pseudo_labels(
         raise ParameterError("generate_pseudo_labels needs a stacked pair (see stack_models)")
     cfg = pair.config
     rows = x.shape[0]
-    words_per_member = rows * sum(cfg.hidden_dims)
-    chunk = max(1, _CHUNK_WORDS // max(1, 2 * words_per_member))
+    words_per_member, chunk = _chunking(cfg, rows)
     y_sum = np.zeros(rows)
     lv_sum = np.zeros(rows)
     for start in range(0, draws, chunk):
@@ -95,6 +100,32 @@ def generate_pseudo_labels(
             y_sum += 0.5 * (y[t, 0] + y[t, 1])
             lv_sum += 0.5 * (lv[t, 0] + lv[t, 1])
     return PseudoLabels(y=y_sum / draws, log_var=lv_sum / draws)
+
+
+def _chunking(cfg: MlpConfig, rows: int) -> tuple[int, int]:
+    # (mask words of one member per draw, draws per chunk) for `rows` rows
+    words_per_member = rows * sum(cfg.hidden_dims)
+    return words_per_member, max(1, _CHUNK_WORDS // max(1, 2 * words_per_member))
+
+
+def mask_schedule(cfg: MlpConfig, rows: int, draws: Iterable[int], rng: Rng) -> list[tuple]:
+    """Mask block keys of generate_pseudo_labels calls, for rng.mask_helper.
+
+    The ``(seed, start, rows, cols, p)`` of every block that calls on
+    ``rows`` input rows with each of ``draws`` draws in turn take from
+    ``rng``, in order, starting at its current counter; ``rng`` is not
+    advanced.
+    """
+    words_per_member, chunk = _chunking(cfg, rows)
+    cols = 2 * words_per_member
+    start = rng.counter
+    keys = []
+    for n in draws:
+        for first in range(0, n, chunk):
+            k = min(chunk, n - first)
+            keys.append((rng.seed, start, k, cols, cfg.dropout_p))
+            start += k * cols
+    return keys
 
 
 def predict(
@@ -159,9 +190,10 @@ def variance_reduction_check(
     n = features.shape[0]
     single = np.empty((reruns, n))
     ensemble = np.empty((reruns, n))
-    for r in range(reruns):
-        single[r], _ = predict(pair, x=features, draws=1, rng=rng)
-        ensemble[r], _ = predict(pair, x=features, draws=draws, rng=rng)
+    with mask_helper((rng,), mask_schedule(pair.config, n, (1, draws) * reruns, rng)):
+        for r in range(reruns):
+            single[r], _ = predict(pair, x=features, draws=1, rng=rng)
+            ensemble[r], _ = predict(pair, x=features, draws=draws, rng=rng)
 
     def _stats(preds: np.ndarray):
         sq_err = (preds - targets) ** 2

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import losses
 from .data import CsvSchema, Normalizer, SemiSupervisedSplit, SyntheticSpec, check_fractions
-from .ensemble import MIN_RERUNS, PseudoLabels, generate_pseudo_labels, predict
+from .ensemble import MIN_RERUNS, PseudoLabels, generate_pseudo_labels, mask_schedule, predict
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -48,7 +48,7 @@ from .errors import (
 from .evaluation import BinReport, mae, r_squared, spearman_rank_corr, uncertainty_binning
 from .losses import LossBreakdown
 from .mlp import MlpConfig, MlpModel, backward, forward, init_model, stack_models
-from .rng import Rng
+from .rng import Rng, mask_helper
 
 VARIANTS = ("baseline", "baseline_con", "baseline_ens", "full")
 # Each optimizer's slots: one flat accumulator buffer per key.
@@ -121,6 +121,8 @@ class ExperimentConfig:
         for key in ("csv_feature_columns", "seeds"):
             if getattr(self, key) == ():
                 raise ConfigError(f"{key} must not be empty")
+        if len(set(self.seeds)) < len(self.seeds):  # a repeated seed is no new sample
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         for key, low in _MINIMUMS.items():
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
@@ -502,8 +504,8 @@ def run_experiment(config: ExperimentConfig, split: SemiSupervisedSplit) -> Expe
     root = Rng(config.seed)
     state = init_train_state(config, split.labeled.input_dim)
 
-    def ensembled(x: np.ndarray, stream: str) -> tuple[np.ndarray, np.ndarray]:
-        return predict(state.pair, x=x, draws=config.ensemble_draws, rng=root.split(stream))
+    def ensembled(x: np.ndarray, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+        return predict(state.pair, x=x, draws=config.ensemble_draws, rng=rng)
 
     def diverged(reason) -> DivergenceError:
         return DivergenceError(f"training diverged at step {state.step}: {reason}", state.history)
@@ -513,39 +515,45 @@ def run_experiment(config: ExperimentConfig, split: SemiSupervisedSplit) -> Expe
             raise diverged(f"{what} is not finite")
         return values
 
+    # Every validation pass draws its masks from a stream of its own, so the
+    # helper computes each one's blocks while the epoch before it trains.
+    val_rngs = [root.split(f"val:{epoch}") for epoch in range(config.epochs + 1)]
+    val_shape = (state.pair.config, x_val.shape[0], (config.ensemble_draws,))
+    val_keys = [key for rng in val_rngs for key in mask_schedule(*val_shape, rng)]
+
     def validation_mae(epoch: int) -> float:
-        y_pred, _ = ensembled(x_val, f"val:{epoch}")
+        y_pred, _ = ensembled(x_val, val_rngs[epoch])
         value = mae(normalizer.inverse_targets(y_pred), split.validation.targets)
         return reported(f"validation MAE of epoch {epoch}", value)
 
     n_lab = split.labeled.n
     steps_per_epoch = max(1, math.ceil(n_lab / config.batch_labeled))
-    val_curve = [validation_mae(0)]
-    best_mae, best_epoch = val_curve[0], 0
-    best_params = dict(state.pair.params)
-
     ulb_rng = root.split("unlabeled_order")
     unlabeled_batches = _cycle_batches(split.unlabeled.n, config.batch_unlabeled, ulb_rng)
     consecutive_bad = 0
-    for epoch in range(1, config.epochs + 1):
-        order = root.split(f"batches:{epoch}").permutation(n_lab)
-        for s in range(steps_per_epoch):
-            idx = order[s * config.batch_labeled : (s + 1) * config.batch_labeled]
-            batch = (x_lab[idx], y_lab[idx])
-            ulb_batch = x_ulb[next(unlabeled_batches)] if has_unlabeled else None
-            try:
-                train_step(state, batch, ulb_batch, config)
-            except NonFiniteLossError as err:
-                consecutive_bad += 1
-                if consecutive_bad >= 2:
-                    raise diverged(err) from err
-            else:
-                consecutive_bad = 0
-        epoch_mae = validation_mae(epoch)
-        val_curve.append(epoch_mae)
-        if epoch_mae < best_mae:
-            best_mae, best_epoch = epoch_mae, epoch
-            best_params = dict(state.pair.params)
+    with mask_helper(val_rngs, val_keys):
+        val_curve = [validation_mae(0)]
+        best_mae, best_epoch = val_curve[0], 0
+        best_params = dict(state.pair.params)
+        for epoch in range(1, config.epochs + 1):
+            order = root.split(f"batches:{epoch}").permutation(n_lab)
+            for s in range(steps_per_epoch):
+                idx = order[s * config.batch_labeled : (s + 1) * config.batch_labeled]
+                batch = (x_lab[idx], y_lab[idx])
+                ulb_batch = x_ulb[next(unlabeled_batches)] if has_unlabeled else None
+                try:
+                    train_step(state, batch, ulb_batch, config)
+                except NonFiniteLossError as err:
+                    consecutive_bad += 1
+                    if consecutive_bad >= 2:
+                        raise diverged(err) from err
+                else:
+                    consecutive_bad = 0
+            epoch_mae = validation_mae(epoch)
+            val_curve.append(epoch_mae)
+            if epoch_mae < best_mae:
+                best_mae, best_epoch = epoch_mae, epoch
+                best_params = dict(state.pair.params)
 
     # Pseudo-label quality is a property of the models as trained, so the
     # uncertainty report is captured from the final-epoch weights, before the
@@ -553,7 +561,7 @@ def run_experiment(config: ExperimentConfig, split: SemiSupervisedSplit) -> Expe
     bin_report = None
     spearman = None
     if has_unlabeled and split.oracle_unlabeled_targets is not None:
-        y_pl, lv_pl = ensembled(x_ulb, "bin_report")
+        y_pl, lv_pl = ensembled(x_ulb, root.split("bin_report"))
         y_pl_orig = normalizer.inverse_targets(y_pl)
         lv_orig = lv_pl + normalizer.log_var_offset
         truth = split.oracle_unlabeled_targets

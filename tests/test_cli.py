@@ -66,6 +66,13 @@ class TestConfigParsing:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_repeated_seeds_exit_2_naming_seeds(self, tmp_path, capsys):
+        # a repeated seed would count one run twice in n_seeds and mae_std
+        config = write_config(tmp_path, {"seeds": [0, 1, 0]})
+        assert main(["ablate", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "error: seeds must be distinct, got [0, 1, 0]\n"
+        assert not (tmp_path / "x").exists()
+
     def test_csv_task_requires_csv_keys(self):
         with pytest.raises(ConfigError, match="csv_path"):
             ExperimentConfig.from_dict({"task": "csv"})
@@ -185,6 +192,16 @@ def _then_diverge(tmp_path, command, out):
     return write_config(tmp_path, {"variance_reruns": 30, **diverging}, name="bad.json")
 
 
+def _then_refuse(overrides):
+    # a setup whose refused run takes the tiny config with `overrides`
+    def setup(tmp_path, command, out):
+        good = write_config(tmp_path, name="good.json")
+        assert main([command, "--config", str(good), "--out", str(out)]) == 0
+        return write_config(tmp_path, overrides, name="bad.json")
+
+    return setup
+
+
 def _then_make_csv_target_constant(tmp_path, command, out):
     config = _csv_target_config(tmp_path, lambda i: i % 7)
     for run in dict.fromkeys(["train", command]):  # evaluate scores train's checkpoints
@@ -218,6 +235,15 @@ REFUSALS = {
     "evaluate_constant_csv_target": (
         "evaluate", _then_make_csv_target_constant, 2, "error: target column '1' of ",
         set(cli.ARTIFACTS["train"]), set(),
+    ),
+    # refused at split time, before any epoch
+    "train_empty_validation": (
+        "train", _then_refuse({"val_fraction": 0.0}), 2,
+        "error: val_fraction=0.0 gives the validation partition 0 of 120 rows", set(), set(),
+    ),
+    "train_one_test_row": (
+        "train", _then_refuse({"test_fraction": 0.01}), 2,
+        "error: test_fraction=0.01 gives the test partition 1 of 120 rows", set(), set(),
     ),
     "evaluate_damaged_checkpoint": (
         "evaluate", _then_damage_checkpoint, 2, "error: checkpoint",

@@ -190,11 +190,11 @@ class TestSplit:
 
     def test_split_sizes(self):
         # 1000 training rows at 10% labels -> 100 labeled, 900 unlabeled
-        data = self.make_data(1000)
-        split = split_semi_supervised(data, 0.1, 0.0, 0.0, Rng(1))
+        data = self.make_data(1250)
+        split = split_semi_supervised(data, 0.1, 0.1, 0.1, Rng(1))
         assert split.labeled.n == 100
         assert split.unlabeled.n == 900
-        assert split.validation.n == 0 and split.test.n == 0
+        assert split.validation.n == 125 and split.test.n == 125
 
     def test_partitions_disjoint_and_exhaustive(self):
         data = self.make_data(500)
@@ -206,7 +206,7 @@ class TestSplit:
 
     def test_unlabeled_targets_hidden_but_oracle_kept(self):
         data = self.make_data(200)
-        split = split_semi_supervised(data, 0.5, 0.0, 0.0, Rng(3))
+        split = split_semi_supervised(data, 0.5, 0.1, 0.1, Rng(3))
         assert split.unlabeled.targets is None
         assert split.oracle_unlabeled_targets is not None
         assert split.oracle_unlabeled_targets.shape == (split.unlabeled.n,)
@@ -223,6 +223,15 @@ class TestSplit:
         s2 = split_semi_supervised(data, 0.3, 0.1, 0.2, Rng(5))
         assert np.array_equal(s1.labeled.features, s2.labeled.features)
         assert np.array_equal(s1.test.targets, s2.test.targets)
+
+    def test_unscorable_partitions_refused_naming_their_fraction(self):
+        data = self.make_data(100)
+        with pytest.raises(ParameterError, match=r"^val_fraction=0\.0 .* 0 of 100 rows"):
+            split_semi_supervised(data, 0.5, 0.0, 0.2, Rng(0))
+        with pytest.raises(ParameterError, match=r"^test_fraction=0\.01 .* 1 of 100 rows"):
+            split_semi_supervised(data, 0.5, 0.2, 0.01, Rng(0))
+        split = split_semi_supervised(data, 0.5, 0.01, 0.02, Rng(0))  # the least scorable
+        assert (split.validation.n, split.test.n) == (1, 2)
 
     def test_fraction_validation(self):
         data = self.make_data(100)
