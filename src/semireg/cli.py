@@ -35,7 +35,7 @@ from .data import (
     split_semi_supervised,
 )
 from .ensemble import variance_reduction_check
-from .errors import DivergenceError, NonFiniteError, SemiregError
+from .errors import DivergenceError, NonFiniteError, SemiregError, UsageError
 from .losses import LossBreakdown
 from .mlp import load_model, save_model, stack_models
 from .rng import Rng
@@ -279,6 +279,8 @@ def main(argv=None) -> int:
     try:
         config = ExperimentConfig.from_file(args.config)
         if args.seed is not None:
+            if args.command == "ablate":  # it would only relabel the artifacts
+                raise UsageError("ablate runs every seed in the config's seeds; drop --seed")
             config = config.with_seed(args.seed)
         out_dir = Path(args.out)
         _clear_artifacts(out_dir, ARTIFACTS[args.command])

@@ -23,22 +23,23 @@ given platform build. A single Rng must not be shared across threads.
 A mask block is a pure function of (stream seed, start counter, rows, cols,
 p), so it can be computed anywhere before it is drawn. Inside mask_helper a
 forked helper process computes a known schedule of such blocks ahead of the
-caller. The helper gets copies of the (seed, start) values and never touches
+caller and sends each one down a pipe as its keep bits, packed eight to a
+byte. The helper gets copies of the (seed, start) values and never touches
 an Rng: sample_dropout_mask still advances the caller's stream, and takes a
-block only when its draw has exactly a scheduled key and the block is ready.
-Every other draw, and every draw when no helper can run, is computed inline
-with the same bits.
+block only when its draw has exactly a scheduled key and the block has fully
+arrived. Every other draw, and every draw when no helper can run, is
+computed inline with the same bits.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import select
 import sys
 import warnings
 from collections.abc import Sequence
 from contextlib import contextmanager
+from itertools import accumulate
 
 import numpy as np
 
@@ -163,8 +164,9 @@ def sample_dropout_mask(rng: Rng | Sequence[Rng], rows: int, cols: int, p: float
     instead of being turned into uniforms: ``(w >> 11) * 2**-53 < p`` holds
     exactly when ``w < ceil(p * 2**53) << 11``, so the mask is the same bit
     for bit. The mask is written into the buffer that held the words. A
-    draw from a stream inside mask_helper whose key is scheduled returns the
-    helper's block instead, a read-only copy, when the block is ready.
+    draw from a stream inside mask_helper whose key is scheduled returns
+    instead the helper's keep bits scaled the same way, also read-only, when
+    they have fully arrived.
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
@@ -196,29 +198,24 @@ def _block_rows(seed: int, start: int, rows: int, cols: int) -> tuple[np.ndarray
 def _mask_block(seeds: np.ndarray, starts: np.ndarray, cols: int, p: float) -> np.ndarray:
     # The (rows, cols) float64 mask of sample_dropout_mask: row i from the
     # stream seeded seeds[i], at counter starts[i].
-    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
     words = _words(seeds, starts, cols)
     # bool * keep is exactly 0.0 or keep, as in the definition, and faster;
     # the float64 mask overwrites the words it was computed from
-    return np.multiply(words >= threshold, 1.0 / (1.0 - p), out=words.view(np.float64))
+    return np.multiply(words >= _threshold(p), 1.0 / (1.0 - p), out=words.view(np.float64))
+
+
+def _threshold(p: float) -> np.uint64:
+    # a unit is kept when its raw word is at least this
+    return np.uint64(math.ceil(p * 2.0**53) << 11)
 
 
 # Fewest scheduled mask words worth a helper. Its fixed cost, mostly the
 # ~1,600 copy-on-write faults the fork causes in the caller, was 16-54 ms of
 # system time per call on a shared 2-vCPU Xeon VM, while a block taken from
-# the helper saves ~5 ns a word (~6.5 ns to draw inline, ~1.5 ns to copy):
+# the helper saves ~6 ns a word (~7 ns to draw inline, ~1 ns to unpack):
 # it pays off only past ~10M words. At ~12M (100 epochs of a 90-row, 5-draw
 # validation pass of a 64x64 pair) benchmark runs showed no gain.
 _HELPER_MIN_WORDS = 2**24
-# Blocks the helper may compute ahead of the caller (at most 1 MiB each, see
-# ensemble._CHUNK_WORDS). On a shared 2-vCPU VM, asking the helper for a ~1 ms
-# block and getting it back took 2.5 ms at the median and 17 ms at the 90th
-# percentile, so it works several blocks ahead instead of one.
-_RING_BLOCKS = 8
-# How long (ms) a draw waits for its block before drawing it inline: never,
-# as a late helper must not stall the caller. Tests raise it so that every
-# scheduled draw takes the helper's block.
-_WAIT_MS = 0
 
 
 @contextmanager
@@ -227,14 +224,14 @@ def mask_helper(streams: Sequence[Rng], keys: Sequence[tuple[int, int, int, int,
 
     ``keys`` are the ``(seed, start, rows, cols, p)`` of one-stream
     sample_dropout_mask draws the body will make from ``streams``, in
-    order. A forked helper computes them ahead into shared memory; a draw
-    from one of ``streams`` whose key is scheduled takes that block if it is
-    ready (skipping any earlier ones never drawn), and every other draw is
-    computed inline. Where the helper cannot run (no fork, fewer than 2
-    usable CPUs, a failed fork, a helper that died) or would not pay for
-    itself (fewer than _HELPER_MIN_WORDS scheduled), draws are inline too,
-    so the bits are the same either way. The helper is gone when the body
-    exits, whichever way it exits.
+    order. A forked helper computes them ahead and sends them down a pipe; a
+    draw from one of ``streams`` whose key is scheduled takes that block if
+    it has arrived (dropping any earlier ones never drawn), and every other
+    draw is computed inline. Where the helper cannot run (no fork, fewer
+    than 2 usable CPUs, a failed fork, a helper that died) or would not pay
+    for itself (fewer than _HELPER_MIN_WORDS scheduled), draws are inline
+    too, so the bits are the same either way. The helper is gone when the
+    body exits, whichever way it exits.
     """
     keys = [key for key in keys if key[2] * key[3] > 0]
     words = sum(rows * cols for _, _, rows, cols, _ in keys)
@@ -260,54 +257,44 @@ def _can_fork() -> bool:
 class _MaskHelper:
     """The parent's end of a forked helper that computes scheduled mask blocks.
 
-    The helper computes the blocks in schedule order into a ring of
-    _RING_BLOCKS slots of a shared memory file (block i in slot i mod
-    _RING_BLOCKS) and reports each one's index on the "ready" pipe. After
-    each draw the parent sends, on the "free" pipe, the index of the next
-    block it will draw: the helper skips any block below it and computes at
-    most _RING_BLOCKS blocks past it, so it never overwrites a block the
-    parent may still take. A draw whose block is not ready is drawn inline
-    at once, and a block is copied out with pread, so the parent never maps
-    the ring. The helper leaves by os._exit when the parent's pipe closes,
-    so it also ends when the parent dies.
+    The helper writes the blocks in schedule order down one pipe, each as
+    its keep bits packed eight to a byte, and blocks while the pipe is full,
+    so the pipe's capacity bounds how far ahead of the parent it runs. The
+    parent reads without blocking: a draw drops the bytes of blocks before
+    its own and, when its block has fully arrived, scales the unpacked bits
+    to the mask; otherwise it draws inline at once. The helper leaves when a
+    write fails, so once the parent closes its end or dies.
     """
 
-    def __init__(self, keys, pid: int, ring: int, slot_bytes: int, ready: int, free: int):
-        self._keys = keys
+    def __init__(self, keys, pid: int, pipe: int):
         self._index = {key: i for i, key in enumerate(keys)}
+        # block i's bytes are bytes _offsets[i] to _offsets[i + 1] of the pipe
+        self._offsets = [0, *accumulate((rows * cols + 7) // 8 for _, _, rows, cols, _ in keys)]
         self._next = 0  # index of the first block still to be drawn
-        self._done = 0  # 1 + the last block the helper reported
-        self._pid, self._ring, self._slot_bytes = pid, ring, slot_bytes
-        self._ready, self._free = ready, free
-        self._poll = select.poll()
-        self._poll.register(ready, select.POLLIN)
+        self._read = 0  # bytes read from the pipe so far
+        self._pid, self._pipe = pid, pipe
 
     @classmethod
     def start(cls, keys) -> "_MaskHelper | None":
         """Fork a helper for ``keys``, or None when that fails."""
-        slot_bytes = 8 * max(rows * cols for _, _, rows, cols, _ in keys)
         fds = []
         try:
-            fds.append(os.memfd_create("semireg-masks"))
-            os.ftruncate(fds[0], _RING_BLOCKS * slot_bytes)
-            fds += [*os.pipe(), *os.pipe()]
+            fds += os.pipe()
             # The helper runs numpy's elementwise loops only, never BLAS, so
             # the threads a BLAS library may hold do not matter in it.
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
                 if pid == 0:  # the helper: run no more of the caller's code
-                    ring, ready_r, ready_w, free_r, free_w = fds
-                    _serve(keys, ring, slot_bytes, free_r, ready_w, parent_ends=(ready_r, free_w))
+                    _serve(keys, *fds)
         except OSError:
             for fd in fds:
                 os.close(fd)
             return None
-        ring, ready_r, ready_w, free_r, free_w = fds
-        os.close(ready_w)
-        os.close(free_r)
-        os.set_blocking(free_w, False)  # a stalled helper's full pipe must not block a draw
-        return cls(keys, pid, ring, slot_bytes, ready_r, free_w)
+        pipe, helper_end = fds
+        os.close(helper_end)
+        os.set_blocking(pipe, False)  # a draw never waits for its block
+        return cls(keys, pid, pipe)
 
     def take(self, key) -> np.ndarray | None:
         """The read-only block of a scheduled ``key``, or None to draw it inline."""
@@ -315,83 +302,57 @@ class _MaskHelper:
         if want is None or want < self._next:
             return None
         self._next = want + 1
-        block = None
-        if self._reported(want):
-            _, _, rows, cols, _ = key
-            block = np.empty((rows, cols))
-            offset = (want % _RING_BLOCKS) * self._slot_bytes
-            if os.preadv(self._ring, [block], offset) == block.nbytes:
-                block.setflags(write=False)
-            else:
-                block = None
-        try:
-            os.write(self._free, self._next.to_bytes(4, "little"))
-        except OSError:  # the helper is gone, or stalled with its pipe full
-            self._stop()
+        start, end = self._offsets[want], self._offsets[want + 1]
+        packed = bytearray()
+        while self._read < end:  # the bytes before `start` belong to blocks drawn inline
+            try:
+                data = os.read(self._pipe, end - self._read)
+            except BlockingIOError:  # not fully arrived
+                return None
+            if not data:  # the helper is gone: draw inline from here on
+                self._stop()
+                return None
+            packed += data[max(start - self._read, 0) :]
+            self._read += len(data)
+        _, _, rows, cols, p = key
+        bits = np.unpackbits(np.frombuffer(packed, np.uint8), count=rows * cols)
+        block = np.multiply(bits.reshape(rows, cols), 1.0 / (1.0 - p))
+        block.setflags(write=False)
         return block
-
-    def _reported(self, want: int) -> bool:
-        # Read the helper's reports (waiting up to _WAIT_MS for them); True
-        # when block `want` is in the ring.
-        while want >= self._done:
-            if not self._poll.poll(_WAIT_MS):
-                return False
-            reports = os.read(self._ready, 4096)  # whole 4-byte reports, in order
-            if not reports:
-                self._stop()  # the helper is gone: draw inline from here on
-                return False
-            self._done = int.from_bytes(reports[-4:], "little") + 1
-        return True
 
     def _stop(self):
         self._index = {}
-        for fd in (self._ready, self._free):
-            if fd >= 0:
-                os.close(fd)
-        self._ready = self._free = -1
+        if self._pipe >= 0:
+            os.close(self._pipe)
+            self._pipe = -1
 
     def close(self):
-        """End the helper and release its pipes and ring.
+        """End the helper and release its pipe.
 
-        Closing the pipes ends the helper at its next look at them, after at
-        most the block it is computing; it is then reaped.
+        Closing the pipe ends the helper at its next write, after at most the
+        block it is computing; it is then reaped.
         """
         self._stop()
-        os.close(self._ring)
         try:
             os.waitpid(self._pid, 0)
         except ChildProcessError:  # already reaped, as under SIGCHLD = SIG_IGN
             pass
 
 
-def _serve(keys, ring: int, slot_bytes: int, free: int, ready: int, parent_ends: tuple[int, int]):
-    # The helper process: compute the scheduled blocks into the ring as far
-    # as the parent's last "next block" allows, and leave without running
-    # any of the parent's cleanup. It leaves on the EOF of the parent's
-    # pipe, which needs the parent's pipe ends closed here, or on any error
-    # (an interrupt too): the parent then draws inline.
+def _serve(keys, parent_end: int, pipe: int):
+    # The helper process: write the packed keep bits of each scheduled block
+    # in turn, and leave without running any of the parent's cleanup. It
+    # leaves after the last block, or on any error: a write to the pipe
+    # fails once the parent's end is closed everywhere, which needs that end
+    # closed here too; an interrupt ends it as well.
     status = 1
     try:
-        for fd in parent_ends:
-            os.close(fd)
-        poll = select.poll()
-        poll.register(free, select.POLLIN)
-        i = wanted = 0  # the next block to compute; the parent's next draw
-        while True:
-            idle = i >= min(wanted + _RING_BLOCKS, len(keys))
-            if poll.poll(-1 if idle else 0):
-                message = os.read(free, 4096)  # whole 4-byte indices, in order
-                if not message:
-                    break
-                wanted = int.from_bytes(message[-4:], "little")
-                i = max(i, wanted)
-                continue
-            seed, start, rows, cols, p = keys[i]
-            block = _mask_block(*_block_rows(seed, start, rows, cols), cols, p)
-            if os.pwrite(ring, block, (i % _RING_BLOCKS) * slot_bytes) != block.nbytes:
-                break
-            os.write(ready, i.to_bytes(4, "little"))
-            i += 1
+        os.close(parent_end)
+        for seed, start, rows, cols, p in keys:
+            words = _words(*_block_rows(seed, start, rows, cols), cols)
+            packed = memoryview(np.packbits(words >= _threshold(p)))
+            while packed:
+                packed = packed[os.write(pipe, packed) :]
         status = 0
     finally:
         os._exit(status)

@@ -238,12 +238,25 @@ def test_criterion_3_variance_reduction():
 # ------------------------------------------------------- criteria 4-6 fixture
 
 
+def _pin_worker(counter):
+    # Pin this pool worker to a CPU of its own. The workers fill every core,
+    # so none is left for a mask helper, and one usable CPU starts none (a
+    # helper needs Linux, where affinity can be set).
+    with counter.get_lock():
+        index = counter.value
+        counter.value += 1
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[index % len(cpus)]})
+    _fix_malloc_thresholds()
+
+
 @pytest.fixture(scope="module")
 def benchmark_runs():
     """All ablation cells plus the labeled-only control, 5 seeds each.
 
     Each run is a pure function of its config and split, so the runs are
-    spread over one spawned worker process per core.
+    spread over one spawned worker process per core, each pinned to its core.
     """
     started = time.time()
     jobs = {}
@@ -257,10 +270,12 @@ def benchmark_runs():
             {**BENCHMARK, "seed": seed, "variant": "full", "unlabeled_weight": 0.0}
         )
         jobs[("labeled_only", seed)] = (w0, split)
+    context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(
         min(os.cpu_count() or 1, len(jobs)),
-        mp_context=multiprocessing.get_context("spawn"),
-        initializer=_fix_malloc_thresholds,
+        mp_context=context,
+        initializer=_pin_worker,
+        initargs=(context.Value("i", 0),),
     ) as pool:
         results = pool.map(run_experiment, *zip(*jobs.values()), timeout=1800)
         runs = dict(zip(jobs, results))

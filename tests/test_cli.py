@@ -378,6 +378,16 @@ class TestAblateCommand:
         cells = json.loads((out / "ablation_cells.json").read_text())
         assert len(cells["cells"]) == 8  # 4 variants x 2 seeds
 
+    def test_seed_flag_exits_2_naming_seeds(self, tmp_path, capsys):
+        # ablate runs the config's seeds, so --seed would only relabel its artifacts
+        config = write_config(tmp_path, {"epochs": 0, "seeds": [0]})
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(config), "--seed", "7", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: ablate runs every seed in the config's seeds; drop --seed\n"
+        )
+        assert not out.exists()
+
 
 class TestVarianceDemoCommand:
     def test_report_schema_and_zero_dropout_equality(self, tmp_path):

@@ -2,9 +2,9 @@
 
 Commands run through cli.main in a fresh interpreter, so that the only
 children it can find are its own helpers. The helper is allowed there even on
-a one-CPU host and for a small schedule, draws wait for its blocks (which
-they never do otherwise), and os.fork is counted, so each test knows what
-the helper did.
+a one-CPU host and for a small schedule, draws wait for its blocks (the
+parent's end of its pipe is made blocking, which it never is otherwise), and
+os.fork is counted, so each test knows what the helper did.
 """
 
 import json
@@ -26,14 +26,22 @@ ROOT = Path(__file__).resolve().parents[1]
 QUICK = ROOT / "configs" / "quick.json"
 
 PRELUDE = f"""
-import hashlib, json, os, signal, sys, time
+import fcntl, hashlib, json, os, signal, sys, time
 sys.path[:0] = [{str(ROOT / "src")!r}, {str(ROOT / "perfbench")!r}]
 import semireg.cli as cli
 import semireg.rng as rng
 
 rng._can_fork = lambda: True
 rng._HELPER_MIN_WORDS = 0
-rng._WAIT_MS = 60_000
+_start = rng._MaskHelper.start
+
+def start(keys):
+    helper = _start(keys)
+    if helper is not None:
+        os.set_blocking(helper._pipe, True)
+    return helper
+
+rng._MaskHelper.start = start
 forks = []
 _fork = os.fork
 
@@ -152,26 +160,30 @@ def test_train_with_the_helper_killed_keeps_the_pins(tmp_path):
         f"""
 take = rng._MaskHelper.take
 taken = []
+held = []
 
 def take_then_kill(self, key):
     if len(taken) == 10:
         os.kill(self._pid, signal.SIGKILL)
+        # the most whole blocks the pipe can hold
+        held.append(fcntl.fcntl(self._pipe, fcntl.F_GETPIPE_SZ) // ((key[2] * key[3] + 7) // 8))
     block = take(self, key)
     taken.append(block is not None)
     return block
 
 rng._MaskHelper.take = take_then_kill
 rc = train({str(QUICK)!r}, "q")
-print(json.dumps({{"rc": rc, "digests": digests("q"), "taken": taken, "left": children_left()}}))
+print(json.dumps({{"rc": rc, "digests": digests("q"), "taken": taken, "held": held,
+                  "left": children_left()}}))
 """,
     )
-    taken = report.pop("taken")
+    taken, [held] = report.pop("taken"), report.pop("held")
     assert report == {"rc": 0, "digests": QUICK_SHA256, "left": False}
     # 41 validation passes: the first ten blocks came from the helper, the
-    # rest but those it had put in the ring before the kill were drawn inline
+    # rest but those already in the pipe at the kill were drawn inline
     assert len(taken) == 41 and taken[:10] == [True] * 10
     assert taken == sorted(taken, reverse=True)
-    assert taken.count(False) >= 41 - 10 - rng_module._RING_BLOCKS
+    assert taken.count(False) >= 41 - 10 - held
 
 
 def test_tracer_sees_the_same_mask_draws_with_and_without_the_helper(tmp_path):
@@ -203,7 +215,14 @@ print(json.dumps({{"codes": codes, "unwrapped": tracer.unwrapped_bindings(),
 def counted_takes(monkeypatch):
     monkeypatch.setattr(rng_module, "_can_fork", lambda: True)
     monkeypatch.setattr(rng_module, "_HELPER_MIN_WORDS", 0)
-    monkeypatch.setattr(rng_module, "_WAIT_MS", 60_000)
+    start = rng_module._MaskHelper.start
+
+    def blocking(keys):  # every draw waits for its block
+        helper = start(keys)
+        os.set_blocking(helper._pipe, True)
+        return helper
+
+    monkeypatch.setattr(rng_module._MaskHelper, "start", blocking)
     take = rng_module._MaskHelper.take
     taken = []
 
@@ -233,6 +252,25 @@ def test_wrong_key_is_drawn_inline_with_the_same_bits(counted_takes):
     assert [m.tobytes() for m in got] == [m.tobytes() for m in expected]
     assert stream.counter == reference.counter
     assert not any(m.flags.writeable for m in got)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_packed_blocks_of_any_size_unpack_to_the_inline_bits(counted_takes, p):
+    # rows * cols is not a multiple of 8 except in (5, 23040)
+    shapes = [(3, 5), (1, 1), (2, 13), (5, 23040), (1, 7)]
+    stream, reference = Rng(11), Rng(11)
+    keys, start = [], 0
+    for rows, cols in shapes:
+        keys.append((stream.seed, start, rows, cols, p))
+        start += rows * cols
+    with mask_helper((stream,), keys):
+        got = [sample_dropout_mask(stream, rows, cols, p) for rows, cols in shapes]
+    expected = [sample_dropout_mask(reference, rows, cols, p) for rows, cols in shapes]
+    assert counted_takes == [True] * len(shapes)
+    assert [m.tobytes() for m in got] == [m.tobytes() for m in expected]
+    assert [m.shape for m in got] == shapes
+    assert not any(m.flags.writeable for m in got)
+    assert stream.counter == reference.counter
 
 
 def test_unscheduled_draws_are_inline_and_keep_their_place(counted_takes):
