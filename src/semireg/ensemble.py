@@ -24,10 +24,10 @@ one chunk, so a validation pass is one mask call and one forward; a 225-row
 call runs 2 draws per chunk, which keeps the temporaries of large inputs
 bounded. predict and variance_reduction_check take the pair the same way.
 
-A call's mask blocks are known before it runs (mask_schedule), so callers
+A call draws the mask blocks that mask_schedule lists, in order. Callers
 that make many calls on fixed inputs, the validation passes of a training
-run and the reruns of variance_reduction_check, have them computed ahead by
-rng.mask_helper. The blocks, and so every result, are the same bits.
+run and the reruns of variance_reduction_check, have rng.mask_helper compute
+them ahead and serve them in that order. The bits are the same either way.
 """
 
 from __future__ import annotations
@@ -85,13 +85,11 @@ def generate_pseudo_labels(
         raise ParameterError("generate_pseudo_labels needs a stacked pair (see stack_models)")
     cfg = pair.config
     rows = x.shape[0]
-    words_per_member, chunk = _chunking(cfg, rows)
     y_sum = np.zeros(rows)
     lv_sum = np.zeros(rows)
-    for start in range(0, draws, chunk):
-        k = min(chunk, draws - start)
-        block = sample_dropout_mask(rng, k, 2 * words_per_member, cfg.dropout_p)
-        masks = split_mask_block(block.reshape(k, 2, words_per_member), rows, cfg.hidden_dims)
+    for _, _, k, cols, p in mask_schedule(cfg, rows, (draws,), rng):
+        block = sample_dropout_mask(rng, k, cols, p)
+        masks = split_mask_block(block.reshape(k, 2, cols // 2), rows, cfg.hidden_dims)
         y, lv = forward(pair, x, masks=masks)[:2]  # the trace is not kept
         del block, masks  # freed before the next chunk's masks are drawn
         # a pair without hidden layers has no masks and returns (2, rows)
@@ -102,22 +100,17 @@ def generate_pseudo_labels(
     return PseudoLabels(y=y_sum / draws, log_var=lv_sum / draws)
 
 
-def _chunking(cfg: MlpConfig, rows: int) -> tuple[int, int]:
-    # (mask words of one member per draw, draws per chunk) for `rows` rows
-    words_per_member = rows * sum(cfg.hidden_dims)
-    return words_per_member, max(1, _CHUNK_WORDS // max(1, 2 * words_per_member))
-
-
 def mask_schedule(cfg: MlpConfig, rows: int, draws: Iterable[int], rng: Rng) -> list[tuple]:
-    """Mask block keys of generate_pseudo_labels calls, for rng.mask_helper.
+    """The chunk plan of generate_pseudo_labels calls: the keys of their mask blocks.
 
     The ``(seed, start, rows, cols, p)`` of every block that calls on
     ``rows`` input rows with each of ``draws`` draws in turn take from
     ``rng``, in order, starting at its current counter; ``rng`` is not
-    advanced.
+    advanced. A block is one chunk, a row of both members' masks per draw
+    and as many draws as fit in _CHUNK_WORDS (at least one).
     """
-    words_per_member, chunk = _chunking(cfg, rows)
-    cols = 2 * words_per_member
+    cols = 2 * rows * sum(cfg.hidden_dims)
+    chunk = max(1, _CHUNK_WORDS // max(1, cols))
     start = rng.counter
     keys = []
     for n in draws:

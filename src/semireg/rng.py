@@ -25,10 +25,10 @@ p), so it can be computed anywhere before it is drawn. Inside mask_helper a
 forked helper process computes a known schedule of such blocks ahead of the
 caller and sends each one down a pipe as its keep bits, packed eight to a
 byte. The helper gets copies of the (seed, start) values and never touches
-an Rng: sample_dropout_mask still advances the caller's stream, and takes a
-block only when its draw has exactly a scheduled key and the block has fully
-arrived. Every other draw, and every draw when no helper can run, is
-computed inline with the same bits.
+an Rng: sample_dropout_mask still advances the caller's stream, and reads a
+block from the pipe while its draws keep to the schedule, in order. The
+first draw off the schedule ends the helper; it, every later draw, and every
+draw when no helper can run are computed inline with the same bits.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import sys
 import warnings
 from collections.abc import Sequence
 from contextlib import contextmanager
-from itertools import accumulate
 
 import numpy as np
 
@@ -164,9 +163,9 @@ def sample_dropout_mask(rng: Rng | Sequence[Rng], rows: int, cols: int, p: float
     instead of being turned into uniforms: ``(w >> 11) * 2**-53 < p`` holds
     exactly when ``w < ceil(p * 2**53) << 11``, so the mask is the same bit
     for bit. The mask is written into the buffer that held the words. A
-    draw from a stream inside mask_helper whose key is scheduled returns
-    instead the helper's keep bits scaled the same way, also read-only, when
-    they have fully arrived.
+    draw from a stream inside mask_helper whose key is the next scheduled
+    one returns instead the helper's keep bits scaled the same way, also
+    read-only.
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
@@ -222,18 +221,18 @@ _HELPER_MIN_WORDS = 2**24
 def mask_helper(streams: Sequence[Rng], keys: Sequence[tuple[int, int, int, int, float]]):
     """Compute scheduled mask blocks of ``streams`` in a helper process while the body runs.
 
-    ``keys`` are the ``(seed, start, rows, cols, p)`` of one-stream
+    ``keys`` are the ``(seed, start, rows, cols, p)`` of the one-stream
     sample_dropout_mask draws the body will make from ``streams``, in
-    order. A forked helper computes them ahead and sends them down a pipe; a
-    draw from one of ``streams`` whose key is scheduled takes that block if
-    it has arrived (dropping any earlier ones never drawn), and every other
-    draw is computed inline. Where the helper cannot run (no fork, fewer
-    than 2 usable CPUs, a failed fork, a helper that died) or would not pay
-    for itself (fewer than _HELPER_MIN_WORDS scheduled), draws are inline
-    too, so the bits are the same either way. The helper is gone when the
-    body exits, whichever way it exits.
+    order. A forked helper computes them ahead and sends them down a pipe,
+    and each draw whose key is the next scheduled one waits for its block
+    and takes it. The first draw from one of ``streams`` with any other key
+    ends the helper: it, and every later draw, is computed inline. Where the
+    helper cannot run (no fork, fewer than 2 usable CPUs, a failed fork, a
+    helper that died) or would not pay for itself (fewer than
+    _HELPER_MIN_WORDS scheduled), draws are inline too, so the bits are the
+    same either way. The helper is gone when the body exits, whichever way
+    it exits.
     """
-    keys = [key for key in keys if key[2] * key[3] > 0]
     words = sum(rows * cols for _, _, rows, cols, _ in keys)
     helper = _MaskHelper.start(keys) if words >= _HELPER_MIN_WORDS and _can_fork() else None
     if helper is None:
@@ -259,19 +258,16 @@ class _MaskHelper:
 
     The helper writes the blocks in schedule order down one pipe, each as
     its keep bits packed eight to a byte, and blocks while the pipe is full,
-    so the pipe's capacity bounds how far ahead of the parent it runs. The
-    parent reads without blocking: a draw drops the bytes of blocks before
-    its own and, when its block has fully arrived, scales the unpacked bits
-    to the mask; otherwise it draws inline at once. The helper leaves when a
-    write fails, so once the parent closes its end or dies.
+    so the pipe's capacity bounds how far ahead of the parent it runs. A
+    draw with the next scheduled key reads its block's bytes, waiting for
+    them if need be, and scales the unpacked bits to the mask. A draw with
+    any other key, or an end of file (the helper is gone), closes the pipe:
+    that draw and all later ones are inline. The helper leaves when a write
+    fails, so once the parent closes its end or dies.
     """
 
     def __init__(self, keys, pid: int, pipe: int):
-        self._index = {key: i for i, key in enumerate(keys)}
-        # block i's bytes are bytes _offsets[i] to _offsets[i + 1] of the pipe
-        self._offsets = [0, *accumulate((rows * cols + 7) // 8 for _, _, rows, cols, _ in keys)]
-        self._next = 0  # index of the first block still to be drawn
-        self._read = 0  # bytes read from the pipe so far
+        self._keys = iter(keys)
         self._pid, self._pipe = pid, pipe
 
     @classmethod
@@ -293,35 +289,28 @@ class _MaskHelper:
             return None
         pipe, helper_end = fds
         os.close(helper_end)
-        os.set_blocking(pipe, False)  # a draw never waits for its block
         return cls(keys, pid, pipe)
 
     def take(self, key) -> np.ndarray | None:
-        """The read-only block of a scheduled ``key``, or None to draw it inline."""
-        want = self._index.get(key)
-        if want is None or want < self._next:
+        """The read-only block of ``key`` if it is the next scheduled one, else None (inline)."""
+        if self._pipe < 0 or key != next(self._keys, None):
+            self._stop()
             return None
-        self._next = want + 1
-        start, end = self._offsets[want], self._offsets[want + 1]
+        _, _, rows, cols, p = key
+        size = (rows * cols + 7) // 8
         packed = bytearray()
-        while self._read < end:  # the bytes before `start` belong to blocks drawn inline
-            try:
-                data = os.read(self._pipe, end - self._read)
-            except BlockingIOError:  # not fully arrived
-                return None
-            if not data:  # the helper is gone: draw inline from here on
+        while len(packed) < size:
+            data = os.read(self._pipe, size - len(packed))
+            if not data:  # the helper is gone
                 self._stop()
                 return None
-            packed += data[max(start - self._read, 0) :]
-            self._read += len(data)
-        _, _, rows, cols, p = key
+            packed += data
         bits = np.unpackbits(np.frombuffer(packed, np.uint8), count=rows * cols)
         block = np.multiply(bits.reshape(rows, cols), 1.0 / (1.0 - p))
         block.setflags(write=False)
         return block
 
     def _stop(self):
-        self._index = {}
         if self._pipe >= 0:
             os.close(self._pipe)
             self._pipe = -1

@@ -121,6 +121,10 @@ class ExperimentConfig:
         for key in ("csv_feature_columns", "seeds"):
             if getattr(self, key) == ():
                 raise ConfigError(f"{key} must not be empty")
+        for key, seeds in (("seed", (self.seed,)), ("seeds", self.seeds)):
+            outside = [seed for seed in seeds if not 0 <= seed < 2**64]
+            if outside:  # Rng keeps a seed's low 64 bits, so it would alias one inside
+                raise ConfigError(f"{key} must be in [0, 2**64), got {outside[0]}")
         if len(set(self.seeds)) < len(self.seeds):  # a repeated seed is no new sample
             raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         for key, low in _MINIMUMS.items():
@@ -155,9 +159,11 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, object_pairs_hook=_unique_keys)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
+        except ConfigError:  # a repeated key; not to be taken for bad JSON below
+            raise
         except ValueError as err:  # bad JSON or UTF-8, or an integer past int's digit limit
             raise ConfigError(f"config is not valid JSON: {err}") from None
         if not isinstance(raw, dict):
@@ -197,6 +203,15 @@ class ExperimentConfig:
 
 
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _unique_keys(pairs: list) -> dict:
+    # a JSON object as a dict; json itself would keep a repeated key's last value
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ConfigError(f"{key}: config key given more than once")
+    return dict(pairs)
 
 
 def _is_json(value, kind: type) -> bool:

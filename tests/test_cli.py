@@ -73,6 +73,32 @@ class TestConfigParsing:
         assert capsys.readouterr().err == "error: seeds must be distinct, got [0, 1, 0]\n"
         assert not (tmp_path / "x").exists()
 
+    def test_repeated_key_exits_2_naming_it(self, tmp_path, capsys):
+        # json keeps a repeated key's last value: this would train 0 epochs
+        config = tmp_path / "config.json"
+        config.write_text('{"epochs": 3, "epochs": 0}')
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "error: epochs: config key given more than once\n"
+        assert not (tmp_path / "x").exists()
+
+    # Rng keeps a seed's low 64 bits: 2**64 and -2**64 would run seed 0
+    @pytest.mark.parametrize(
+        "command, key, value, shown",
+        [
+            ("train", "seed", 2**64, "18446744073709551616"),
+            ("ablate", "seeds", [0, 2**64], "18446744073709551616"),
+            ("ablate", "seeds", [1, -(2**64)], "-18446744073709551616"),
+        ],
+        ids=["seed=2**64", "seeds=[0,2**64]", "seeds=[1,-2**64]"],
+    )
+    def test_seed_outside_64_bits_exits_2_naming_the_key(
+        self, tmp_path, capsys, command, key, value, shown
+    ):
+        config = write_config(tmp_path, {key: value})
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {key} must be in [0, 2**64), got {shown}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_csv_task_requires_csv_keys(self):
         with pytest.raises(ConfigError, match="csv_path"):
             ExperimentConfig.from_dict({"task": "csv"})
@@ -120,7 +146,7 @@ BAD_VALUES = {
     "label_fraction": ("most", 0.0),
     "val_fraction": ("some", 1.0),
     "test_fraction": ([0.2], -0.1),
-    "seed": (0.5, None),
+    "seed": (0.5, -1),
     "seeds": ([0.5], []),
     "variant": (1, "half"),
     "epochs": ("many", -1),
@@ -340,6 +366,14 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config), "--seed", "7", "--out", str(out)]) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["seed"] == 7
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_flag_outside_64_bits_exits_2_naming_seed(self, tmp_path, capsys, seed):
+        config = write_config(tmp_path)
+        out = tmp_path / "seeded"
+        assert main(["train", "--config", str(config), "--seed", str(seed), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert not out.exists()
 
     def test_loss_history_has_provenance_and_rows(self, tmp_path):
         config = write_config(tmp_path)

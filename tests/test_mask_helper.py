@@ -2,9 +2,8 @@
 
 Commands run through cli.main in a fresh interpreter, so that the only
 children it can find are its own helpers. The helper is allowed there even on
-a one-CPU host and for a small schedule, draws wait for its blocks (the
-parent's end of its pipe is made blocking, which it never is otherwise), and
-os.fork is counted, so each test knows what the helper did.
+a one-CPU host and for a small schedule, and os.fork is counted, so each test
+knows what the helper did.
 """
 
 import json
@@ -33,15 +32,6 @@ import semireg.rng as rng
 
 rng._can_fork = lambda: True
 rng._HELPER_MIN_WORDS = 0
-_start = rng._MaskHelper.start
-
-def start(keys):
-    helper = _start(keys)
-    if helper is not None:
-        os.set_blocking(helper._pipe, True)
-    return helper
-
-rng._MaskHelper.start = start
 forks = []
 _fork = os.fork
 
@@ -100,6 +90,40 @@ print(json.dumps(result))
     )
     assert report == {
         "rc_ok": 0, "forks_ok": 1, "left_ok": False, "rc_bad": 3, "forks": 2, "left_bad": False
+    }
+
+
+def test_every_scheduled_block_comes_from_the_helper(tmp_path):
+    report = _run(
+        tmp_path,
+        f"""
+start, take = rng._MaskHelper.start, rng._MaskHelper.take
+scheduled, taken = [], []
+
+def counted_start(keys):
+    scheduled.append(len(keys))
+    return start(keys)
+
+def counted_take(self, key):
+    block = take(self, key)
+    taken.append(block is not None)
+    return block
+
+rng._MaskHelper.start, rng._MaskHelper.take = counted_start, counted_take
+result = {{}}
+for command in ("train", "variance-demo"):
+    rc = cli.main([command, "--config", {str(QUICK)!r}, "--out", os.path.join(out, command)])
+    result[command] = [rc, scheduled.copy(), taken.count(True), len(taken)]
+    scheduled.clear()
+    taken.clear()
+print(json.dumps(result))
+""",
+    )
+    # 41 validation passes; each variance check (T = 1, 2, 5, 20) makes 60
+    # reruns of a single-draw and a T-draw call, each one block on 40 rows
+    assert report == {
+        "train": [0, [41], 41, 41],
+        "variance-demo": [0, [41, 120, 120, 120, 120], 521, 521],
     }
 
 
@@ -215,14 +239,6 @@ print(json.dumps({{"codes": codes, "unwrapped": tracer.unwrapped_bindings(),
 def counted_takes(monkeypatch):
     monkeypatch.setattr(rng_module, "_can_fork", lambda: True)
     monkeypatch.setattr(rng_module, "_HELPER_MIN_WORDS", 0)
-    start = rng_module._MaskHelper.start
-
-    def blocking(keys):  # every draw waits for its block
-        helper = start(keys)
-        os.set_blocking(helper._pipe, True)
-        return helper
-
-    monkeypatch.setattr(rng_module._MaskHelper, "start", blocking)
     take = rng_module._MaskHelper.take
     taken = []
 
@@ -239,16 +255,20 @@ def _keys(stream, n, rows, cols, p):
     return [(stream.seed, i * rows * cols, rows, cols, p) for i in range(n)]
 
 
-def test_wrong_key_is_drawn_inline_with_the_same_bits(counted_takes):
+def test_an_off_schedule_draw_ends_the_helper(counted_takes):
     stream, reference = Rng(5), Rng(5)
     keys = _keys(stream, 4, 3, 40, 0.1)
     keys[1] = (stream.seed, 121, 3, 40, 0.1)  # one word off
     with mask_helper((stream,), keys):
-        assert stream._helper is not None
-        got = [sample_dropout_mask(stream, 3, 40, 0.1) for _ in range(4)]
+        helper = stream._helper
+        got = [sample_dropout_mask(stream, 3, 40, 0.1) for _ in range(2)]
+        assert helper._pipe == -1  # closed at the second draw
+        got += [sample_dropout_mask(stream, 3, 40, 0.1) for _ in range(2)]
     assert stream._helper is None
+    with pytest.raises(ChildProcessError):  # the helper is gone and reaped
+        os.waitpid(helper._pid, os.WNOHANG)
     expected = [sample_dropout_mask(reference, 3, 40, 0.1) for _ in range(4)]
-    assert counted_takes == [True, False, True, True]
+    assert counted_takes == [True, False, False, False]
     assert [m.tobytes() for m in got] == [m.tobytes() for m in expected]
     assert stream.counter == reference.counter
     assert not any(m.flags.writeable for m in got)
@@ -256,8 +276,8 @@ def test_wrong_key_is_drawn_inline_with_the_same_bits(counted_takes):
 
 @pytest.mark.parametrize("p", [0.0, 0.3])
 def test_packed_blocks_of_any_size_unpack_to_the_inline_bits(counted_takes, p):
-    # rows * cols is not a multiple of 8 except in (5, 23040)
-    shapes = [(3, 5), (1, 1), (2, 13), (5, 23040), (1, 7)]
+    # rows * cols is not a multiple of 8 except in (5, 23040) and the empty blocks
+    shapes = [(3, 5), (1, 1), (4, 0), (2, 13), (5, 23040), (0, 6), (1, 7)]
     stream, reference = Rng(11), Rng(11)
     keys, start = [], 0
     for rows, cols in shapes:
