@@ -16,11 +16,10 @@ they are and numbers by repr, so every float round-trips exactly.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
-import os
 import sys
-from dataclasses import asdict, astuple, fields, replace
+from dataclasses import asdict, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,14 @@ from .errors import DivergenceError, NonFiniteError, SemiregError, UsageError
 from .losses import LossBreakdown
 from .mlp import load_model, save_model, stack_models
 from .rng import Rng
-from .training import VARIANTS, ExperimentConfig, ExperimentResult, run_experiment, score_test
+from .training import (
+    VARIANTS,
+    ExperimentConfig,
+    ExperimentResult,
+    _fix_malloc_thresholds,
+    run_experiment,
+    score_test,
+)
 
 VARIANCE_DEMO_DRAWS = (1, 2, 5, 20)
 CHECKPOINTS = ("model_a.json", "model_b.json")  # member 0, member 1 of the pair
@@ -52,11 +58,6 @@ ARTIFACTS = {
     "evaluate": ("eval_metrics.json",),
 }
 
-# glibc mallopt parameters (malloc.h) and the values main() fixes them at.
-# Fixing either one turns off glibc's dynamic mmap threshold, so both are set.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_TRIM_THRESHOLD_BYTES = 16 << 20
-_MMAP_THRESHOLD_BYTES = 4 << 20
 
 def build_split(config: ExperimentConfig) -> tuple[RegressionDataset, SemiSupervisedSplit]:
     """Dataset and partition derived from the config's single seed."""
@@ -93,8 +94,10 @@ def _write_csv(path: Path, provenance: str, header, rows):
 
 
 def _write_loss_history(path: Path, history, config: ExperimentConfig):
-    header = ("step", *(f.name for f in fields(LossBreakdown)))
-    rows = ((i, *astuple(item)) for i, item in enumerate(history))
+    names = [f.name for f in fields(LossBreakdown)]
+    values = attrgetter(*names)  # the floats as they are; astuple would deep-copy each
+    rows = ((i, *values(item)) for i, item in enumerate(history))
+    header = ("step", *names)
     _write_csv(path, _provenance(config), header, rows)
 
 
@@ -231,26 +234,6 @@ def _clear_artifacts(out_dir: Path, names) -> None:
             (out_dir / name).unlink(missing_ok=True)
     except OSError as err:
         raise SemiregError(f"cannot write to --out {out_dir}: {err.strerror}") from None
-
-
-def _fix_malloc_thresholds() -> None:
-    """Keep freed heap memory for reuse instead of returning it to the OS.
-
-    By default glibc trims the heap top and maps large blocks afresh, so
-    numpy temporaries re-fault their pages on every call. Only allocation
-    changes; no number does. Other C libraries are left alone.
-    """
-    try:
-        libc_version = os.confstr("CS_GNU_LIBC_VERSION")
-    except (ValueError, OSError):
-        return
-    if not libc_version or not libc_version.startswith("glibc"):
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
 
 
 def main(argv=None) -> int:

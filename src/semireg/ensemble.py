@@ -15,8 +15,10 @@ one row of words per draw laid out as (member a, member b; layer), which are
 the same stream words in the same order as one draw at a time. The masks are
 views of that block in (draw, member, rows, width) order, and the pair runs
 one forward per chunk, so the draw-independent first layer is computed once
-and one trace is built per chunk, not per draw and model. The trace is
-dropped before the next chunk's masks are drawn.
+per chunk, not per draw and model. That forward builds no trace
+(forward's trace=False): each mask is multiplied into its layer's fresh
+activation in place, and the block is dropped before the next chunk's masks
+are drawn.
 
 The chunk size caps the mask block at _CHUNK_WORDS = 2**17 words (1 MiB).
 That holds a whole 90-row, 5-draw call of a 64x64 pair (115,200 words) in
@@ -90,13 +92,15 @@ def generate_pseudo_labels(
     for _, _, k, cols, p in mask_schedule(cfg, rows, (draws,), rng):
         block = sample_dropout_mask(rng, k, cols, p)
         masks = split_mask_block(block.reshape(k, 2, cols // 2), rows, cfg.hidden_dims)
-        y, lv = forward(pair, x, masks=masks)[:2]  # the trace is not kept
+        y, lv, _ = forward(pair, x, masks=masks, trace=False)
         del block, masks  # freed before the next chunk's masks are drawn
         # a pair without hidden layers has no masks and returns (2, rows)
         y, lv = (np.broadcast_to(v, (k, 2, rows)) for v in (y, lv))
+        # each draw's member mean, elementwise, then the draws summed in order
+        y_pair, lv_pair = (0.5 * (v[:, 0] + v[:, 1]) for v in (y, lv))
         for t in range(k):
-            y_sum += 0.5 * (y[t, 0] + y[t, 1])
-            lv_sum += 0.5 * (lv[t, 0] + lv[t, 1])
+            y_sum += y_pair[t]
+            lv_sum += lv_pair[t]
     return PseudoLabels(y=y_sum / draws, log_var=lv_sum / draws)
 
 

@@ -4,9 +4,9 @@ The trunk is a stack of affine layers with relu or tanh activations, a
 dropout mask after every hidden activation, and two linear heads on top:
 one predicting the target value, one predicting the log of the aleatoric
 variance (kept in log space so the variance is positive by construction).
-Forward passes record everything needed for an exact reverse-mode gradient,
+A forward pass records everything needed for an exact reverse-mode gradient,
 including the sampled dropout masks, so a stored trace can be replayed
-bit-for-bit.
+bit-for-bit; callers that discard the trace skip it (trace=False).
 
 Parameters are read-only float64 arrays. The optimizer never writes to
 them; it replaces them, so an array's identity stands for its values. A
@@ -155,7 +155,9 @@ def forward(
     x: np.ndarray,
     rng: Rng | tuple[Rng, Rng] | None = None,
     masks: list[np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, ForwardTrace]:
+    *,
+    trace: bool = True,
+) -> tuple[np.ndarray, np.ndarray, ForwardTrace | None]:
     """One forward pass over a batch ``x`` of shape (rows, input_dim).
 
     Modes: pass ``rng`` to sample fresh dropout masks (one stochastic draw),
@@ -169,6 +171,12 @@ def forward(
     (*draws, *member_shape, rows, width) with draws () or (k,): a draw axis
     runs k draws at once and returns (k, *member_shape, rows) outputs, with
     the same bits as k separate passes.
+
+    ``trace=False`` is for callers that discard the trace: the pass returns
+    (y_hat, log_var, None) with the same bits, keeps no per-layer arrays, and
+    multiplies each mask into its fresh activation in place (a layer-0 mask
+    with a draw axis still broadcasts into a new array). No mask passed in
+    is written to.
     """
     if rng is not None and masks is not None:
         raise ParameterError("pass rng or masks, not both")
@@ -210,6 +218,14 @@ def forward(
                 np.maximum(act, 0.0, out=act)
             else:
                 np.tanh(act, out=act)
+            if not trace:  # nothing keeps act, so the mask may overwrite it
+                if masks is None:  # x * 1.0 == x: the all-ones mask changes no bit
+                    h = act
+                elif masks[i].shape == act.shape:
+                    h = np.multiply(act, masks[i], out=act)
+                else:
+                    h = act * masks[i]
+                continue
             mask = masks[i] if masks is not None else _read_only(np.ones_like(act))
             h = act * mask
             activations.append(act)
@@ -218,11 +234,16 @@ def forward(
 
         y_hat = _affine(h, params, "head_y")[..., 0]
         raw_log_var = _affine(h, params, "head_logvar")[..., 0]
-    log_var = np.clip(raw_log_var, cfg.log_var_min, cfg.log_var_max)
-    clamp_active = (raw_log_var < cfg.log_var_min) | (raw_log_var > cfg.log_var_max)
+    # only a trace reads the unclamped values (clamp_active)
+    log_var = np.clip(
+        raw_log_var, cfg.log_var_min, cfg.log_var_max, out=None if trace else raw_log_var
+    )
     for arr in (y_hat, log_var):
         arr.setflags(write=False)
-    trace = ForwardTrace(
+    if not trace:
+        return y_hat, log_var, None
+    clamp_active = (raw_log_var < cfg.log_var_min) | (raw_log_var > cfg.log_var_max)
+    kept = ForwardTrace(
         layer_inputs=layer_inputs,
         activations=activations,
         masks=used_masks,
@@ -231,7 +252,7 @@ def forward(
         clamp_active=clamp_active,
         params=params,
     )
-    return y_hat, log_var, trace
+    return y_hat, log_var, kept
 
 
 def _affine(h: np.ndarray, params: dict[str, np.ndarray], layer: str) -> np.ndarray:

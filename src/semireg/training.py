@@ -23,9 +23,10 @@ type, default and range, and the only settings a run reads.
 
 from __future__ import annotations
 
-import hashlib
+import ctypes
 import json
 import math
+import os
 import sys
 import types
 import typing
@@ -50,6 +51,16 @@ from .losses import LossBreakdown
 from .mlp import MlpConfig, MlpModel, backward, forward, init_model, stack_models
 from .rng import Rng, mask_helper
 
+# CPython's built-in SHA-256: hashlib would map OpenSSL's libcrypto (~3.4 MB of
+# resident memory) into every command for one small digest.
+try:
+    from _sha2 import sha256 as _sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 VARIANTS = ("baseline", "baseline_con", "baseline_ens", "full")
 # Each optimizer's slots: one flat accumulator buffer per key.
 OPTIMIZER_SLOTS = {"adam": ("m", "v"), "sgd_momentum": ("velocity",)}
@@ -62,6 +73,12 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 REPORT_BINS = 10
+
+# glibc mallopt parameters (malloc.h) and the values _fix_malloc_thresholds
+# sets. Fixing either one turns off glibc's dynamic mmap threshold, so both are set.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD_BYTES = 16 << 20
+_MMAP_THRESHOLD_BYTES = 4 << 20
 
 
 # How a type error names each JSON type a config field can hold.
@@ -177,7 +194,7 @@ class ExperimentConfig:
         return json.dumps(asdict(self), sort_keys=True)
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        return _sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     @property
     def uses_consistency(self) -> bool:
@@ -351,7 +368,7 @@ def init_train_state(config: ExperimentConfig, input_dim: int) -> TrainState:
 def _cross_targets(pair: MlpModel, x: np.ndarray, rng: Rng) -> PseudoLabels:
     # One stochastic pass of the pair; each member's prediction becomes the
     # *other* member's detached target, hence the member swap.
-    y, log_var, _ = forward(pair, x, rng=(rng.split("a"), rng.split("b")))
+    y, log_var, _ = forward(pair, x, rng=(rng.split("a"), rng.split("b")), trace=False)
     return PseudoLabels(y=y[::-1], log_var=log_var[::-1])
 
 
@@ -493,6 +510,26 @@ def score_test(
     return test_mae, test_r2
 
 
+def _fix_malloc_thresholds() -> None:
+    """Keep freed heap memory for reuse instead of returning it to the OS.
+
+    By default glibc trims the heap top and maps large blocks afresh, so
+    numpy temporaries re-fault their pages on every call. Only allocation
+    changes; no number does. Other C libraries are left alone.
+    """
+    try:
+        libc_version = os.confstr("CS_GNU_LIBC_VERSION")
+    except (ValueError, OSError):
+        return
+    if not libc_version or not libc_version.startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+
+
 def run_experiment(config: ExperimentConfig, split: SemiSupervisedSplit) -> ExperimentResult:
     """Train on a split, select the best epoch by validation MAE, score the test set.
 
@@ -502,8 +539,10 @@ def run_experiment(config: ExperimentConfig, split: SemiSupervisedSplit) -> Expe
     experiment fails with the loss history attached (DivergenceError) if two
     consecutive steps produce non-finite losses, or if a value it reports (a
     validation MAE, a bin of the uncertainty report, test MAE or R^2) is not
-    finite, as when the weights grow huge but stay finite.
+    finite, as when the weights grow huge but stay finite. It first fixes
+    glibc's malloc thresholds (_fix_malloc_thresholds), as the CLI does.
     """
+    _fix_malloc_thresholds()
     if split.labeled.targets is None:
         raise UsageError("labeled partition must carry targets")
     has_unlabeled = split.unlabeled.n > 0

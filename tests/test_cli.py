@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from semireg import cli
+from semireg import cli, training
 from semireg.cli import ExperimentConfig, main
 from semireg.errors import ConfigError, DivergenceError, SemiregError, StaleTraceError
 
@@ -190,7 +191,10 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match=rf"\b{key}\b"):
             ExperimentConfig.from_dict({**base, key: value})
 
-    @pytest.mark.parametrize("name", sorted(CONFIG_SHA256))
+    # every file in configs/ too, so each one's sha256() is checked against hashlib
+    @pytest.mark.parametrize(
+        "name", sorted({*CONFIG_SHA256, *(path.name for path in CONFIGS.glob("*.json"))})
+    )
     def test_canonical_json_sha256(self, name):
         if name.endswith(".json"):
             config = ExperimentConfig.from_file(CONFIGS / name)
@@ -592,23 +596,45 @@ def test_allocator_tuning_is_skipped_off_glibc(tmp_path, monkeypatch):
     def no_cdll(*args, **kwargs):
         raise AssertionError("mallopt must not be reached")
 
-    monkeypatch.setattr(cli.os, "confstr", no_glibc)
-    monkeypatch.setattr(cli.ctypes, "CDLL", no_cdll)
+    monkeypatch.setattr(training.os, "confstr", no_glibc)
+    monkeypatch.setattr(training.ctypes, "CDLL", no_cdll)
     config = write_config(tmp_path)
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
+def run_python(*args):
+    """A fresh interpreter with ``args``, importing the package the tests import."""
+    package_root = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def test_module_entrypoint_runs(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "proc"
-    # the child imports the package the tests import, installed or not
-    package_root = str(Path(cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "semireg.cli", "train", "--config", str(config), "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_python("-m", "semireg.cli", "train", "--config", str(config), "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert "test_mae=" in proc.stdout
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this Python has no built-in SHA-256 module",
+)
+def test_train_does_not_load_openssl(tmp_path):
+    # hashlib's _hashlib maps OpenSSL's libcrypto, ~3.4 MB resident, into the process
+    argv = ["train", "--config", str(CONFIGS / "quick.json"), "--out", str(tmp_path)]
+    script = (
+        "import sys\n"
+        "from semireg.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

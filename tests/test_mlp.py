@@ -64,6 +64,20 @@ def assert_same_bytes(got, expected):
     assert got.tobytes() == expected.tobytes()
 
 
+def assert_trace_free_matches(model, x, streams=lambda: None, masks=None):
+    """forward(trace=False) returns the traced pass's bytes, read-only and with
+    no trace, and writes into no mask it is given. ``streams()`` makes fresh rng."""
+    y, lv, _ = forward(model, x, rng=streams(), masks=masks)
+    given = None if masks is None else [mask.copy() for mask in masks]
+    y_free, lv_free, trace = forward(model, x, rng=streams(), masks=masks, trace=False)
+    assert trace is None
+    for got, expected in ((y_free, y), (lv_free, lv)):
+        assert_same_bytes(got, expected)
+        assert not got.flags.writeable
+    for mask, before in zip(masks or (), given or ()):
+        assert_same_bytes(mask, before)
+
+
 class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ParameterError):
@@ -150,6 +164,7 @@ class TestForward:
         for k, single in enumerate(traces):
             assert y[k].tobytes() == single.y_hat.tobytes()
             assert lv[k].tobytes() == single.log_var.tobytes()
+        assert_trace_free_matches(model, x, masks=stacked)
 
     def test_stacked_masks_must_share_one_draw_count(self):
         model = small_model(hidden=(6, 4), dropout_p=0.3)
@@ -438,6 +453,8 @@ class TestStackedPair:
                 assert_same_bytes(mask[i], mask_i)
                 assert not mask.flags.writeable
             assert stream.counter == rows * sum(hidden)
+            assert_trace_free_matches(model, x, streams=lambda: Rng(seed))
+        assert_trace_free_matches(pair, x, streams=lambda: (Rng(5), Rng(6)))
 
         # deterministic
         y, lv, _ = forward(pair, x)
@@ -445,6 +462,8 @@ class TestStackedPair:
             y_i, lv_i, _ = forward(model, x)
             assert_same_bytes(y[i], y_i)
             assert_same_bytes(lv[i], lv_i)
+            assert_trace_free_matches(model, x)
+        assert_trace_free_matches(pair, x)
 
         # replayed masks with a draw axis: (k, 2, rows, width)
         k = 3
@@ -465,6 +484,10 @@ class TestStackedPair:
                 y_i, lv_i, _ = forward(model, x, masks=per_draw[t][i])
                 assert_same_bytes(y[t, i], y_i)
                 assert_same_bytes(lv[t, i], lv_i)
+                writable = [mask.copy() for mask in per_draw[t][i]]
+                assert_trace_free_matches(model, x, masks=writable)
+        assert_trace_free_matches(pair, x, masks=stacked)
+        assert_trace_free_matches(pair, x, masks=[mask[0] for mask in stacked])
 
     @pytest.mark.parametrize("hidden, activation, rows", PAIR_CASES, ids=PAIR_IDS)
     def test_backward_matches_each_member(self, hidden, activation, rows):

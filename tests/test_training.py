@@ -1,9 +1,11 @@
 import copy
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from semireg import training
 from semireg.data import RegressionDataset, split_semi_supervised
 from semireg.ensemble import PseudoLabels, generate_pseudo_labels
 from semireg.errors import (
@@ -504,6 +506,19 @@ class TestRunExperiment:
         assert len(result.history) > 0
         assert result.bin_report is not None
         assert result.bin_report.counts.sum() == make_split().unlabeled.n
+
+    def test_applies_the_malloc_thresholds(self, monkeypatch):
+        # a library caller gets the allocator setting that cli.main gives
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(training.os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setattr(training.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        run_experiment(self.quick_config(epochs=0), make_split())
+        assert calls == [(-1, 16 << 20), (-3, 4 << 20)]  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
 
     def test_zero_epochs_reports_untrained_model(self):
         result = run_experiment(self.quick_config(epochs=0), make_split())
