@@ -150,8 +150,10 @@ def load_csv(path, schema: CsvSchema) -> RegressionDataset:
     Column references are names when the file has a header, otherwise 0-based
     indices given as strings; a leading byte-order mark is skipped. Every
     failure raises DataSchemaError naming ``path``: a file that cannot be
-    read, a column it does not have, an unparseable or non-finite cell
-    (with its row/column coordinates), or a constant target column.
+    read, a column it does not have or whose name its header repeats, a
+    target column that is also a feature column, an unparseable or
+    non-finite cell (with its row/column coordinates), or a constant target
+    column.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -171,6 +173,8 @@ def load_csv(path, schema: CsvSchema) -> RegressionDataset:
         def resolve(name: str) -> int:
             if name not in col_index:
                 raise DataSchemaError(f"{path}: missing column {name!r}")
+            if header.count(name) > 1:
+                raise DataSchemaError(f"{path}: the header names column {name!r} more than once")
             return col_index[name]
 
     else:
@@ -190,6 +194,8 @@ def load_csv(path, schema: CsvSchema) -> RegressionDataset:
         raise DataSchemaError(f"{path}: no data rows")
     feature_idx = [resolve(c) for c in schema.feature_columns]
     target_idx = resolve(schema.target_column)
+    if target_idx in feature_idx:  # the model would be handed the answer
+        raise DataSchemaError(f"{path}: target column {schema.target_column!r} is also a feature")
     needed = max(feature_idx + [target_idx])
 
     def parse_cell(row_no: int, col_no: int, text: str) -> float:

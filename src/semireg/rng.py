@@ -21,14 +21,14 @@ gaussians additionally go through libm's log/cos/sin, which is exact on a
 given platform build. A single Rng must not be shared across threads.
 
 A mask block is a pure function of (stream seed, start counter, rows, cols,
-p), so it can be computed anywhere before it is drawn. Inside mask_helper a
-forked helper process computes a known schedule of such blocks ahead of the
-caller and sends each one down a pipe as its keep bits, packed eight to a
-byte. The helper gets copies of the (seed, start) values and never touches
-an Rng: sample_dropout_mask still advances the caller's stream, and reads a
-block from the pipe while its draws keep to the schedule, in order. The
-first draw off the schedule ends the helper; it, every later draw, and every
-draw when no helper can run are computed inline with the same bits.
+p), so it can be computed anywhere before it is drawn and still have the bits
+of an inline draw. mask_helper uses that: a forked helper process computes a
+known schedule of blocks on a second CPU while the caller runs. It stays
+because inline masks cost too much: without it, ensembled inference drew
+35-48% fewer row-draws a second in the benchmark on a 2-vCPU VM, and a
+cheaper inline mask (two keep decisions per word) re-draws every mask and
+failed an acceptance criterion. A helper thread lost to the fork, since it
+needs the GIL between numpy calls.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import os
 import sys
 import warnings
 from collections.abc import Sequence
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -101,7 +100,7 @@ class Rng:
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._counter = 0
-        self._helper: _MaskHelper | None = None  # set inside mask_helper only
+        self._helper: mask_helper | None = None  # set inside mask_helper only
 
     @property
     def counter(self) -> int:
@@ -162,10 +161,9 @@ def sample_dropout_mask(rng: Rng | Sequence[Rng], rows: int, cols: int, p: float
     rescaling. The raw words are compared against an integer threshold
     instead of being turned into uniforms: ``(w >> 11) * 2**-53 < p`` holds
     exactly when ``w < ceil(p * 2**53) << 11``, so the mask is the same bit
-    for bit. The mask is written into the buffer that held the words. A
-    draw from a stream inside mask_helper whose key is the next scheduled
-    one returns instead the helper's keep bits scaled the same way, also
-    read-only.
+    for bit. The mask is written into the buffer that held the words. Inside
+    mask_helper, a draw whose key is the helper's next scheduled one takes
+    the helper's block instead: the same bits, also read-only.
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
@@ -217,62 +215,32 @@ def _threshold(p: float) -> np.uint64:
 _HELPER_MIN_WORDS = 2**24
 
 
-@contextmanager
-def mask_helper(streams: Sequence[Rng], keys: Sequence[tuple[int, int, int, int, float]]):
-    """Compute scheduled mask blocks of ``streams`` in a helper process while the body runs.
+class mask_helper:
+    """``with mask_helper(streams, keys):`` serves scheduled mask blocks from a helper process.
 
     ``keys`` are the ``(seed, start, rows, cols, p)`` of the one-stream
-    sample_dropout_mask draws the body will make from ``streams``, in
-    order. A forked helper computes them ahead and sends them down a pipe,
-    and each draw whose key is the next scheduled one waits for its block
-    and takes it. The first draw from one of ``streams`` with any other key
-    ends the helper: it, and every later draw, is computed inline. Where the
-    helper cannot run (no fork, fewer than 2 usable CPUs, a failed fork, a
-    helper that died) or would not pay for itself (fewer than
-    _HELPER_MIN_WORDS scheduled), draws are inline too, so the bits are the
-    same either way. The helper is gone when the body exits, whichever way
-    it exits.
-    """
-    words = sum(rows * cols for _, _, rows, cols, _ in keys)
-    helper = _MaskHelper.start(keys) if words >= _HELPER_MIN_WORDS and _can_fork() else None
-    if helper is None:
-        yield
-        return
-    for stream in streams:
-        stream._helper = helper
-    try:
-        yield
-    finally:
-        for stream in streams:
-            stream._helper = None
-        helper.close()
-
-
-def _can_fork() -> bool:
-    # a helper needs fork (Linux) and a second usable CPU
-    return sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) >= 2
-
-
-class _MaskHelper:
-    """The parent's end of a forked helper that computes scheduled mask blocks.
-
-    The helper writes the blocks in schedule order down one pipe, each as
-    its keep bits packed eight to a byte, and blocks while the pipe is full,
-    so the pipe's capacity bounds how far ahead of the parent it runs. A
-    draw with the next scheduled key reads its block's bytes, waiting for
-    them if need be, and scales the unpacked bits to the mask. A draw with
-    any other key, or an end of file (the helper is gone), closes the pipe:
-    that draw and all later ones are inline. The helper leaves when a write
-    fails, so once the parent closes its end or dies.
+    sample_dropout_mask draws the body will make from ``streams``, in order.
+    On entry a forked helper starts computing them and writes each block
+    down one pipe as its keep bits, packed eight to a byte; it blocks while
+    the pipe is full, so the pipe's capacity bounds how far ahead it runs. A
+    draw whose key is the next scheduled one reads its block (waiting if the
+    helper is behind). Any other key, or an end of file (the helper died),
+    closes the pipe, and that draw and every later one are inline. No
+    helper starts without fork and a second usable CPU (_can_fork), when
+    the fork fails, or for fewer than _HELPER_MIN_WORDS scheduled words. On
+    exit the pipe is closed, so the helper's next write fails and it
+    leaves, and it is reaped.
     """
 
-    def __init__(self, keys, pid: int, pipe: int):
-        self._keys = iter(keys)
-        self._pid, self._pipe = pid, pipe
+    def __init__(self, streams: Sequence[Rng], keys: Sequence[tuple[int, int, int, int, float]]):
+        self._streams, self._keys = streams, keys
+        self._pending = iter(keys)
+        self._pid, self._pipe = 0, None
 
-    @classmethod
-    def start(cls, keys) -> "_MaskHelper | None":
-        """Fork a helper for ``keys``, or None when that fails."""
+    def __enter__(self) -> "mask_helper":
+        words = sum(rows * cols for _, _, rows, cols, _ in self._keys)
+        if words < _HELPER_MIN_WORDS or not _can_fork():
+            return self
         fds = []
         try:
             fds += os.pipe()
@@ -280,29 +248,32 @@ class _MaskHelper:
             # the threads a BLAS library may hold do not matter in it.
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-                if pid == 0:  # the helper: run no more of the caller's code
-                    _serve(keys, *fds)
+                self._pid = os.fork()
+            if self._pid == 0:  # the helper: run no more of the caller's code
+                self._serve(*fds)
         except OSError:
             for fd in fds:
                 os.close(fd)
-            return None
-        pipe, helper_end = fds
-        os.close(helper_end)
-        return cls(keys, pid, pipe)
+            return self
+        os.close(fds[1])
+        # unbuffered, so each read takes only what its block needs
+        self._pipe = open(fds[0], "rb", buffering=0)
+        for stream in self._streams:
+            stream._helper = self
+        return self
 
     def take(self, key) -> np.ndarray | None:
         """The read-only block of ``key`` if it is the next scheduled one, else None (inline)."""
-        if self._pipe < 0 or key != next(self._keys, None):
-            self._stop()
+        if self._pipe.closed or key != next(self._pending, None):
+            self._pipe.close()
             return None
         _, _, rows, cols, p = key
         size = (rows * cols + 7) // 8
         packed = bytearray()
         while len(packed) < size:
-            data = os.read(self._pipe, size - len(packed))
+            data = self._pipe.read(size - len(packed))
             if not data:  # the helper is gone
-                self._stop()
+                self._pipe.close()
                 return None
             packed += data
         bits = np.unpackbits(np.frombuffer(packed, np.uint8), count=rows * cols)
@@ -310,38 +281,35 @@ class _MaskHelper:
         block.setflags(write=False)
         return block
 
-    def _stop(self):
-        if self._pipe >= 0:
-            os.close(self._pipe)
-            self._pipe = -1
+    def __exit__(self, *exc):
+        for stream in self._streams:
+            stream._helper = None
+        if self._pipe is not None:
+            self._pipe.close()
+            try:
+                os.waitpid(self._pid, 0)
+            except ChildProcessError:  # already reaped, as under SIGCHLD = SIG_IGN
+                pass
 
-    def close(self):
-        """End the helper and release its pipe.
-
-        Closing the pipe ends the helper at its next write, after at most the
-        block it is computing; it is then reaped.
-        """
-        self._stop()
+    def _serve(self, parent_end: int, pipe: int):
+        # The helper process: write the packed keep bits of each scheduled
+        # block in turn, and leave without running any of the parent's
+        # cleanup. It leaves after the last block, or on any error: a write
+        # fails once the parent's end is closed everywhere, which needs that
+        # end closed here too; an interrupt ends it as well.
+        status = 1
         try:
-            os.waitpid(self._pid, 0)
-        except ChildProcessError:  # already reaped, as under SIGCHLD = SIG_IGN
-            pass
+            os.close(parent_end)
+            with open(pipe, "wb") as out:
+                for seed, start, rows, cols, p in self._keys:
+                    words = _words(*_block_rows(seed, start, rows, cols), cols)
+                    out.write(np.packbits(words >= _threshold(p)))
+                    out.flush()  # the caller may be waiting for this block
+            status = 0
+        finally:
+            os._exit(status)
 
 
-def _serve(keys, parent_end: int, pipe: int):
-    # The helper process: write the packed keep bits of each scheduled block
-    # in turn, and leave without running any of the parent's cleanup. It
-    # leaves after the last block, or on any error: a write to the pipe
-    # fails once the parent's end is closed everywhere, which needs that end
-    # closed here too; an interrupt ends it as well.
-    status = 1
-    try:
-        os.close(parent_end)
-        for seed, start, rows, cols, p in keys:
-            words = _words(*_block_rows(seed, start, rows, cols), cols)
-            packed = memoryview(np.packbits(words >= _threshold(p)))
-            while packed:
-                packed = packed[os.write(pipe, packed) :]
-        status = 0
-    finally:
-        os._exit(status)
+def _can_fork() -> bool:
+    # a helper needs fork (Linux) and a second usable CPU
+    return sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) >= 2

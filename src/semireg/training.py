@@ -179,6 +179,8 @@ class ExperimentConfig:
                 raw = json.load(fh, object_pairs_hook=_unique_keys)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
+        except OSError as err:  # a directory, unreadable, ...
+            raise ConfigError(f"cannot read config {path}: {err.strerror or err}") from None
         except ConfigError:  # a repeated key; not to be taken for bad JSON below
             raise
         except ValueError as err:  # bad JSON or UTF-8, or an integer past int's digit limit

@@ -82,6 +82,13 @@ class TestConfigParsing:
         assert capsys.readouterr().err == "error: epochs: config key given more than once\n"
         assert not (tmp_path / "x").exists()
 
+    def test_config_that_is_a_directory_exits_2_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "configs"
+        config.mkdir()
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: cannot read config {config}: Is a directory\n"
+        assert not (tmp_path / "x").exists()
+
     # Rng keeps a seed's low 64 bits: 2**64 and -2**64 would run seed 0
     @pytest.mark.parametrize(
         "command, key, value, shown",
@@ -115,6 +122,8 @@ class TestConfigParsing:
     def test_missing_file_and_bad_json(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             ExperimentConfig.from_file(tmp_path / "nope.json")
+        with pytest.raises(ConfigError, match=f"cannot read config {tmp_path}"):
+            ExperimentConfig.from_file(tmp_path)
         bad = tmp_path / "bad.json"
         # not JSON, not UTF-8, and an integer past Python's int parsing limit
         for data in (b"{nope", b"\xff\xfe{}", b'{"seed": ' + b"1" * 5000 + b"}"):

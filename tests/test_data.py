@@ -136,6 +136,29 @@ class TestCsv:
         with pytest.raises(DataSchemaError, match="'z'"):
             load_csv(path, CsvSchema(feature_columns=("z",), target_column="b"))
 
+    def test_repeated_header_name_refused_naming_it(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("x,x,y\n1,5,2\n3,6,4\n")
+        with pytest.raises(DataSchemaError) as err:
+            load_csv(path, CsvSchema(feature_columns=("x",), target_column="y"))
+        assert str(err.value) == f"{path}: the header names column 'x' more than once"
+
+    @pytest.mark.parametrize(
+        "schema, shown",
+        [
+            (CsvSchema(feature_columns=("x", "y"), target_column="y"), "'y'"),
+            (CsvSchema(feature_columns=("0", "1"), target_column="1", has_header=False), "'1'"),
+            (CsvSchema(feature_columns=("01",), target_column="1", has_header=False), "'1'"),
+        ],
+        ids=["name", "index", "index-spelled-twice"],
+    )
+    def test_target_as_feature_refused_naming_it(self, tmp_path, schema, shown):
+        path = tmp_path / "answer.csv"
+        path.write_text(("x,y\n" if schema.has_header else "") + "1,2\n3,4\n")
+        with pytest.raises(DataSchemaError) as err:
+            load_csv(path, schema)
+        assert str(err.value) == f"{path}: target column {shown} is also a feature"
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

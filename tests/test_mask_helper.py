@@ -97,19 +97,19 @@ def test_every_scheduled_block_comes_from_the_helper(tmp_path):
     report = _run(
         tmp_path,
         f"""
-start, take = rng._MaskHelper.start, rng._MaskHelper.take
+enter, take = rng.mask_helper.__enter__, rng.mask_helper.take
 scheduled, taken = [], []
 
-def counted_start(keys):
-    scheduled.append(len(keys))
-    return start(keys)
+def counted_enter(self):
+    scheduled.append(len(self._keys))
+    return enter(self)
 
 def counted_take(self, key):
     block = take(self, key)
     taken.append(block is not None)
     return block
 
-rng._MaskHelper.start, rng._MaskHelper.take = counted_start, counted_take
+rng.mask_helper.__enter__, rng.mask_helper.take = counted_enter, counted_take
 result = {{}}
 for command in ("train", "variance-demo"):
     rc = cli.main([command, "--config", {str(QUICK)!r}, "--out", os.path.join(out, command)])
@@ -141,7 +141,7 @@ def take_then_hang(self, key):
     print(self._pid, flush=True)
     time.sleep(600)
 
-rng._MaskHelper.take = take_then_hang
+rng.mask_helper.take = take_then_hang
 train({str(QUICK)!r}, "q")
 """
     proc = subprocess.Popen(
@@ -182,7 +182,7 @@ def test_train_with_the_helper_killed_keeps_the_pins(tmp_path):
     report = _run(
         tmp_path,
         f"""
-take = rng._MaskHelper.take
+take = rng.mask_helper.take
 taken = []
 held = []
 
@@ -195,7 +195,7 @@ def take_then_kill(self, key):
     taken.append(block is not None)
     return block
 
-rng._MaskHelper.take = take_then_kill
+rng.mask_helper.take = take_then_kill
 rc = train({str(QUICK)!r}, "q")
 print(json.dumps({{"rc": rc, "digests": digests("q"), "taken": taken, "held": held,
                   "left": children_left()}}))
@@ -239,7 +239,7 @@ print(json.dumps({{"codes": codes, "unwrapped": tracer.unwrapped_bindings(),
 def counted_takes(monkeypatch):
     monkeypatch.setattr(rng_module, "_can_fork", lambda: True)
     monkeypatch.setattr(rng_module, "_HELPER_MIN_WORDS", 0)
-    take = rng_module._MaskHelper.take
+    take = rng_module.mask_helper.take
     taken = []
 
     def counted(self, key):
@@ -247,7 +247,7 @@ def counted_takes(monkeypatch):
         taken.append(block is not None)
         return block
 
-    monkeypatch.setattr(rng_module._MaskHelper, "take", counted)
+    monkeypatch.setattr(rng_module.mask_helper, "take", counted)
     return taken
 
 
@@ -262,7 +262,7 @@ def test_an_off_schedule_draw_ends_the_helper(counted_takes):
     with mask_helper((stream,), keys):
         helper = stream._helper
         got = [sample_dropout_mask(stream, 3, 40, 0.1) for _ in range(2)]
-        assert helper._pipe == -1  # closed at the second draw
+        assert helper._pipe.closed  # closed at the second draw
         got += [sample_dropout_mask(stream, 3, 40, 0.1) for _ in range(2)]
     assert stream._helper is None
     with pytest.raises(ChildProcessError):  # the helper is gone and reaped
