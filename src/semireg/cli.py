@@ -33,11 +33,11 @@ from .data import (
     load_csv,
     split_semi_supervised,
 )
-from .ensemble import variance_reduction_check
+from .ensemble import variance_reduction_check, variance_schedule
 from .errors import DivergenceError, NonFiniteError, SemiregError, UsageError
 from .losses import LossBreakdown
 from .mlp import load_model, save_model, stack_models
-from .rng import Rng
+from .rng import Rng, mask_helper
 from .training import (
     VARIANTS,
     ExperimentConfig,
@@ -45,6 +45,7 @@ from .training import (
     _fix_malloc_thresholds,
     run_experiment,
     score_test,
+    validation_schedule,
 )
 
 VARIANCE_DEMO_DRAWS = (1, 2, 5, 20)
@@ -138,17 +139,20 @@ def cmd_train(config: ExperimentConfig, out_dir: Path) -> None:
 
 
 def cmd_ablate(config: ExperimentConfig, out_dir: Path) -> None:
-    cells = []
+    runs = []  # (config, split) of each cell, seed by seed, in VARIANTS order
     for seed in config.seeds:
         seeded = config.with_seed(seed)
         _, split = build_split(seeded)
-        for variant in VARIANTS:
+        runs += [(replace(seeded, variant=variant), split) for variant in VARIANTS]
+    cells = []
+    with mask_helper([key for run in runs for key in validation_schedule(*run)]):
+        for run_config, split in runs:
+            cell = {"variant": run_config.variant, "seed": run_config.seed}
             try:
-                result = run_experiment(replace(seeded, variant=variant), split)
+                result = run_experiment(run_config, split)
                 cells.append(
                     {
-                        "variant": variant,
-                        "seed": seed,
+                        **cell,
                         "test_mae": result.test_mae,
                         "test_r2": result.test_r2,
                         "uncertainty_error_spearman": result.uncertainty_error_spearman,
@@ -156,9 +160,7 @@ def cmd_ablate(config: ExperimentConfig, out_dir: Path) -> None:
                     }
                 )
             except DivergenceError as err:
-                cells.append(
-                    {"variant": variant, "seed": seed, "failed": True, "error": str(err)}
-                )
+                cells.append({**cell, "failed": True, "error": str(err)})
 
     rows = []
     for variant in VARIANTS:
@@ -182,19 +184,19 @@ def cmd_ablate(config: ExperimentConfig, out_dir: Path) -> None:
 
 def cmd_variance_demo(config: ExperimentConfig, out_dir: Path) -> None:
     _, split = build_split(config)
-    result = run_experiment(config, split)
-    test_normalized = result.normalizer.transform_dataset(split.test)
     root = Rng(config.seed)
-    rows = []
-    for draws in VARIANCE_DEMO_DRAWS:
-        report = variance_reduction_check(
-            result.pair,
-            test_normalized,
-            draws=draws,
-            reruns=config.variance_reruns,
-            rng=root.split(f"variance:{draws}"),
-        )
-        rows.append(asdict(report))
+    checks = {draws: root.split(f"variance:{draws}") for draws in VARIANCE_DEMO_DRAWS}
+    model, reruns = config.model_config(split.labeled.input_dim), config.variance_reruns
+    keys = validation_schedule(config, split)
+    for draws, rng in checks.items():
+        keys += variance_schedule(model, split.test.n, draws, reruns, rng)
+    with mask_helper(keys):
+        result = run_experiment(config, split)
+        test_normalized = result.normalizer.transform_dataset(split.test)
+        rows = [
+            asdict(variance_reduction_check(result.pair, test_normalized, draws, reruns, rng))
+            for draws, rng in checks.items()
+        ]
     payload = {
         **_stamp(config),
         "reruns": config.variance_reruns,

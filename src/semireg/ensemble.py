@@ -26,10 +26,11 @@ one chunk, so a validation pass is one mask call and one forward; a 225-row
 call runs 2 draws per chunk, which keeps the temporaries of large inputs
 bounded. predict and variance_reduction_check take the pair the same way.
 
-A call draws the mask blocks that mask_schedule lists, in order. Callers
-that make many calls on fixed inputs, the validation passes of a training
-run and the reruns of variance_reduction_check, have rng.mask_helper compute
-them ahead and serve them in that order. The bits are the same either way.
+A call draws the mask blocks that mask_schedule lists, in order. The calls
+made many times on fixed inputs, the validation passes of a training run and
+the reruns of variance_reduction_check (variance_schedule), can have one
+rng.mask_helper per CLI command compute their blocks ahead and serve them in
+that order. The bits are the same either way.
 """
 
 from __future__ import annotations
@@ -125,6 +126,11 @@ def mask_schedule(cfg: MlpConfig, rows: int, draws: Iterable[int], rng: Rng) -> 
     return keys
 
 
+def variance_schedule(cfg: MlpConfig, rows: int, draws: int, reruns: int, rng: Rng) -> list[tuple]:
+    """The mask_schedule keys of variance_reduction_check's reruns on ``rows`` rows, in order."""
+    return mask_schedule(cfg, rows, (1, draws) * reruns, rng)
+
+
 def predict(
     pair: MlpModel, *, x: np.ndarray, draws: int, rng: Rng
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +193,7 @@ def variance_reduction_check(
     n = features.shape[0]
     single = np.empty((reruns, n))
     ensemble = np.empty((reruns, n))
-    with mask_helper((rng,), mask_schedule(pair.config, n, (1, draws) * reruns, rng)):
+    with mask_helper(variance_schedule(pair.config, n, draws, reruns, rng)):
         for r in range(reruns):
             single[r], _ = predict(pair, x=features, draws=1, rng=rng)
             ensemble[r], _ = predict(pair, x=features, draws=draws, rng=rng)

@@ -23,9 +23,10 @@ given platform build. A single Rng must not be shared across threads.
 A mask block is a pure function of (stream seed, start counter, rows, cols,
 p), so it can be computed anywhere before it is drawn and still have the bits
 of an inline draw. mask_helper uses that: a forked helper process computes a
-known schedule of blocks on a second CPU while the caller runs. It stays
-because inline masks cost too much: without it, ensembled inference drew
-35-48% fewer row-draws a second in the benchmark on a 2-vCPU VM, and a
+known schedule of blocks on a second CPU while the caller runs. One helper
+serves a whole CLI command; a mask_helper opened inside it does nothing. It
+stays because inline masks cost too much: without it, ensembled inference
+drew 35-48% fewer row-draws a second in the benchmark on a 2-vCPU VM, and a
 cheaper inline mask (two keep decisions per word) re-draws every mask and
 failed an acceptance criterion. A helper thread lost to the fork, since it
 needs the GIL between numpy calls.
@@ -95,12 +96,11 @@ def _fnv1a64(data: bytes) -> int:
 class Rng:
     """Sequential SplitMix64 stream; single-owner, mutated on every draw."""
 
-    __slots__ = ("seed", "_counter", "_helper")
+    __slots__ = ("seed", "_counter")
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._counter = 0
-        self._helper: mask_helper | None = None  # set inside mask_helper only
 
     @property
     def counter(self) -> int:
@@ -161,15 +161,17 @@ def sample_dropout_mask(rng: Rng | Sequence[Rng], rows: int, cols: int, p: float
     rescaling. The raw words are compared against an integer threshold
     instead of being turned into uniforms: ``(w >> 11) * 2**-53 < p`` holds
     exactly when ``w < ceil(p * 2**53) << 11``, so the mask is the same bit
-    for bit. The mask is written into the buffer that held the words. Inside
-    mask_helper, a draw whose key is the helper's next scheduled one takes
-    the helper's block instead: the same bits, also read-only.
+    for bit. The mask is written into the buffer that held the words. While
+    a mask_helper is active, a one-stream draw whose seed it schedules
+    consults it, and takes its block if the key is the next scheduled one:
+    the same bits, also read-only.
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
     if isinstance(rng, Rng):
-        if rng._helper is not None:
-            block = rng._helper.take((rng.seed, rng._counter, rows, cols, p))
+        helper = mask_helper.active
+        if helper is not None and rng.seed in helper._seeds:
+            block = helper.take((rng.seed, rng._counter, rows, cols, p))
             if block is not None:
                 rng._advance(rows * cols)
                 return block
@@ -206,38 +208,48 @@ def _threshold(p: float) -> np.uint64:
     return np.uint64(math.ceil(p * 2.0**53) << 11)
 
 
-# Fewest scheduled mask words worth a helper. Its fixed cost, mostly the
-# ~1,600 copy-on-write faults the fork causes in the caller, was 16-54 ms of
-# system time per call on a shared 2-vCPU Xeon VM, while a block taken from
-# the helper saves ~6 ns a word (~7 ns to draw inline, ~1 ns to unpack):
-# it pays off only past ~10M words. At ~12M (100 epochs of a 90-row, 5-draw
-# validation pass of a 64x64 pair) benchmark runs showed no gain.
+# Fewest mask words, over a helper's whole schedule, worth a helper. Its
+# fixed cost, mostly the ~1,600 copy-on-write faults the fork causes in the
+# caller, was 16-54 ms of system time per fork on a shared 2-vCPU Xeon VM,
+# while a block taken from the helper saves ~6 ns a word (~7 ns to draw
+# inline, ~1 ns to unpack): it pays off only past ~10M words. A helper per
+# benchmark ablate_grid cell (~12M words) showed no gain; one over its four
+# cells (46.5M) raised infer_row_draws_per_s 344k -> 526k (10 of 10 pairs).
 _HELPER_MIN_WORDS = 2**24
 
 
 class mask_helper:
-    """``with mask_helper(streams, keys):`` serves scheduled mask blocks from a helper process.
+    """``with mask_helper(keys):`` serves scheduled mask blocks from a helper process.
 
     ``keys`` are the ``(seed, start, rows, cols, p)`` of the one-stream
-    sample_dropout_mask draws the body will make from ``streams``, in order.
-    On entry a forked helper starts computing them and writes each block
-    down one pipe as its keep bits, packed eight to a byte; it blocks while
-    the pipe is full, so the pipe's capacity bounds how far ahead it runs. A
-    draw whose key is the next scheduled one reads its block (waiting if the
-    helper is behind). Any other key, or an end of file (the helper died),
-    closes the pipe, and that draw and every later one are inline. No
-    helper starts without fork and a second usable CPU (_can_fork), when
-    the fork fails, or for fewer than _HELPER_MIN_WORDS scheduled words. On
-    exit the pipe is closed, so the helper's next write fails and it
-    leaves, and it is reaped.
+    sample_dropout_mask draws the body will make, in order. The outermost
+    mask_helper is ``mask_helper.active`` from entry to exit; one entered
+    while another is active does nothing, so a command forks at most one
+    helper. On entry the active one forks a helper that computes the keys
+    and writes each block down one pipe as its keep bits, packed eight to a
+    byte; it blocks while the pipe is full, so the pipe's capacity bounds how
+    far ahead it runs. A draw from a scheduled seed whose key is the next
+    scheduled one reads its block (waiting if the helper is behind). Any
+    other key of a scheduled seed, or an end of file (the helper died),
+    closes the pipe, and that draw and every later one are inline; draws
+    from other streams are inline and leave the pipe open. No helper starts
+    without fork and a second usable CPU (_can_fork), when the fork fails,
+    or for fewer than _HELPER_MIN_WORDS scheduled words. On exit the pipe is
+    closed, so the helper's next write fails and it leaves, and it is reaped.
     """
 
-    def __init__(self, streams: Sequence[Rng], keys: Sequence[tuple[int, int, int, int, float]]):
-        self._streams, self._keys = streams, keys
+    active: mask_helper | None = None
+
+    def __init__(self, keys: Sequence[tuple[int, int, int, int, float]]):
+        self._keys = keys
         self._pending = iter(keys)
         self._pid, self._pipe = 0, None
+        self._seeds: frozenset[int] = frozenset()  # the streams it serves, once forked
 
     def __enter__(self) -> "mask_helper":
+        if mask_helper.active is not None:
+            return self
+        mask_helper.active = self
         words = sum(rows * cols for _, _, rows, cols, _ in self._keys)
         if words < _HELPER_MIN_WORDS or not _can_fork():
             return self
@@ -258,8 +270,7 @@ class mask_helper:
         os.close(fds[1])
         # unbuffered, so each read takes only what its block needs
         self._pipe = open(fds[0], "rb", buffering=0)
-        for stream in self._streams:
-            stream._helper = self
+        self._seeds = frozenset(seed for seed, *_ in self._keys)
         return self
 
     def take(self, key) -> np.ndarray | None:
@@ -282,8 +293,9 @@ class mask_helper:
         return block
 
     def __exit__(self, *exc):
-        for stream in self._streams:
-            stream._helper = None
+        if mask_helper.active is not self:
+            return
+        mask_helper.active = None
         if self._pipe is not None:
             self._pipe.close()
             try:

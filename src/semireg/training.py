@@ -532,6 +532,19 @@ def _fix_malloc_thresholds() -> None:
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
 
 
+def validation_schedule(config: ExperimentConfig, split: SemiSupervisedSplit) -> list[tuple]:
+    """The mask_schedule keys of run_experiment's validation passes, in order.
+
+    Each pass (epoch 0 before training, then one per epoch) has a stream of
+    its own, so a helper computes its blocks while the epoch before it trains.
+    """
+    root = Rng(config.seed)
+    shape = (config.model_config(split.labeled.input_dim), split.validation.n)
+    draws = (config.ensemble_draws,)
+    epochs = range(config.epochs + 1)
+    return [key for e in epochs for key in mask_schedule(*shape, draws, root.split(f"val:{e}"))]
+
+
 def run_experiment(config: ExperimentConfig, split: SemiSupervisedSplit) -> ExperimentResult:
     """Train on a split, select the best epoch by validation MAE, score the test set.
 
@@ -571,14 +584,8 @@ def run_experiment(config: ExperimentConfig, split: SemiSupervisedSplit) -> Expe
             raise diverged(f"{what} is not finite")
         return values
 
-    # Every validation pass draws its masks from a stream of its own, so the
-    # helper computes each one's blocks while the epoch before it trains.
-    val_rngs = [root.split(f"val:{epoch}") for epoch in range(config.epochs + 1)]
-    val_shape = (state.pair.config, x_val.shape[0], (config.ensemble_draws,))
-    val_keys = [key for rng in val_rngs for key in mask_schedule(*val_shape, rng)]
-
     def validation_mae(epoch: int) -> float:
-        y_pred, _ = ensembled(x_val, val_rngs[epoch])
+        y_pred, _ = ensembled(x_val, root.split(f"val:{epoch}"))
         value = mae(normalizer.inverse_targets(y_pred), split.validation.targets)
         return reported(f"validation MAE of epoch {epoch}", value)
 
@@ -587,7 +594,7 @@ def run_experiment(config: ExperimentConfig, split: SemiSupervisedSplit) -> Expe
     ulb_rng = root.split("unlabeled_order")
     unlabeled_batches = _cycle_batches(split.unlabeled.n, config.batch_unlabeled, ulb_rng)
     consecutive_bad = 0
-    with mask_helper(val_rngs, val_keys):
+    with mask_helper(validation_schedule(config, split)):
         val_curve = [validation_mae(0)]
         best_mae, best_epoch = val_curve[0], 0
         best_params = dict(state.pair.params)

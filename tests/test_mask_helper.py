@@ -3,7 +3,7 @@
 Commands run through cli.main in a fresh interpreter, so that the only
 children it can find are its own helpers. The helper is allowed there even on
 a one-CPU host and for a small schedule, and os.fork is counted, so each test
-knows what the helper did.
+knows what the helper did. Each command forks at most one helper.
 """
 
 import json
@@ -23,6 +23,7 @@ from test_fingerprint import QUICK_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
 QUICK = ROOT / "configs" / "quick.json"
+QUICK_CONFIG = json.loads(QUICK.read_text(encoding="utf-8"))
 
 PRELUDE = f"""
 import fcntl, hashlib, json, os, signal, sys, time
@@ -73,27 +74,46 @@ def _run(out_dir, body: str, *args: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_no_helper_outlives_its_run(tmp_path):
-    config = json.loads(QUICK.read_text(encoding="utf-8"))
-    config.update(optimizer="sgd_momentum", learning_rate=1e30)  # diverges at epoch 1
-    diverging = tmp_path / "diverging.json"
-    diverging.write_text(json.dumps(config), encoding="utf-8")
+def _config(tmp_path, name: str, **changes) -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**QUICK_CONFIG, **changes}), encoding="utf-8")
+    return str(path)
+
+
+def test_no_helper_outlives_its_command(tmp_path):
+    # diverges at epoch 1
+    diverging = _config(tmp_path, "diverging", optimizer="sgd_momentum", learning_rate=1e30)
+    one_seed = _config(tmp_path, "one_seed", seeds=[0])
     report = _run(
         tmp_path,
         f"""
-rc_ok = train({str(QUICK)!r}, "ok")
-result = {{"rc_ok": rc_ok, "forks_ok": len(forks), "left_ok": children_left()}}
-rc_bad = train({str(diverging)!r}, "bad")
-result.update(rc_bad=rc_bad, forks=len(forks), left_bad=children_left())
+commands = {{
+    "ok": ["train", "--config", {str(QUICK)!r}],
+    "bad": ["train", "--config", {diverging!r}],
+    "ablate": ["ablate", "--config", {one_seed!r}],
+    "variance": ["variance-demo", "--config", {str(QUICK)!r}],
+    "evaluate": ["evaluate", "--config", {str(QUICK)!r}, "--checkpoints", os.path.join(out, "ok")],
+}}
+result = {{}}
+for name, argv in commands.items():
+    before = len(forks)
+    rc = cli.main([*argv, "--out", os.path.join(out, name)])
+    result[name] = [rc, len(forks) - before, children_left()]
 print(json.dumps(result))
 """,
     )
+    # [exit code, helpers forked, a child left]
     assert report == {
-        "rc_ok": 0, "forks_ok": 1, "left_ok": False, "rc_bad": 3, "forks": 2, "left_bad": False
+        "ok": [0, 1, False],
+        "bad": [3, 1, False],
+        "ablate": [0, 1, False],
+        "variance": [0, 1, False],
+        "evaluate": [0, 0, False],
     }
 
 
 def test_every_scheduled_block_comes_from_the_helper(tmp_path):
+    one_seed = _config(tmp_path, "one_seed", seeds=[0])
     report = _run(
         tmp_path,
         f"""
@@ -101,8 +121,10 @@ enter, take = rng.mask_helper.__enter__, rng.mask_helper.take
 scheduled, taken = [], []
 
 def counted_enter(self):
-    scheduled.append(len(self._keys))
-    return enter(self)
+    enter(self)
+    if rng.mask_helper.active is self:  # the outermost one: the others do nothing
+        scheduled.append(len(self._keys))
+    return self
 
 def counted_take(self, key):
     block = take(self, key)
@@ -111,20 +133,74 @@ def counted_take(self, key):
 
 rng.mask_helper.__enter__, rng.mask_helper.take = counted_enter, counted_take
 result = {{}}
-for command in ("train", "variance-demo"):
-    rc = cli.main([command, "--config", {str(QUICK)!r}, "--out", os.path.join(out, command)])
-    result[command] = [rc, scheduled.copy(), taken.count(True), len(taken)]
+for command, config in (("train", {str(QUICK)!r}), ("ablate", {one_seed!r}),
+                        ("variance-demo", {str(QUICK)!r})):
+    rc = cli.main([command, "--config", config, "--out", os.path.join(out, command)])
+    result[command] = [rc, scheduled.copy(), taken.count(True), len(taken), len(forks)]
     scheduled.clear()
     taken.clear()
+    forks.clear()
 print(json.dumps(result))
 """,
     )
-    # 41 validation passes; each variance check (T = 1, 2, 5, 20) makes 60
-    # reruns of a single-draw and a T-draw call, each one block on 40 rows
+    # 41 validation passes per run (4 runs in ablate, one per variant); each
+    # variance check (T = 1, 2, 5, 20) makes 60 reruns of a single-draw and a
+    # T-draw call, each one block on 40 rows. Each command has one schedule.
     assert report == {
-        "train": [0, [41], 41, 41],
-        "variance-demo": [0, [41, 120, 120, 120, 120], 521, 521],
+        "train": [0, [41], 41, 41, 1],
+        "ablate": [0, [4 * 41], 4 * 41, 4 * 41, 1],
+        "variance-demo": [0, [41 + 4 * 120], 521, 521, 1],
     }
+
+
+def test_a_diverging_cell_ends_the_command_schedule_at_the_next_cell(tmp_path):
+    one_seed = _config(tmp_path, "one_seed", seeds=[0])
+    body = f"""
+import semireg.training as training
+
+if sys.argv[2] == "inline":
+    def refuse():
+        raise OSError("fork refused")
+    os.fork = refuse
+step, take = training.train_step, rng.mask_helper.take
+steps, taken = [], []
+
+def failing_step(state, labeled, unlabeled, config, **kwargs):
+    if config.variant == "baseline_con":
+        steps.append(None)
+        if len(steps) in (13, 14):  # both steps of epoch 7 (26 labeled rows, batch 16)
+            raise training.NonFiniteLossError("injected", {{}})
+    return step(state, labeled, unlabeled, config, **kwargs)
+
+def counted_take(self, key):
+    was_open = not self._pipe.closed
+    block = take(self, key)
+    taken.append([block is not None, was_open and self._pipe.closed, key[:2]])
+    return block
+
+training.train_step, rng.mask_helper.take = failing_step, counted_take
+rc = cli.main(["ablate", "--config", {one_seed!r}, "--out", os.path.join(out, "ablate")])
+with open(os.path.join(out, "ablate", "ablation_cells.json")) as fh:
+    cells = json.load(fh)["cells"]
+print(json.dumps({{"rc": rc, "digests": digests("ablate"), "forks": len(forks),
+                  "failed": [c["variant"] for c in cells if c["failed"]], "taken": taken,
+                  "first_val_key": [rng.Rng(0).split("val:0").seed, 0],
+                  "left": children_left()}}))
+"""
+    reports = {mode: _run(tmp_path / mode, body, mode) for mode in ("helper", "inline")}
+    helper, inline = reports["helper"], reports["inline"]
+    assert helper["rc"] == inline["rc"] == 0
+    assert helper["failed"] == inline["failed"] == ["baseline_con"]
+    assert helper["digests"] == inline["digests"]
+    assert (helper["forks"], inline["forks"]) == (1, 0)
+    assert not helper["left"] and not inline["left"] and inline["taken"] == []
+    # baseline's 41 blocks and baseline_con's 7 before it diverged were
+    # served; the pipe closed at baseline_ens's first validation draw, and
+    # the last two cells drew inline
+    taken = helper["taken"]
+    assert [t[0] for t in taken] == [True] * 48 + [False] * 82
+    assert [i for i, t in enumerate(taken) if t[1]] == [48]
+    assert taken[48][2] == helper["first_val_key"]
 
 
 def _running(pid: int) -> bool:
@@ -228,9 +304,8 @@ print(json.dumps({{"codes": codes, "unwrapped": tracer.unwrapped_bindings(),
                   "calls": len(qty), "words": sum(qty), "forks": len(forks)}}))
 """
     reports = {mode: _run(tmp_path / mode, body, mode) for mode in ("helper", "inline")}
-    # one helper per training run (train's and variance-demo's) and one per
-    # variance check (T = 1, 2, 5, 20)
-    assert reports["helper"].pop("forks") == 6 and reports["inline"].pop("forks") == 0
+    # one helper per command
+    assert reports["helper"].pop("forks") == 2 and reports["inline"].pop("forks") == 0
     assert reports["helper"] == reports["inline"]
     assert reports["helper"]["codes"] == [0, 0] and reports["helper"]["unwrapped"] == []
 
@@ -259,12 +334,12 @@ def test_an_off_schedule_draw_ends_the_helper(counted_takes):
     stream, reference = Rng(5), Rng(5)
     keys = _keys(stream, 4, 3, 40, 0.1)
     keys[1] = (stream.seed, 121, 3, 40, 0.1)  # one word off
-    with mask_helper((stream,), keys):
-        helper = stream._helper
+    with mask_helper(keys) as helper:
+        assert mask_helper.active is helper
         got = [sample_dropout_mask(stream, 3, 40, 0.1) for _ in range(2)]
         assert helper._pipe.closed  # closed at the second draw
         got += [sample_dropout_mask(stream, 3, 40, 0.1) for _ in range(2)]
-    assert stream._helper is None
+    assert mask_helper.active is None
     with pytest.raises(ChildProcessError):  # the helper is gone and reaped
         os.waitpid(helper._pid, os.WNOHANG)
     expected = [sample_dropout_mask(reference, 3, 40, 0.1) for _ in range(4)]
@@ -283,7 +358,7 @@ def test_packed_blocks_of_any_size_unpack_to_the_inline_bits(counted_takes, p):
     for rows, cols in shapes:
         keys.append((stream.seed, start, rows, cols, p))
         start += rows * cols
-    with mask_helper((stream,), keys):
+    with mask_helper(keys):
         got = [sample_dropout_mask(stream, rows, cols, p) for rows, cols in shapes]
     expected = [sample_dropout_mask(reference, rows, cols, p) for rows, cols in shapes]
     assert counted_takes == [True] * len(shapes)
@@ -296,7 +371,7 @@ def test_packed_blocks_of_any_size_unpack_to_the_inline_bits(counted_takes, p):
 def test_unscheduled_draws_are_inline_and_keep_their_place(counted_takes):
     stream, reference = Rng(8), Rng(8)
     keys = _keys(stream, 3, 2, 16, 0.25)
-    with mask_helper((stream,), keys):
+    with mask_helper(keys):
         first = sample_dropout_mask(stream, 2, 16, 0.25)
         other = sample_dropout_mask(stream, 1, 7, 0.25)  # moves the stream off the schedule
         rest = [sample_dropout_mask(stream, 2, 16, 0.25) for _ in range(2)]
@@ -311,7 +386,48 @@ def test_one_usable_cpu_draws_inline(monkeypatch):
     monkeypatch.setattr(rng_module, "_HELPER_MIN_WORDS", 0)
     monkeypatch.setattr(rng_module.os, "sched_getaffinity", lambda pid: {0})
     stream = Rng(3)
-    with mask_helper((stream,), _keys(stream, 2, 2, 8, 0.1)):
-        assert stream._helper is None
+    with mask_helper(_keys(stream, 2, 2, 8, 0.1)) as helper:
+        assert helper._pipe is None and not helper._seeds  # no helper forked
         mask = sample_dropout_mask(stream, 2, 8, 0.1)
     assert mask.tobytes() == sample_dropout_mask(Rng(3), 2, 8, 0.1).tobytes()
+
+
+def test_a_nested_mask_helper_forks_nothing(counted_takes, monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(rng_module.os, "fork", counted_fork)
+    outer, inner, reference = Rng(4), Rng(6), Rng(4)
+    keys = _keys(outer, 3, 2, 24, 0.2)
+    with mask_helper(keys) as helper:
+        with mask_helper(_keys(inner, 2, 2, 24, 0.2)) as nested:
+            assert mask_helper.active is helper and nested._pipe is None
+            got = [sample_dropout_mask(outer, 2, 24, 0.2) for _ in range(2)]
+            inline = sample_dropout_mask(inner, 2, 24, 0.2)  # not in the active schedule
+        assert mask_helper.active is helper and not helper._pipe.closed
+        got.append(sample_dropout_mask(outer, 2, 24, 0.2))
+    assert mask_helper.active is None and len(forks) == 1
+    assert counted_takes == [True] * 3
+    expected = [sample_dropout_mask(reference, 2, 24, 0.2) for _ in range(3)]
+    assert [m.tobytes() for m in got] == [m.tobytes() for m in expected]
+    assert inline.tobytes() == sample_dropout_mask(Rng(6), 2, 24, 0.2).tobytes()
+
+
+def test_an_unscheduled_stream_draws_inline_and_leaves_the_pipe_open(counted_takes):
+    stream, other, reference = Rng(9), Rng(10), Rng(9)
+    with mask_helper(_keys(stream, 2, 3, 16, 0.1)) as helper:
+        first = sample_dropout_mask(stream, 3, 16, 0.1)
+        inline = sample_dropout_mask(other, 5, 16, 0.1)
+        assert not helper._pipe.closed
+        second = sample_dropout_mask(stream, 3, 16, 0.1)
+    assert counted_takes == [True, True]  # the other stream never consulted the helper
+    expected = [sample_dropout_mask(reference, 3, 16, 0.1) for _ in range(2)]
+    assert [first.tobytes(), second.tobytes()] == [m.tobytes() for m in expected]
+    assert inline.tobytes() == sample_dropout_mask(Rng(10), 5, 16, 0.1).tobytes()
+    assert other.counter == 5 * 16
