@@ -11,7 +11,7 @@ member 0 first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,26 +113,13 @@ class LossBreakdown:
     unlabeled_reg: float
     unlabeled_unc: float
     unlabeled_weight: float
-    total: float
+    total: float = field(init=False)
 
-    @classmethod
-    def build(
-        cls,
-        labeled_reg: float,
-        labeled_unc: float,
-        unlabeled_reg: float,
-        unlabeled_unc: float,
-        unlabeled_weight: float,
-    ) -> "LossBreakdown":
-        parts = {
-            "labeled_reg": labeled_reg,
-            "labeled_unc": labeled_unc,
-            "unlabeled_reg": unlabeled_reg,
-            "unlabeled_unc": unlabeled_unc,
-            "unlabeled_weight": unlabeled_weight,
-        }
-        for name, value in parts.items():
+    def __post_init__(self):
+        names = ("labeled_reg", "labeled_unc", "unlabeled_reg", "unlabeled_unc", "unlabeled_weight")
+        for name in names:
+            value = getattr(self, name)
             if not math.isfinite(value):
                 raise NonFiniteError(f"loss component {name} is non-finite ({value})")
-        total = labeled_reg + labeled_unc + unlabeled_weight * (unlabeled_reg + unlabeled_unc)
-        return cls(labeled_reg, labeled_unc, unlabeled_reg, unlabeled_unc, unlabeled_weight, total)
+        unlabeled = self.unlabeled_weight * (self.unlabeled_reg + self.unlabeled_unc)
+        object.__setattr__(self, "total", self.labeled_reg + self.labeled_unc + unlabeled)

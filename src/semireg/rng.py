@@ -162,19 +162,17 @@ def sample_dropout_mask(rng: Rng | Sequence[Rng], rows: int, cols: int, p: float
     instead of being turned into uniforms: ``(w >> 11) * 2**-53 < p`` holds
     exactly when ``w < ceil(p * 2**53) << 11``, so the mask is the same bit
     for bit. The mask is written into the buffer that held the words. While
-    a mask_helper is active, a one-stream draw whose seed it schedules
-    consults it, and takes its block if the key is the next scheduled one:
-    the same bits, also read-only.
+    a mask_helper is active, a one-stream draw whose key heads its pipe takes
+    that block instead: the same bits, also read-only.
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
     if isinstance(rng, Rng):
         helper = mask_helper.active
-        if helper is not None and rng.seed in helper._seeds:
-            block = helper.take((rng.seed, rng._counter, rows, cols, p))
-            if block is not None:
-                rng._advance(rows * cols)
-                return block
+        block = None if helper is None else helper.take((rng.seed, rng._counter, rows, cols, p))
+        if block is not None:
+            rng._advance(rows * cols)
+            return block
         seeds, starts = _block_rows(rng.seed, rng._advance(rows * cols), rows, cols)
     else:
         streams = tuple(rng)
@@ -228,14 +226,15 @@ class mask_helper:
     helper. On entry the active one forks a helper that computes the keys
     and writes each block down one pipe as its keep bits, packed eight to a
     byte; it blocks while the pipe is full, so the pipe's capacity bounds how
-    far ahead it runs. A draw from a scheduled seed whose key is the next
-    scheduled one reads its block (waiting if the helper is behind). Any
-    other key of a scheduled seed, or an end of file (the helper died),
-    closes the pipe, and that draw and every later one are inline; draws
-    from other streams are inline and leave the pipe open. No helper starts
-    without fork and a second usable CPU (_can_fork), when the fork fails,
-    or for fewer than _HELPER_MIN_WORDS scheduled words. On exit the pipe is
-    closed, so the helper's next write fails and it leaves, and it is reaped.
+    far ahead it runs. One rule serves the draws: a draw whose key equals the
+    key of the block at the head of the pipe (``_next``) reads that block,
+    waiting if the helper is behind; every other draw is inline, and the
+    pipe keeps its place. ``_next`` is None when no helper was forked, after
+    the last key, and once an end of file showed the helper died. No helper
+    starts without fork and a second usable CPU (_can_fork), when the fork
+    fails, or for fewer than _HELPER_MIN_WORDS scheduled words. On exit the
+    pipe is closed, so the helper's next write fails and it leaves, and it is
+    reaped.
     """
 
     active: mask_helper | None = None
@@ -244,7 +243,7 @@ class mask_helper:
         self._keys = keys
         self._pending = iter(keys)
         self._pid, self._pipe = 0, None
-        self._seeds: frozenset[int] = frozenset()  # the streams it serves, once forked
+        self._next = None  # the key of the block at the head of the pipe
 
     def __enter__(self) -> "mask_helper":
         if mask_helper.active is not None:
@@ -270,13 +269,12 @@ class mask_helper:
         os.close(fds[1])
         # unbuffered, so each read takes only what its block needs
         self._pipe = open(fds[0], "rb", buffering=0)
-        self._seeds = frozenset(seed for seed, *_ in self._keys)
+        self._next = next(self._pending, None)
         return self
 
     def take(self, key) -> np.ndarray | None:
-        """The read-only block of ``key`` if it is the next scheduled one, else None (inline)."""
-        if self._pipe.closed or key != next(self._pending, None):
-            self._pipe.close()
+        """The read-only block of ``key`` if it heads the pipe, else None (draw it inline)."""
+        if key != self._next:
             return None
         _, _, rows, cols, p = key
         size = (rows * cols + 7) // 8
@@ -284,9 +282,10 @@ class mask_helper:
         while len(packed) < size:
             data = self._pipe.read(size - len(packed))
             if not data:  # the helper is gone
-                self._pipe.close()
+                self._next = None
                 return None
             packed += data
+        self._next = next(self._pending, None)
         bits = np.unpackbits(np.frombuffer(packed, np.uint8), count=rows * cols)
         block = np.multiply(bits.reshape(rows, cols), 1.0 / (1.0 - p))
         block.setflags(write=False)

@@ -452,7 +452,7 @@ def train_step(
         else:
             parts.update(unlabeled_reg=0.0, unlabeled_unc=0.0)
 
-        breakdown = LossBreakdown.build(**parts, unlabeled_weight=w)
+        breakdown = LossBreakdown(**parts, unlabeled_weight=w)
         grads = backward(pair, trace, d_y, d_lv)
         if has_unlabeled and w > 0:
             grads_ulb = backward(pair, trace_u, w * d_yu, w * d_lvu)

@@ -176,16 +176,16 @@ class TestStackedPairs:
 
 class TestTotalLoss:
     def test_weight_zero_keeps_labeled_terms_only(self):
-        parts = LossBreakdown.build(1.5, 0.25, 9.0, 9.0, 0.0)
+        parts = LossBreakdown(1.5, 0.25, 9.0, 9.0, 0.0)
         assert parts.total == 1.75
 
     def test_hand_value(self):
-        parts = LossBreakdown.build(1.0, 2.0, 3.0, 4.0, 10.0)
+        parts = LossBreakdown(1.0, 2.0, 3.0, 4.0, 10.0)
         assert parts.total == 73.0
 
     def test_all_zero(self):
-        assert LossBreakdown.build(0.0, 0.0, 0.0, 0.0, 10.0).total == 0.0
+        assert LossBreakdown(0.0, 0.0, 0.0, 0.0, 10.0).total == 0.0
 
     def test_non_finite_component_is_named(self):
         with pytest.raises(NonFiniteError, match="unlabeled_reg"):
-            LossBreakdown.build(0.0, 0.0, float("inf"), 0.0, 1.0)
+            LossBreakdown(0.0, 0.0, float("inf"), 0.0, 1.0)

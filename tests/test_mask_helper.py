@@ -118,17 +118,18 @@ def test_every_scheduled_block_comes_from_the_helper(tmp_path):
         tmp_path,
         f"""
 enter, take = rng.mask_helper.__enter__, rng.mask_helper.take
-scheduled, taken = [], []
+scheduled, served = [], []
 
 def counted_enter(self):
     enter(self)
     if rng.mask_helper.active is self:  # the outermost one: the others do nothing
-        scheduled.append(len(self._keys))
+        scheduled.append(list(self._keys))
     return self
 
 def counted_take(self, key):
     block = take(self, key)
-    taken.append(block is not None)
+    if block is not None:
+        served.append(key)
     return block
 
 rng.mask_helper.__enter__, rng.mask_helper.take = counted_enter, counted_take
@@ -136,24 +137,26 @@ result = {{}}
 for command, config in (("train", {str(QUICK)!r}), ("ablate", {one_seed!r}),
                         ("variance-demo", {str(QUICK)!r})):
     rc = cli.main([command, "--config", config, "--out", os.path.join(out, command)])
-    result[command] = [rc, scheduled.copy(), taken.count(True), len(taken), len(forks)]
+    in_order = served == [key for keys in scheduled for key in keys]
+    result[command] = [rc, [len(keys) for keys in scheduled], in_order, len(forks)]
     scheduled.clear()
-    taken.clear()
+    served.clear()
     forks.clear()
 print(json.dumps(result))
 """,
     )
     # 41 validation passes per run (4 runs in ablate, one per variant); each
     # variance check (T = 1, 2, 5, 20) makes 60 reruns of a single-draw and a
-    # T-draw call, each one block on 40 rows. Each command has one schedule.
+    # T-draw call, each one block on 40 rows. Each command has one schedule,
+    # and the helper serves every key of it, in order.
     assert report == {
-        "train": [0, [41], 41, 41, 1],
-        "ablate": [0, [4 * 41], 4 * 41, 4 * 41, 1],
-        "variance-demo": [0, [41 + 4 * 120], 521, 521, 1],
+        "train": [0, [41], True, 1],
+        "ablate": [0, [4 * 41], True, 1],
+        "variance-demo": [0, [41 + 4 * 120], True, 1],
     }
 
 
-def test_a_diverging_cell_ends_the_command_schedule_at_the_next_cell(tmp_path):
+def test_a_diverging_cell_draws_only_the_next_cells_first_passes_inline(tmp_path):
     one_seed = _config(tmp_path, "one_seed", seeds=[0])
     body = f"""
 import semireg.training as training
@@ -164,6 +167,8 @@ if sys.argv[2] == "inline":
     os.fork = refuse
 step, take = training.train_step, rng.mask_helper.take
 steps, taken = [], []
+# every cell of a seed validates epoch e on the stream split("val:e") of its seed
+epochs = {{rng.Rng(0).split(f"val:{{e}}").seed: e for e in range({QUICK_CONFIG["epochs"]} + 1)}}
 
 def failing_step(state, labeled, unlabeled, config, **kwargs):
     if config.variant == "baseline_con":
@@ -173,9 +178,8 @@ def failing_step(state, labeled, unlabeled, config, **kwargs):
     return step(state, labeled, unlabeled, config, **kwargs)
 
 def counted_take(self, key):
-    was_open = not self._pipe.closed
     block = take(self, key)
-    taken.append([block is not None, was_open and self._pipe.closed, key[:2]])
+    taken.append([block is not None, epochs.get(key[0])])
     return block
 
 training.train_step, rng.mask_helper.take = failing_step, counted_take
@@ -184,7 +188,6 @@ with open(os.path.join(out, "ablate", "ablation_cells.json")) as fh:
     cells = json.load(fh)["cells"]
 print(json.dumps({{"rc": rc, "digests": digests("ablate"), "forks": len(forks),
                   "failed": [c["variant"] for c in cells if c["failed"]], "taken": taken,
-                  "first_val_key": [rng.Rng(0).split("val:0").seed, 0],
                   "left": children_left()}}))
 """
     reports = {mode: _run(tmp_path / mode, body, mode) for mode in ("helper", "inline")}
@@ -193,14 +196,19 @@ print(json.dumps({{"rc": rc, "digests": digests("ablate"), "forks": len(forks),
     assert helper["failed"] == inline["failed"] == ["baseline_con"]
     assert helper["digests"] == inline["digests"]
     assert (helper["forks"], inline["forks"]) == (1, 0)
-    assert not helper["left"] and not inline["left"] and inline["taken"] == []
-    # baseline's 41 blocks and baseline_con's 7 before it diverged were
-    # served; the pipe closed at baseline_ens's first validation draw, and
-    # the last two cells drew inline
-    taken = helper["taken"]
-    assert [t[0] for t in taken] == [True] * 48 + [False] * 82
-    assert [i for i, t in enumerate(taken) if t[1]] == [48]
-    assert taken[48][2] == helper["first_val_key"]
+    assert not helper["left"] and not inline["left"]
+    assert not any(served for served, _ in inline["taken"])  # nothing forked, nothing served
+    # no draw but a validation pass's is ever served
+    assert not any(served for served, epoch in helper["taken"] if epoch is None)
+    passes = [t for t in helper["taken"] if t[1] is not None]
+    # baseline's 41 passes and baseline_con's 7 before it diverged were
+    # served. The head of the pipe then stayed at baseline_con's epoch 7, so
+    # baseline_ens drew epochs 0-6 inline and took epochs 7-40 from
+    # baseline_con's blocks, which have the same keys; full took
+    # baseline_ens's 41 blocks.
+    assert len(passes) == 41 + 7 + 41 + 41
+    assert [served for served, _ in passes] == [True] * 48 + [False] * 7 + [True] * 75
+    assert [epoch for _, epoch in passes[48:55]] == list(range(7))
 
 
 def _running(pid: int) -> bool:
@@ -263,6 +271,8 @@ taken = []
 held = []
 
 def take_then_kill(self, key):
+    if key not in self._keys:
+        return take(self, key)
     if len(taken) == 10:
         os.kill(self._pid, signal.SIGKILL)
         # the most whole blocks the pipe can hold
@@ -330,23 +340,33 @@ def _keys(stream, n, rows, cols, p):
     return [(stream.seed, i * rows * cols, rows, cols, p) for i in range(n)]
 
 
-def test_an_off_schedule_draw_ends_the_helper(counted_takes):
+def test_off_schedule_draws_are_inline_and_the_pipe_keeps_its_place(counted_takes):
     stream, reference = Rng(5), Rng(5)
-    keys = _keys(stream, 4, 3, 40, 0.1)
-    keys[1] = (stream.seed, 121, 3, 40, 0.1)  # one word off
+    keys = _keys(stream, 3, 3, 40, 0.1)
+    skewed, other = Rng(5), Rng(10)
+    skewed.raw(1)  # the scheduled seed, one word off every scheduled start
     with mask_helper(keys) as helper:
         assert mask_helper.active is helper
-        got = [sample_dropout_mask(stream, 3, 40, 0.1) for _ in range(2)]
-        assert helper._pipe.closed  # closed at the second draw
+        got = [sample_dropout_mask(stream, 3, 40, 0.1)]
+        off = [sample_dropout_mask(skewed, 3, 40, 0.1), sample_dropout_mask(other, 5, 16, 0.1)]
+        assert not helper._pipe.closed and helper._next == keys[1]
         got += [sample_dropout_mask(stream, 3, 40, 0.1) for _ in range(2)]
+        assert helper._next is None  # past the last key
     assert mask_helper.active is None
     with pytest.raises(ChildProcessError):  # the helper is gone and reaped
         os.waitpid(helper._pid, os.WNOHANG)
-    expected = [sample_dropout_mask(reference, 3, 40, 0.1) for _ in range(4)]
-    assert counted_takes == [True, False, False, False]
+    assert counted_takes == [True, False, False, True, True]
+    expected = [sample_dropout_mask(reference, 3, 40, 0.1) for _ in range(3)]
     assert [m.tobytes() for m in got] == [m.tobytes() for m in expected]
-    assert stream.counter == reference.counter
-    assert not any(m.flags.writeable for m in got)
+    skewed_reference = Rng(5)
+    skewed_reference.raw(1)
+    expected = [
+        sample_dropout_mask(skewed_reference, 3, 40, 0.1),
+        sample_dropout_mask(Rng(10), 5, 16, 0.1),
+    ]
+    assert [m.tobytes() for m in off] == [m.tobytes() for m in expected]
+    assert (stream.counter, skewed.counter, other.counter) == (3 * 120, 1 + 120, 5 * 16)
+    assert not any(m.flags.writeable for m in got + off)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3])
@@ -387,7 +407,7 @@ def test_one_usable_cpu_draws_inline(monkeypatch):
     monkeypatch.setattr(rng_module.os, "sched_getaffinity", lambda pid: {0})
     stream = Rng(3)
     with mask_helper(_keys(stream, 2, 2, 8, 0.1)) as helper:
-        assert helper._pipe is None and not helper._seeds  # no helper forked
+        assert helper._pipe is None and helper._next is None  # no helper forked
         mask = sample_dropout_mask(stream, 2, 8, 0.1)
     assert mask.tobytes() == sample_dropout_mask(Rng(3), 2, 8, 0.1).tobytes()
 
@@ -413,21 +433,7 @@ def test_a_nested_mask_helper_forks_nothing(counted_takes, monkeypatch):
         assert mask_helper.active is helper and not helper._pipe.closed
         got.append(sample_dropout_mask(outer, 2, 24, 0.2))
     assert mask_helper.active is None and len(forks) == 1
-    assert counted_takes == [True] * 3
+    assert counted_takes == [True, True, False, True]  # the inner stream drew inline
     expected = [sample_dropout_mask(reference, 2, 24, 0.2) for _ in range(3)]
     assert [m.tobytes() for m in got] == [m.tobytes() for m in expected]
     assert inline.tobytes() == sample_dropout_mask(Rng(6), 2, 24, 0.2).tobytes()
-
-
-def test_an_unscheduled_stream_draws_inline_and_leaves_the_pipe_open(counted_takes):
-    stream, other, reference = Rng(9), Rng(10), Rng(9)
-    with mask_helper(_keys(stream, 2, 3, 16, 0.1)) as helper:
-        first = sample_dropout_mask(stream, 3, 16, 0.1)
-        inline = sample_dropout_mask(other, 5, 16, 0.1)
-        assert not helper._pipe.closed
-        second = sample_dropout_mask(stream, 3, 16, 0.1)
-    assert counted_takes == [True, True]  # the other stream never consulted the helper
-    expected = [sample_dropout_mask(reference, 3, 16, 0.1) for _ in range(2)]
-    assert [first.tobytes(), second.tobytes()] == [m.tobytes() for m in expected]
-    assert inline.tobytes() == sample_dropout_mask(Rng(10), 5, 16, 0.1).tobytes()
-    assert other.counter == 5 * 16
