@@ -343,30 +343,41 @@ def _keys(stream, n, rows, cols, p):
 def test_off_schedule_draws_are_inline_and_the_pipe_keeps_its_place(counted_takes):
     stream, reference = Rng(5), Rng(5)
     keys = _keys(stream, 3, 3, 40, 0.1)
-    skewed, other = Rng(5), Rng(10)
+    skewed = Rng(5)
     skewed.raw(1)  # the scheduled seed, one word off every scheduled start
     with mask_helper(keys) as helper:
         assert mask_helper.active is helper
         got = [sample_dropout_mask(stream, 3, 40, 0.1)]
-        off = [sample_dropout_mask(skewed, 3, 40, 0.1), sample_dropout_mask(other, 5, 16, 0.1)]
+        off = sample_dropout_mask(skewed, 3, 40, 0.1)
         assert not helper._pipe.closed and helper._next == keys[1]
         got += [sample_dropout_mask(stream, 3, 40, 0.1) for _ in range(2)]
         assert helper._next is None  # past the last key
     assert mask_helper.active is None
     with pytest.raises(ChildProcessError):  # the helper is gone and reaped
         os.waitpid(helper._pid, os.WNOHANG)
-    assert counted_takes == [True, False, False, True, True]
+    assert counted_takes == [True, False, True, True]
     expected = [sample_dropout_mask(reference, 3, 40, 0.1) for _ in range(3)]
     assert [m.tobytes() for m in got] == [m.tobytes() for m in expected]
     skewed_reference = Rng(5)
     skewed_reference.raw(1)
-    expected = [
-        sample_dropout_mask(skewed_reference, 3, 40, 0.1),
-        sample_dropout_mask(Rng(10), 5, 16, 0.1),
-    ]
-    assert [m.tobytes() for m in off] == [m.tobytes() for m in expected]
-    assert (stream.counter, skewed.counter, other.counter) == (3 * 120, 1 + 120, 5 * 16)
-    assert not any(m.flags.writeable for m in got + off)
+    assert off.tobytes() == sample_dropout_mask(skewed_reference, 3, 40, 0.1).tobytes()
+    assert (stream.counter, skewed.counter) == (3 * 120, 1 + 120)
+    assert not any(m.flags.writeable for m in got + [off])
+
+
+def test_an_unscheduled_stream_draws_inline_and_leaves_the_pipe_open(counted_takes):
+    stream, other, reference = Rng(9), Rng(10), Rng(9)
+    keys = _keys(stream, 2, 3, 16, 0.1)
+    with mask_helper(keys) as helper:
+        first = sample_dropout_mask(stream, 3, 16, 0.1)
+        inline = sample_dropout_mask(other, 5, 16, 0.1)
+        assert not helper._pipe.closed and helper._next == keys[1]
+        second = sample_dropout_mask(stream, 3, 16, 0.1)
+    assert counted_takes == [True, False, True]  # the other stream's key is not at the head
+    expected = [sample_dropout_mask(reference, 3, 16, 0.1) for _ in range(2)]
+    assert [first.tobytes(), second.tobytes()] == [m.tobytes() for m in expected]
+    assert inline.tobytes() == sample_dropout_mask(Rng(10), 5, 16, 0.1).tobytes()
+    assert other.counter == 5 * 16
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3])
