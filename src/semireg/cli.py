@@ -34,7 +34,7 @@ from .data import (
     split_semi_supervised,
 )
 from .ensemble import variance_reduction_check, variance_schedule
-from .errors import DivergenceError, NonFiniteError, SemiregError, UsageError
+from .errors import DivergenceError, NonFiniteError, ParameterError, SemiregError, UsageError
 from .losses import LossBreakdown
 from .mlp import load_model, save_model, stack_models
 from .rng import Rng, mask_helper
@@ -139,28 +139,27 @@ def cmd_train(config: ExperimentConfig, out_dir: Path) -> None:
 
 
 def cmd_ablate(config: ExperimentConfig, out_dir: Path) -> None:
-    runs = []  # (config, split) of each cell, seed by seed, in VARIANTS order
-    for seed in config.seeds:
+    cells = []
+    for seed in config.seeds:  # a helper per seed: a diverged cell never reaches the next seed
         seeded = config.with_seed(seed)
         _, split = build_split(seeded)
-        runs += [(replace(seeded, variant=variant), split) for variant in VARIANTS]
-    cells = []
-    with mask_helper([key for run in runs for key in validation_schedule(*run)]):
-        for run_config, split in runs:
-            cell = {"variant": run_config.variant, "seed": run_config.seed}
-            try:
-                result = run_experiment(run_config, split)
-                cells.append(
-                    {
-                        **cell,
-                        "test_mae": result.test_mae,
-                        "test_r2": result.test_r2,
-                        "uncertainty_error_spearman": result.uncertainty_error_spearman,
-                        "failed": False,
-                    }
-                )
-            except DivergenceError as err:
-                cells.append({**cell, "failed": True, "error": str(err)})
+        runs = [replace(seeded, variant=variant) for variant in VARIANTS]
+        with mask_helper([key for run in runs for key in validation_schedule(run, split)]):
+            for run_config in runs:
+                cell = {"variant": run_config.variant, "seed": seed}
+                try:
+                    result = run_experiment(run_config, split)
+                    cells.append(
+                        {
+                            **cell,
+                            "test_mae": result.test_mae,
+                            "test_r2": result.test_r2,
+                            "uncertainty_error_spearman": result.uncertainty_error_spearman,
+                            "failed": False,
+                        }
+                    )
+                except DivergenceError as err:
+                    cells.append({**cell, "failed": True, "error": str(err)})
 
     rows = []
     for variant in VARIANTS:
@@ -212,12 +211,17 @@ def cmd_variance_demo(config: ExperimentConfig, out_dir: Path) -> None:
 
 
 def cmd_evaluate(config: ExperimentConfig, out_dir: Path, checkpoint_dir: Path) -> None:
-    # A checkpoint that cannot be loaded, or was trained from another config
-    # or seed (it would be scored on the wrong split), is refused, and no
-    # eval_metrics.json is written.
-    members = (load_model(checkpoint_dir / name, provenance=_stamp(config)) for name in CHECKPOINTS)
-    pair = stack_models(*members)
+    # A checkpoint that cannot be loaded, was trained from another config
+    # or seed (it would be scored on the wrong split), or holds another model
+    # than the config's is refused, and no eval_metrics.json is written.
     _, split = build_split(config)
+    expected = config.model_config(split.labeled.input_dim)
+    members = [load_model(checkpoint_dir / name, provenance=_stamp(config)) for name in CHECKPOINTS]
+    for name, member in zip(CHECKPOINTS, members):
+        if member.config != expected:
+            found = f"checkpoint {checkpoint_dir / name} has model {member.config}"
+            raise ParameterError(f"{found}, expected {expected}")
+    pair = stack_models(*members)
     # The normalizer refits on the labeled partition, which is derived
     # deterministically from the config seed, so it matches training exactly.
     try:

@@ -70,19 +70,13 @@ def uncertainty_binning(log_var_pred, y_pseudo, y_truth, n_bins: int) -> BinRepo
         raise ParameterError(f"n_bins must be in [1, {n}], got {n_bins}")
 
     order = np.argsort(log_var_pred, kind="stable")
-    base, extra = divmod(n, n_bins)
-    sizes = np.full(n_bins, base, dtype=np.int64)
-    sizes[:extra] += 1
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-
-    uncertainty = np.exp(log_var_pred[order])
-    sq_err = (y_pseudo[order] - y_truth[order]) ** 2
-    mean_unc = np.array(
-        [uncertainty[bounds[b] : bounds[b + 1]].mean() for b in range(n_bins)]
-    )
-    bin_mse = np.array([sq_err[bounds[b] : bounds[b + 1]].mean() for b in range(n_bins)])
+    uncertainty = np.array_split(np.exp(log_var_pred[order]), n_bins)
+    sq_err = np.array_split((y_pseudo[order] - y_truth[order]) ** 2, n_bins)
     return BinReport(
-        n_bins=n_bins, mean_uncertainty=mean_unc, pseudo_label_mse=bin_mse, counts=sizes
+        n_bins=n_bins,
+        mean_uncertainty=np.array([b.mean() for b in uncertainty]),
+        pseudo_label_mse=np.array([b.mean() for b in sq_err]),
+        counts=np.array([b.size for b in uncertainty], dtype=np.int64),
     )
 
 

@@ -23,13 +23,13 @@ given platform build. A single Rng must not be shared across threads.
 A mask block is a pure function of (stream seed, start counter, rows, cols,
 p), so it can be computed anywhere before it is drawn and still have the bits
 of an inline draw. mask_helper uses that: a forked helper process computes a
-known schedule of blocks on a second CPU while the caller runs. One helper
-serves a whole CLI command; a mask_helper opened inside it does nothing. It
-stays because inline masks cost too much: without it, ensembled inference
-drew 35-48% fewer row-draws a second in the benchmark on a 2-vCPU VM, and a
-cheaper inline mask (two keep decisions per word) re-draws every mask and
-failed an acceptance criterion. A helper thread lost to the fork, since it
-needs the GIL between numpy calls.
+known schedule of blocks on a second CPU while the caller runs. A CLI
+command forks one helper per seed's work; a mask_helper opened inside an
+active one does nothing. It stays because inline masks cost too much:
+without it, ensembled inference drew 35-48% fewer row-draws a second in the
+benchmark on a 2-vCPU VM, and a cheaper inline mask (two keep decisions per
+word) re-draws every mask and failed an acceptance criterion. A helper thread
+lost to the fork, since it needs the GIL between numpy calls.
 """
 
 from __future__ import annotations
@@ -222,11 +222,11 @@ class mask_helper:
     ``keys`` are the ``(seed, start, rows, cols, p)`` of the one-stream
     sample_dropout_mask draws the body will make, in order. The outermost
     mask_helper is ``mask_helper.active`` from entry to exit; one entered
-    while another is active does nothing, so a command forks at most one
-    helper. On entry the active one forks a helper that computes the keys
-    and writes each block down one pipe as its keep bits, packed eight to a
-    byte; it blocks while the pipe is full, so the pipe's capacity bounds how
-    far ahead it runs. One rule serves the draws: a draw whose key equals the
+    while another is active does nothing, so a command that opens one over
+    each seed's work forks at most one helper per seed. On entry the active
+    one forks a helper that computes the keys and writes each block down one
+    pipe as its keep bits, packed eight to a byte; it blocks while the pipe
+    is full, so the pipe's capacity bounds how far ahead it runs. One rule serves the draws: a draw whose key equals the
     key of the block at the head of the pipe (``_next``) reads that block,
     waiting if the helper is behind; every other draw is inline, and the
     pipe keeps its place. ``_next`` is None when no helper was forked, after

@@ -351,7 +351,6 @@ class TrainState:
     pair: MlpModel  # model a and model b, stacked on a leading member axis
     opt: OptimizerState  # the pair's accumulators, stacked the same way
     rng: Rng
-    step: int = 0
     history: list[LossBreakdown] = field(default_factory=list)
 
 
@@ -389,7 +388,7 @@ def train_step(
 ) -> LossBreakdown:
     """One optimization step over a labeled batch and an unlabeled batch.
 
-    Mutates ``state`` (parameters, optimizer state, counters, history) and
+    Mutates ``state`` (parameters, optimizer state, history) and
     returns the step's loss components. A non-finite loss, gradient or update
     of either member aborts the step before anything in ``state`` changes and
     raises NonFiniteLossError naming the first non-finite value and carrying
@@ -407,7 +406,7 @@ def train_step(
 
     # Substreams are derived from the step index so that injecting
     # pseudo-labels does not shift any other stream.
-    step_rng = state.rng.split(f"step:{state.step}")
+    step_rng = state.rng.split(f"step:{state.opt.step}")
     pair = state.pair
 
     parts = {}  # the loss components computed so far
@@ -460,12 +459,10 @@ def train_step(
         new_params, opt = optimizer_update(pair.params, grads, state.opt, config)
     except NonFiniteError as err:
         raise NonFiniteLossError(
-            f"non-finite loss, gradient or update at step {state.step}: {err}", parts
+            f"non-finite loss, gradient or update at step {state.opt.step}: {err}", parts
         ) from err
     pair.params = new_params
     state.opt = opt
-
-    state.step += 1
     state.history.append(breakdown)
     return breakdown
 
@@ -577,7 +574,7 @@ def run_experiment(config: ExperimentConfig, split: SemiSupervisedSplit) -> Expe
         return predict(state.pair, x=x, draws=config.ensemble_draws, rng=rng)
 
     def diverged(reason) -> DivergenceError:
-        return DivergenceError(f"training diverged at step {state.step}: {reason}", state.history)
+        return DivergenceError(f"training diverged at step {state.opt.step}: {reason}", state.history)
 
     def reported(what: str, values):
         if not np.isfinite(values).all():

@@ -519,6 +519,12 @@ def _transposed_first_weight(text):
     return json.dumps(doc)
 
 
+def _foreign_dropout(text):
+    doc = json.loads(text)
+    doc["config"]["dropout_p"] += 0.25  # provenance and shapes untouched
+    return json.dumps(doc)
+
+
 # How a model_a.json is damaged: the new file text from the old one, or None
 # to delete it.
 CHECKPOINT_DAMAGE = {
@@ -526,6 +532,7 @@ CHECKPOINT_DAMAGE = {
     "truncated": lambda text: text[: len(text) // 2],
     "non_numeric": lambda text: text.replace('"data": [', '"data": ["x", ', 1),
     "transposed_shape": _transposed_first_weight,
+    "foreign_dropout": _foreign_dropout,
 }
 
 

@@ -3,7 +3,7 @@
 Commands run through cli.main in a fresh interpreter, so that the only
 children it can find are its own helpers. The helper is allowed there even on
 a one-CPU host and for a small schedule, and os.fork is counted, so each test
-knows what the helper did. Each command forks at most one helper.
+knows what the helper did. A command forks at most one helper per seed.
 """
 
 import json
@@ -84,6 +84,7 @@ def test_no_helper_outlives_its_command(tmp_path):
     # diverges at epoch 1
     diverging = _config(tmp_path, "diverging", optimizer="sgd_momentum", learning_rate=1e30)
     one_seed = _config(tmp_path, "one_seed", seeds=[0])
+    two_seeds = _config(tmp_path, "two_seeds", seeds=[0, 1])
     report = _run(
         tmp_path,
         f"""
@@ -91,6 +92,7 @@ commands = {{
     "ok": ["train", "--config", {str(QUICK)!r}],
     "bad": ["train", "--config", {diverging!r}],
     "ablate": ["ablate", "--config", {one_seed!r}],
+    "ablate_two": ["ablate", "--config", {two_seeds!r}],
     "variance": ["variance-demo", "--config", {str(QUICK)!r}],
     "evaluate": ["evaluate", "--config", {str(QUICK)!r}, "--checkpoints", os.path.join(out, "ok")],
 }}
@@ -107,6 +109,7 @@ print(json.dumps(result))
         "ok": [0, 1, False],
         "bad": [3, 1, False],
         "ablate": [0, 1, False],
+        "ablate_two": [0, 2, False],  # one helper per seed
         "variance": [0, 1, False],
         "evaluate": [0, 0, False],
     }
@@ -156,8 +159,9 @@ print(json.dumps(result))
     }
 
 
-def test_a_diverging_cell_draws_only_the_next_cells_first_passes_inline(tmp_path):
-    one_seed = _config(tmp_path, "one_seed", seeds=[0])
+@pytest.mark.parametrize("seeds", [[0], [0, 1]])
+def test_a_diverging_cell_draws_only_the_next_cells_first_passes_inline(tmp_path, seeds):
+    config = _config(tmp_path, "seeds", seeds=seeds)
     body = f"""
 import semireg.training as training
 
@@ -168,12 +172,13 @@ if sys.argv[2] == "inline":
 step, take = training.train_step, rng.mask_helper.take
 steps, taken = [], []
 # every cell of a seed validates epoch e on the stream split("val:e") of its seed
-epochs = {{rng.Rng(0).split(f"val:{{e}}").seed: e for e in range({QUICK_CONFIG["epochs"]} + 1)}}
+epochs = {{rng.Rng(s).split(f"val:{{e}}").seed: [s, e]
+          for s in {seeds!r} for e in range({QUICK_CONFIG["epochs"]} + 1)}}
 
 def failing_step(state, labeled, unlabeled, config, **kwargs):
     if config.variant == "baseline_con":
         steps.append(None)
-        if len(steps) in (13, 14):  # both steps of epoch 7 (26 labeled rows, batch 16)
+        if len(steps) in (13, 14):  # both steps of seed 0's epoch 7 (26 labeled rows, batch 16)
             raise training.NonFiniteLossError("injected", {{}})
     return step(state, labeled, unlabeled, config, **kwargs)
 
@@ -183,7 +188,7 @@ def counted_take(self, key):
     return block
 
 training.train_step, rng.mask_helper.take = failing_step, counted_take
-rc = cli.main(["ablate", "--config", {one_seed!r}, "--out", os.path.join(out, "ablate")])
+rc = cli.main(["ablate", "--config", {config!r}, "--out", os.path.join(out, "ablate")])
 with open(os.path.join(out, "ablate", "ablation_cells.json")) as fh:
     cells = json.load(fh)["cells"]
 print(json.dumps({{"rc": rc, "digests": digests("ablate"), "forks": len(forks),
@@ -195,20 +200,22 @@ print(json.dumps({{"rc": rc, "digests": digests("ablate"), "forks": len(forks),
     assert helper["rc"] == inline["rc"] == 0
     assert helper["failed"] == inline["failed"] == ["baseline_con"]
     assert helper["digests"] == inline["digests"]
-    assert (helper["forks"], inline["forks"]) == (1, 0)
+    assert (helper["forks"], inline["forks"]) == (len(seeds), 0)  # one helper per seed
     assert not helper["left"] and not inline["left"]
     assert not any(served for served, _ in inline["taken"])  # nothing forked, nothing served
     # no draw but a validation pass's is ever served
     assert not any(served for served, epoch in helper["taken"] if epoch is None)
     passes = [t for t in helper["taken"] if t[1] is not None]
-    # baseline's 41 passes and baseline_con's 7 before it diverged were
-    # served. The head of the pipe then stayed at baseline_con's epoch 7, so
-    # baseline_ens drew epochs 0-6 inline and took epochs 7-40 from
+    # Seed 0: baseline's 41 passes and baseline_con's 7 before it diverged
+    # were served. The head of the pipe then stayed at baseline_con's epoch
+    # 7, so baseline_ens drew epochs 0-6 inline and took epochs 7-40 from
     # baseline_con's blocks, which have the same keys; full took
-    # baseline_ens's 41 blocks.
-    assert len(passes) == 41 + 7 + 41 + 41
-    assert [served for served, _ in passes] == [True] * 48 + [False] * 7 + [True] * 75
-    assert [epoch for _, epoch in passes[48:55]] == list(range(7))
+    # baseline_ens's 41 blocks. Seed 1 has a helper of its own, which serves
+    # all of its four cells' 164 passes.
+    later = 4 * 41 * (len(seeds) - 1)
+    assert [seed for _, (seed, _) in passes] == [0] * 130 + [1] * later
+    assert [served for served, _ in passes] == [True] * 48 + [False] * 7 + [True] * (75 + later)
+    assert [epoch for _, (_, epoch) in passes[48:55]] == list(range(7))
 
 
 def _running(pid: int) -> bool:

@@ -394,7 +394,7 @@ class TestTrainStep:
         before = {n: p.copy() for n, p in model_b.params.items()}
         with pytest.raises(NonFiniteLossError):
             train_step(state, (np.array([[1.0, 1.0]]), np.array([0.0])), None, config)
-        assert state.step == 0
+        assert state.opt.step == 0
         for name, arr in before.items():
             assert np.array_equal(state.pair.member(1).params[name], arr)
 
@@ -407,7 +407,7 @@ class TestTrainStep:
             with np.errstate(all="ignore"):
                 train_step(state, labeled, None, config)
         assert err.value.components["labeled_reg"] == np.inf
-        assert state.step == 0 and state.history == []
+        assert state.opt.step == 0 and state.history == []
 
     def test_failure_carries_the_components_computed_before_it(self):
         config = ExperimentConfig(hidden_dims=(4,), seed=2)
@@ -420,7 +420,7 @@ class TestTrainStep:
         components = err.value.components
         assert list(components) == ["labeled_reg", "labeled_unc"]
         assert all(np.isfinite(value) for value in components.values())
-        assert state.step == 0
+        assert state.opt.step == 0
 
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     def test_rejected_update_of_model_b_leaves_model_a_untouched(self, optimizer):
@@ -445,7 +445,7 @@ class TestTrainStep:
         assert state.opt.buffers.keys() == opt_before.buffers.keys()
         for key, buffer in opt_before.buffers.items():
             assert np.array_equal(state.opt.buffers[key], buffer)
-        assert state.step == 0 and state.history == []
+        assert state.opt.step == 0 and state.history == []
 
     @pytest.mark.parametrize(
         "variant, expected",
@@ -481,7 +481,7 @@ class TestTrainStep:
         rng = np.random.default_rng(5)
         for _ in range(4):
             train_step(state, (rng.normal(size=(3, 2)), rng.normal(size=3)), None, config)
-        assert state.step == 4
+        assert state.opt.step == 4
         assert len(state.history) == 4
 
 
