@@ -226,15 +226,15 @@ class mask_helper:
     each seed's work forks at most one helper per seed. On entry the active
     one forks a helper that computes the keys and writes each block down one
     pipe as its keep bits, packed eight to a byte; it blocks while the pipe
-    is full, so the pipe's capacity bounds how far ahead it runs. One rule serves the draws: a draw whose key equals the
-    key of the block at the head of the pipe (``_next``) reads that block,
-    waiting if the helper is behind; every other draw is inline, and the
-    pipe keeps its place. ``_next`` is None when no helper was forked, after
-    the last key, and once an end of file showed the helper died. No helper
-    starts without fork and a second usable CPU (_can_fork), when the fork
-    fails, or for fewer than _HELPER_MIN_WORDS scheduled words. On exit the
-    pipe is closed, so the helper's next write fails and it leaves, and it is
-    reaped.
+    is full, so the pipe's capacity bounds how far ahead it runs. One rule
+    serves the draws: a draw whose key equals the key of the block at the
+    head of the pipe (``_next``) reads that block, waiting if the helper is
+    behind; every other draw is inline, and the pipe keeps its place.
+    ``_next`` is None when no helper was forked, after the last key, and once
+    an end of file showed the helper died. No helper starts without fork and
+    a second usable CPU (_can_fork), when the fork fails, or for fewer than
+    _HELPER_MIN_WORDS scheduled words. On exit the pipe is closed, so the
+    helper's next write fails and it leaves, and it is reaped.
     """
 
     active: mask_helper | None = None

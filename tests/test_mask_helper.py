@@ -84,7 +84,6 @@ def test_no_helper_outlives_its_command(tmp_path):
     # diverges at epoch 1
     diverging = _config(tmp_path, "diverging", optimizer="sgd_momentum", learning_rate=1e30)
     one_seed = _config(tmp_path, "one_seed", seeds=[0])
-    two_seeds = _config(tmp_path, "two_seeds", seeds=[0, 1])
     report = _run(
         tmp_path,
         f"""
@@ -92,7 +91,6 @@ commands = {{
     "ok": ["train", "--config", {str(QUICK)!r}],
     "bad": ["train", "--config", {diverging!r}],
     "ablate": ["ablate", "--config", {one_seed!r}],
-    "ablate_two": ["ablate", "--config", {two_seeds!r}],
     "variance": ["variance-demo", "--config", {str(QUICK)!r}],
     "evaluate": ["evaluate", "--config", {str(QUICK)!r}, "--checkpoints", os.path.join(out, "ok")],
 }}
@@ -109,7 +107,6 @@ print(json.dumps(result))
         "ok": [0, 1, False],
         "bad": [3, 1, False],
         "ablate": [0, 1, False],
-        "ablate_two": [0, 2, False],  # one helper per seed
         "variance": [0, 1, False],
         "evaluate": [0, 0, False],
     }
