@@ -16,15 +16,16 @@ the same stream words in the same order as one draw at a time. The masks are
 views of that block in (draw, member, rows, width) order, and the pair runs
 one forward per chunk, so the draw-independent first layer is computed once
 per chunk, not per draw and model. That forward builds no trace
-(forward's trace=False): each mask is multiplied into its layer's fresh
+(forward's trace=False): each mask is applied to its layer's fresh
 activation in place, and the block is dropped before the next chunk's masks
 are drawn.
 
-The chunk size caps the mask block at _CHUNK_WORDS = 2**17 words (1 MiB).
-That holds a whole 90-row, 5-draw call of a 64x64 pair (115,200 words) in
-one chunk, so a validation pass is one mask call and one forward; a 225-row
-call runs 2 draws per chunk, which keeps the temporaries of large inputs
-bounded. predict and variance_reduction_check take the pair the same way.
+The chunk size caps the mask block at _CHUNK_WORDS = 2**17 words, 128 KiB
+of bool keep bits. That holds a whole 90-row, 5-draw call of a 64x64 pair
+(115,200 words) in one chunk, so a validation pass is one mask call and one
+forward; a 225-row call runs 2 draws per chunk, which keeps the temporaries
+of large inputs bounded. predict and variance_reduction_check take the pair
+the same way.
 
 A call draws the mask blocks that mask_schedule lists, in order. The calls
 made many times on fixed inputs, the validation passes of a training run and
@@ -45,7 +46,7 @@ from .errors import ParameterError, UsageError
 from .mlp import MlpConfig, MlpModel, forward, split_mask_block
 from .rng import Rng, mask_helper, sample_dropout_mask
 
-# Most mask words one chunk of draws may hold (2**17 words = 1 MiB).
+# Most mask words one chunk of draws may hold (2**17 keep bits = 128 KiB).
 _CHUNK_WORDS = 2**17
 
 # Fewest reruns variance_reduction_check accepts: reruns are its unit of error.

@@ -149,21 +149,19 @@ class Rng:
 
 
 def sample_dropout_mask(rng: Rng | Sequence[Rng], rows: int, cols: int, p: float) -> np.ndarray:
-    """Inverted-dropout mask: entries 0 with probability p, else 1/(1-p).
+    """Inverted-dropout keep bits: a read-only bool array, False with probability p.
 
-    With one stream, defined as ``np.where(rng.uniforms(rows * cols)
-    .reshape(rows, cols) < p, 0.0, 1 / (1 - p))``. ``rng`` may instead be
-    ``rows`` distinct streams: row i is then the next ``cols`` words of
-    stream i. Both forms draw the whole block in one _mix64 call, row i being
-    ``mix64(seed_i + (start_i + 1 + j) * GAMMA)``, where one stream's rows
-    start ``cols`` words apart. Surviving units are pre-scaled so the mask
-    has unit expectation and the deterministic forward pass needs no
-    rescaling. The raw words are compared against an integer threshold
-    instead of being turned into uniforms: ``(w >> 11) * 2**-53 < p`` holds
-    exactly when ``w < ceil(p * 2**53) << 11``, so the mask is the same bit
-    for bit. The mask is written into the buffer that held the words. While
-    a mask_helper is active, a one-stream draw whose key heads its pipe takes
-    that block instead: the same bits, also read-only.
+    With one stream, defined as ``rng.uniforms(rows * cols).reshape(rows,
+    cols) >= p``; mlp.forward scales the kept units by 1/(1-p). ``rng`` may
+    instead be ``rows`` distinct streams: row i is then the next ``cols``
+    words of stream i. Both forms draw the whole block in one _mix64 call,
+    row i being ``mix64(seed_i + (start_i + 1 + j) * GAMMA)``, where one
+    stream's rows start ``cols`` words apart. The raw words are compared
+    against an integer threshold instead of being turned into uniforms:
+    ``(w >> 11) * 2**-53 < p`` holds exactly when ``w < ceil(p * 2**53) <<
+    11``, so the bits are the same. While a mask_helper is active, a
+    one-stream draw whose key heads its pipe takes that block instead: the
+    same bits, also read-only.
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
@@ -180,7 +178,7 @@ def sample_dropout_mask(rng: Rng | Sequence[Rng], rows: int, cols: int, p: float
             raise ParameterError(f"need {rows} distinct streams, one per row, got {len(streams)}")
         seeds = np.array([s.seed for s in streams], dtype=np.uint64)
         starts = np.array([s._advance(cols) for s in streams], dtype=np.uint64)
-    mask = _mask_block(seeds, starts, cols, p)
+    mask = _words(seeds, starts, cols) >= _threshold(p)
     mask.setflags(write=False)
     return mask
 
@@ -192,15 +190,6 @@ def _block_rows(seed: int, start: int, rows: int, cols: int) -> tuple[np.ndarray
     return np.full(rows, seed, dtype=np.uint64), starts
 
 
-def _mask_block(seeds: np.ndarray, starts: np.ndarray, cols: int, p: float) -> np.ndarray:
-    # The (rows, cols) float64 mask of sample_dropout_mask: row i from the
-    # stream seeded seeds[i], at counter starts[i].
-    words = _words(seeds, starts, cols)
-    # bool * keep is exactly 0.0 or keep, as in the definition, and faster;
-    # the float64 mask overwrites the words it was computed from
-    return np.multiply(words >= _threshold(p), 1.0 / (1.0 - p), out=words.view(np.float64))
-
-
 def _threshold(p: float) -> np.uint64:
     # a unit is kept when its raw word is at least this
     return np.uint64(math.ceil(p * 2.0**53) << 11)
@@ -209,8 +198,8 @@ def _threshold(p: float) -> np.uint64:
 # Fewest mask words, over a helper's whole schedule, worth a helper. Its
 # fixed cost, mostly the ~1,600 copy-on-write faults the fork causes in the
 # caller, was 16-54 ms of system time per fork on a shared 2-vCPU Xeon VM,
-# while a block taken from the helper saves ~6 ns a word (~7 ns to draw
-# inline, ~1 ns to unpack): it pays off only past ~10M words. A helper per
+# while a block taken from the helper saves its inline draw, 7-22 ns a word
+# on that VM, less ~0.1 ns a word to unpack its keep bits. A helper per
 # benchmark ablate_grid cell (~12M words) showed no gain; one over its four
 # cells (46.5M) raised infer_row_draws_per_s 344k -> 526k (10 of 10 pairs).
 _HELPER_MIN_WORDS = 2**24
@@ -276,7 +265,7 @@ class mask_helper:
         """The read-only block of ``key`` if it heads the pipe, else None (draw it inline)."""
         if key != self._next:
             return None
-        _, _, rows, cols, p = key
+        _, _, rows, cols, _ = key
         size = (rows * cols + 7) // 8
         packed = bytearray()
         while len(packed) < size:
@@ -287,7 +276,7 @@ class mask_helper:
             packed += data
         self._next = next(self._pending, None)
         bits = np.unpackbits(np.frombuffer(packed, np.uint8), count=rows * cols)
-        block = np.multiply(bits.reshape(rows, cols), 1.0 / (1.0 - p))
+        block = bits.view(bool).reshape(rows, cols)
         block.setflags(write=False)
         return block
 

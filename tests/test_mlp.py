@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,9 +171,9 @@ class TestForward:
         model = small_model(hidden=(6, 4), dropout_p=0.3)
         x = np.zeros((7, 2))
         with pytest.raises(ShapeError, match=r"\(2, 7, 4\)"):
-            forward(model, x, masks=[np.ones((2, 7, 6)), np.ones((3, 7, 4))])
+            forward(model, x, masks=[np.ones((2, 7, 6), bool), np.ones((3, 7, 4), bool)])
         with pytest.raises(ShapeError, match="2-D or 3-D"):
-            forward(model, x, masks=[np.ones((1, 2, 7, 6)), np.ones((1, 2, 7, 4))])
+            forward(model, x, masks=[np.ones((1, 2, 7, 6), bool), np.ones((1, 2, 7, 4), bool)])
 
     def test_shape_validation(self):
         model = small_model()
@@ -301,7 +302,7 @@ class TestBackward:
     def test_trace_with_a_draw_axis_is_rejected(self):
         model = small_model(hidden=(4, 3), dropout_p=0.2)
         x = np.random.default_rng(5).normal(size=(3, 2))
-        masks = [np.ones((2, 3, 4)), np.ones((2, 3, 3))]
+        masks = [np.ones((2, 3, 4), bool), np.ones((2, 3, 3), bool)]
         y_hat, _, trace = forward(model, x, masks=masks)
         assert y_hat.shape == (2, 3)
         with pytest.raises(ShapeError, match="single-draw"):
@@ -312,6 +313,93 @@ class TestBackward:
         _, _, trace = forward(model, np.zeros((3, 2)))
         with pytest.raises(ShapeError):
             backward(model, trace, np.zeros(2), np.zeros(3))
+
+
+# every class of float a mask can meet: negative, signed zeros, infinities, NaN
+SPECIAL = np.array([-2.5, -0.0, 0.0, np.inf, -np.inf, np.nan, 1.5, -1e-300])
+
+
+def special_model(activation):
+    """A model whose first-layer pre-activations hold each SPECIAL input as it
+    is or negated (a zero's sign aside): weight +-1 and bias -0.0."""
+    model = small_model(hidden=(8, 6), dropout_p=0.3, activation=activation, seed=4, input_dim=1)
+    weight = np.where(np.arange(8) % 2, -1.0, 1.0)[None, :]
+    model.params = {**model.params, "layer0.weight": weight, "layer0.bias": np.full((1, 8), -0.0)}
+    return model
+
+
+def reference_forward(model, x, keeps):
+    """forward with the float mask where(keep, 1/(1-p), 0.0) the keep bits stand for."""
+    cfg, params = model.config, model.params
+    h = x
+    for i, keep in enumerate(keeps):
+        act = h @ params[f"layer{i}.weight"]
+        act += params[f"layer{i}.bias"]
+        act = np.maximum(act, 0.0) if cfg.activation == "relu" else np.tanh(act)
+        h = act * np.where(keep, 1.0 / (1.0 - cfg.dropout_p), 0.0)
+    heads = []
+    for head in ("head_y", "head_logvar"):
+        out = h @ params[f"{head}.weight"]
+        out += params[f"{head}.bias"]
+        heads.append(out[..., 0])
+    return heads[0], np.clip(heads[1], cfg.log_var_min, cfg.log_var_max)
+
+
+class TestKeepBits:
+    """A mask is bool keep bits, applied as (h * keep) * scale with scale =
+    1/(1-p): the same bits as h * where(keep, scale, 0.0) for every h."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("draws", [(), (3,)])
+    def test_forward_matches_the_float_mask(self, activation, draws):
+        model = special_model(activation)
+        x = SPECIAL[:, None]
+        np_rng = np.random.default_rng(len(draws))
+        keeps = [np_rng.random((*draws, 8, width)) >= 0.3 for width in (8, 6)]
+        scale = 1.0 / (1.0 - 0.3)
+        with np.errstate(invalid="ignore", over="ignore"):
+            y_ref, lv_ref = reference_forward(model, x, keeps)
+            y, lv, trace = forward(model, x, masks=keeps)
+            for i, keep in enumerate(keeps):
+                assert trace.masks[i] is keep
+                expected = trace.activations[i] * np.where(keep, scale, 0.0)
+                assert_same_bytes(trace.layer_inputs[i + 1], expected)
+        for got, expected in ((y, y_ref), (lv, lv_ref)):
+            assert_same_bytes(got, expected)
+        assert_trace_free_matches(model, x, masks=keeps)
+        # The masks met NaN, zero and +inf (relu) or negative values (tanh),
+        # whose dropping makes -0.0. Neither activation makes -inf, and the
+        # matmul's +0.0 start turns a -0.0 input into +0.0.
+        met = np.concatenate([act.ravel() for act in trace.activations])
+        out = np.concatenate([h.ravel() for h in trace.layer_inputs[1:]])
+        assert np.isnan(met).any() and (met == 0.0).any()
+        if activation == "relu":
+            assert np.isposinf(met).any() and np.isposinf(out).any()
+        else:
+            assert (met < 0.0).any() and (np.signbit(out) & (out == 0.0)).any()
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_backward_matches_the_float_mask(self, activation):
+        model = special_model(activation)
+        # backward refuses non-finite gradients, so its inputs are finite
+        x = np.nan_to_num(SPECIAL, posinf=3.0, neginf=-3.0, nan=0.5)[:, None]
+        d_y = np.array([-1.0, -0.0, 0.0, 2.0, -0.0, 0.5, -3.0, 1e-300])
+        d_lv = np.array([0.5, -0.0, -0.0, -1.0, 0.0, -2.0, 1.0, -0.0])
+        _, _, trace = forward(model, x, rng=Rng(9))
+        assert all(keep.dtype == bool for keep in trace.masks) and trace.scale == 1.0 / (1.0 - 0.3)
+        float_masks = [np.where(keep, trace.scale, 0.0) for keep in trace.masks]
+        reference = backward(model, replace(trace, masks=float_masks, scale=1.0), d_y, d_lv)
+        for name, grad in backward(model, trace, d_y, d_lv).items():
+            assert_same_bytes(grad, reference[name])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint8])
+    def test_a_mask_that_is_not_bool_is_refused(self, dtype):
+        model = small_model(hidden=(4, 3), dropout_p=0.2)
+        masks = [np.ones((2, 4), bool), np.ones((2, 3), dtype)]
+        with pytest.raises(ParameterError, match=f"mask 1 has dtype {np.dtype(dtype)}"):
+            forward(model, np.zeros((2, 2)), masks=masks)
+        with pytest.raises(ParameterError, match="dtype"):
+            forward(model, np.zeros((2, 2)), masks=masks, trace=False)
 
 
 class TestCheckpoint:
@@ -432,9 +520,9 @@ class TestStackedPair:
         with pytest.raises(ParameterError):
             forward(pair.member(0), x, rng=(Rng(0), Rng(1)))
         with pytest.raises(ShapeError, match="3-D or 4-D"):
-            forward(pair, x, masks=[np.ones((3, 4))])
+            forward(pair, x, masks=[np.ones((3, 4), bool)])
         with pytest.raises(ShapeError, match=r"\(2, 3, 4\)"):
-            forward(pair, x, masks=[np.ones((3, 3, 4))])
+            forward(pair, x, masks=[np.ones((3, 3, 4), bool)])
 
     @pytest.mark.parametrize("hidden, activation, rows", PAIR_CASES, ids=PAIR_IDS)
     def test_forward_matches_each_member(self, hidden, activation, rows):
@@ -507,7 +595,7 @@ class TestStackedPair:
     def test_pair_trace_with_a_draw_axis_is_rejected(self):
         pair = stack_models(*member_models((4,), "relu"))
         x = np.zeros((3, 3))
-        _, _, trace = forward(pair, x, masks=[np.ones((5, 2, 3, 4))])
+        _, _, trace = forward(pair, x, masks=[np.ones((5, 2, 3, 4), bool)])
         with pytest.raises(ShapeError, match="single-draw"):
             backward(pair, trace, np.zeros((5, 2, 3)), np.zeros((5, 2, 3)))
         _, _, trace = forward(pair, x)

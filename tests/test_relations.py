@@ -1,0 +1,107 @@
+"""Relations between runs that hold bit for bit on every CPU.
+
+The sha256 pins of test_fingerprint.py hold on one CPU family, since BLAS
+kernels and numpy's SIMD loops differ in the last bits from one to the next.
+An equality between two runs on one host holds on any host: every stream is
+a pure function of its seed and label, so two runs that draw the same words
+and do the same arithmetic agree exactly. Each check is an equality, never a
+tolerance.
+"""
+
+import json
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from semireg.cli import build_split
+from semireg.training import VARIANTS, ExperimentConfig, run_experiment
+
+ROOT = Path(__file__).resolve().parents[1]
+QUICK = ROOT / "configs" / "quick.json"
+# the history columns that do not read the pseudo-labels' losses
+LABELED_COLUMNS = ("labeled_reg", "labeled_unc", "total")
+
+
+@pytest.fixture(scope="module")
+def zero_weight_runs():
+    config = replace(ExperimentConfig.from_file(QUICK), unlabeled_weight=0.0)
+    _, split = build_split(config)
+    return {v: run_experiment(replace(config, variant=v), split) for v in VARIANTS}
+
+
+@pytest.mark.parametrize(
+    "plain, ensembled", [("baseline", "baseline_ens"), ("baseline_con", "full")]
+)
+def test_at_zero_unlabeled_weight_ensembled_pseudo_labels_change_nothing(
+    zero_weight_runs, plain, ensembled
+):
+    # The variants differ only in the pseudo-labels of the unlabeled loss,
+    # which weight 0 removes from every gradient. That loss's own columns
+    # still differ, since each variant computes its own pseudo-labels.
+    a, b = zero_weight_runs[plain], zero_weight_runs[ensembled]
+    for name, param in a.pair.params.items():
+        assert param.tobytes() == b.pair.params[name].tobytes(), name
+    for key in ("test_mae", "test_r2", "best_epoch", "val_mae", "uncertainty_error_spearman"):
+        assert getattr(a, key) == getattr(b, key), key
+    for column in LABELED_COLUMNS:
+        assert [getattr(s, column) for s in a.history] == [getattr(s, column) for s in b.history]
+    assert [s.unlabeled_reg for s in a.history] != [s.unlabeled_reg for s in b.history]
+
+
+def test_every_ablate_cell_equals_train_of_its_variant_and_seed(tmp_path):
+    # ablate with the mask helper forced on, so that each seed's four cells
+    # take their validation masks from one helper's keep bits
+    quick = json.loads(QUICK.read_text(encoding="utf-8"))
+    configs = {}
+    for variant in VARIANTS:
+        configs[variant] = tmp_path / f"{variant}.json"
+        configs[variant].write_text(json.dumps({**quick, "variant": variant, "seeds": [0, 1]}))
+    script = f"""
+import json, sys
+sys.path.insert(0, {str(ROOT / "src")!r})
+import semireg.cli as cli
+import semireg.rng as rng
+
+rng._can_fork = lambda: True
+rng._HELPER_MIN_WORDS = 0
+served = []
+take = rng.mask_helper.take
+
+def counted_take(self, key):
+    block = take(self, key)
+    served.append(block is not None)
+    return block
+
+rng.mask_helper.take = counted_take
+out = {str(tmp_path)!r}
+assert cli.main(["ablate", "--config", {str(configs["full"])!r}, "--out", out + "/ablate"]) == 0
+with open(out + "/ablate/ablation_cells.json") as fh:
+    cells = json.load(fh)["cells"]
+blocks = sum(served)
+trains = {{}}
+for variant, config in {json.dumps({v: str(p) for v, p in configs.items()})}.items():
+    for seed in (0, 1):
+        folder = f"{{out}}/{{variant}}-{{seed}}"
+        argv = ["train", "--config", config, "--seed", str(seed), "--out", folder]
+        assert cli.main(argv) == 0
+        with open(folder + "/metrics.json") as fh:
+            trains[f"{{variant}}/{{seed}}"] = json.load(fh)
+print(json.dumps({{"cells": cells, "served": blocks, "trains": trains}}))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    # 41 validation passes per cell, all served, for 2 seeds x 4 variants
+    assert report["served"] == 2 * 4 * (quick["epochs"] + 1)
+    cells = report["cells"]
+    assert [(c["seed"], c["variant"]) for c in cells] == [(s, v) for s in (0, 1) for v in VARIANTS]
+    for cell in cells:
+        trained = report["trains"][f"{cell['variant']}/{cell['seed']}"]
+        assert not cell["failed"]
+        for key in ("test_mae", "test_r2", "uncertainty_error_spearman"):
+            assert cell[key] == trained[key], (cell["variant"], cell["seed"], key)

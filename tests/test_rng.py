@@ -43,9 +43,10 @@ def test_gaussian_moments_match_standard_normal():
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.25, 0.5])
 def test_dropout_mask_expectation(p):
     n_rows, n_cols = 400, 250
-    mask = sample_dropout_mask(Rng(11), n_rows, n_cols, p)
-    keep = 1.0 / (1.0 - p)
-    assert set(np.unique(mask)) <= {0.0, keep}
+    keep = sample_dropout_mask(Rng(11), n_rows, n_cols, p)
+    assert keep.dtype == bool
+    # the inverted-dropout factors forward applies: 0 or 1/(1-p), mean 1
+    mask = np.where(keep, 1.0 / (1.0 - p), 0.0)
     n = n_rows * n_cols
     se = np.sqrt(p / (1.0 - p) / n)  # var of an inverted-dropout entry is p/(1-p)
     assert abs(mask.mean() - 1.0) <= max(3.0 * se, 1e-12)
@@ -53,8 +54,8 @@ def test_dropout_mask_expectation(p):
 
 def test_dropout_zero_fraction_close_to_p():
     p = 0.05
-    mask = sample_dropout_mask(Rng(3), 1000, 100, p)
-    zero_frac = np.mean(mask == 0.0)
+    keep = sample_dropout_mask(Rng(3), 1000, 100, p)
+    zero_frac = np.mean(~keep)
     assert abs(zero_frac - p) < 0.01
 
 
@@ -71,22 +72,24 @@ def test_dropout_mask_deterministic_and_validated():
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.1, 0.25, 0.5, 0.9, 1 - 2**-53])
 def test_dropout_mask_matches_its_uniform_definition(p):
     # the sampler compares raw words to an integer threshold; it must give the
-    # documented uniforms-below-p mask bit for bit and consume the same words
+    # documented keep bits, uniforms at or above p, exactly and consume the
+    # same words
     for seed in (0, 7, 2**63 + 5):
         rng, ref_rng = Rng(seed), Rng(seed)
         rng.raw(3)
         ref_rng.raw(3)
         mask = sample_dropout_mask(rng, 37, 29, p)
-        expected = np.where(ref_rng.uniforms(37 * 29).reshape(37, 29) < p, 0.0, 1 / (1 - p))
+        expected = ref_rng.uniforms(37 * 29).reshape(37, 29) >= p
+        assert mask.dtype == expected.dtype == bool
         assert mask.tobytes() == expected.tobytes()
         assert rng.counter == ref_rng.counter
 
 
 def test_dropout_mask_is_read_only():
     mask = sample_dropout_mask(Rng(4), 3, 2, 0.5)
-    assert mask.dtype == np.float64 and mask.flags.c_contiguous
+    assert mask.dtype == bool and mask.flags.c_contiguous
     with pytest.raises(ValueError):
-        mask[0, 0] = 2.0
+        mask[0, 0] = not mask[0, 0]
 
 
 def test_split_streams_are_independent_and_reproducible():
@@ -120,8 +123,8 @@ def test_dropout_mask_rows_from_several_streams_match_one_call_per_stream(p):
             ref.raw(i)
         block = sample_dropout_mask(tuple(streams), len(seeds), cols, p)
         expected = [sample_dropout_mask(ref, 1, cols, p) for ref in refs]
-        expected = np.concatenate(expected) if expected else np.zeros((0, cols))
-        assert block.shape == (len(seeds), cols)
+        expected = np.concatenate(expected) if expected else np.zeros((0, cols), bool)
+        assert block.shape == (len(seeds), cols) and block.dtype == bool
         assert block.tobytes() == expected.tobytes()
         assert [s.counter for s in streams] == [r.counter for r in refs]
         assert not block.flags.writeable
