@@ -26,7 +26,8 @@ class RegressionDataset:
     """Feature rows with optional targets (None marks an unlabeled set).
 
     Features are copied into a read-only C-contiguous float64 array; they
-    must be 2-D (ShapeError) and finite (NonFiniteError).
+    must be 2-D (ShapeError) and finite (NonFiniteError). Targets must be
+    finite too, one per row.
     """
 
     features: np.ndarray
@@ -44,6 +45,8 @@ class RegressionDataset:
             targets = np.asarray(self.targets, dtype=np.float64)
             if targets.shape != (self.n,):
                 raise ParameterError("targets must have one value per feature row")
+            if not np.isfinite(targets).all():
+                raise NonFiniteError("targets must be finite")
             targets.setflags(write=False)
             object.__setattr__(self, "targets", targets)
 

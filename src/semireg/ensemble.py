@@ -96,8 +96,8 @@ def generate_pseudo_labels(
         masks = split_mask_block(block.reshape(k, 2, cols // 2), rows, cfg.hidden_dims)
         y, lv, _ = forward(pair, x, masks=masks, trace=False)
         del block, masks  # freed before the next chunk's masks are drawn
-        # a pair without hidden layers has no masks and returns (2, rows)
-        y, lv = (np.broadcast_to(v, (k, 2, rows)) for v in (y, lv))
+        if y.ndim == 2:  # a pair without hidden layers has no masks and returns (2, rows)
+            y, lv = (np.broadcast_to(v, (k, 2, rows)) for v in (y, lv))
         # each draw's member mean, elementwise, then the draws summed in order
         y_pair, lv_pair = (0.5 * (v[:, 0] + v[:, 1]) for v in (y, lv))
         for t in range(k):

@@ -32,11 +32,6 @@ def _value(loss: np.ndarray) -> float | np.ndarray:
     return float(loss) if loss.ndim == 0 else loss
 
 
-def _check_finite(arr: np.ndarray, name: str):
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{name} contains non-finite values")
-
-
 def hetero_loss(
     y_hat: np.ndarray, log_var: np.ndarray, y_target: np.ndarray
 ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
@@ -54,12 +49,13 @@ def hetero_loss(
     _check_pair(y_hat, y_target, "y_hat", "y_target")
     _check_pair(y_hat, log_var, "y_hat", "log_var")
     for arr, name in ((y_hat, "y_hat"), (log_var, "log_var"), (y_target, "y_target")):
-        _check_finite(arr, name)
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(f"{name} contains non-finite values")
 
     n = y_hat.shape[-1]
     residual = y_hat - y_target
     inv_var = np.exp(-log_var)
-    loss = np.mean(0.5 * residual * residual * inv_var + 0.5 * log_var, axis=-1)
+    loss = np.add.reduce(0.5 * residual * residual * inv_var + 0.5 * log_var, axis=-1) / n
     d_y_hat = residual * inv_var / n
     d_log_var = (0.5 - 0.5 * residual * residual * inv_var) / n
     return _value(loss), d_y_hat, d_log_var
@@ -77,7 +73,7 @@ def consistency_loss_labeled(
     _check_pair(log_var_a, log_var_b, "log_var_a", "log_var_b")
     n = log_var_a.shape[-1]
     diff = log_var_a - log_var_b
-    loss = np.mean(diff * diff, axis=-1)
+    loss = np.add.reduce(diff * diff, axis=-1) / n
     d_a = 2.0 * diff / n
     return _value(loss), d_a, -d_a
 
@@ -95,7 +91,7 @@ def consistency_loss_unlabeled(
     _check_pair(log_var, log_var_target, "log_var", "log_var_target")
     n = log_var.shape[-1]
     diff = log_var - log_var_target
-    loss = np.mean(diff * diff, axis=-1)
+    loss = np.add.reduce(diff * diff, axis=-1) / n
     return _value(loss), 2.0 * diff / n
 
 

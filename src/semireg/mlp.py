@@ -14,11 +14,16 @@ model's parameters are (rows, cols); stack_models makes the co-trained pair
 one model with (2, rows, cols) parameters. forward and backward run both
 forms through one layer loop whose matmuls broadcast against the member
 axis, (k, 2, n, w) @ (2, w, w'), with the same bits as per-member passes.
+backward writes every gradient into its view of one float64 buffer, laid out
+in param_layout order, and checks that buffer once.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -92,17 +97,36 @@ class ForwardTrace:
     params: dict[str, np.ndarray]  # the parameter arrays this pass read
 
 
-def _param_shapes(config: MlpConfig) -> dict[str, tuple[int, int]]:
-    """Every parameter's name and shape, in the canonical order."""
+class ParamLayout:
+    """Named arrays of the given shapes laid end to end, in order, in one flat buffer."""
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        self.shapes = dict(shapes)
+        ends = (0, *itertools.accumulate(map(math.prod, self.shapes.values())))
+        self.size = ends[-1]
+        self._spans = tuple(zip(self.shapes.items(), ends, ends[1:]))
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each array as a view of ``flat``, a buffer of ``size`` values."""
+        return {name: flat[lo:hi].reshape(shape) for (name, shape), lo, hi in self._spans}
+
+
+@functools.lru_cache(maxsize=64)
+def param_layout(config: MlpConfig, members: tuple[int, ...] = ()) -> ParamLayout:
+    """Every parameter's name and (*members, rows, cols) shape, in the canonical order.
+
+    The gradients of backward use the same layout. It is cached, one per
+    config and member shape, so every caller shares it and must not change it.
+    """
     dims = config.trunk_dims
     shapes = {}
     for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
-        shapes[f"layer{i}.weight"] = (din, dout)
-        shapes[f"layer{i}.bias"] = (1, dout)
+        shapes[f"layer{i}.weight"] = (*members, din, dout)
+        shapes[f"layer{i}.bias"] = (*members, 1, dout)
     for head in ("head_y", "head_logvar"):
-        shapes[f"{head}.weight"] = (dims[-1], 1)
-        shapes[f"{head}.bias"] = (1, 1)
-    return shapes
+        shapes[f"{head}.weight"] = (*members, dims[-1], 1)
+        shapes[f"{head}.bias"] = (*members, 1, 1)
+    return ParamLayout(shapes)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -127,7 +151,7 @@ def init_model(config: MlpConfig, rng: Rng) -> MlpModel:
         name: _fan_in_uniform(rng, *shape)
         if name.endswith(".weight")
         else _read_only(np.zeros(shape))
-        for name, shape in _param_shapes(config).items()
+        for name, shape in param_layout(config).shapes.items()
     }
     return MlpModel(config=config, params=params)
 
@@ -136,7 +160,7 @@ def stack_models(a: MlpModel, b: MlpModel) -> MlpModel:
     """The single models a and b, which share one config, as one stacked pair (a copy)."""
     if a.config != b.config or a.member_shape or b.member_shape:
         raise ParameterError(f"a pair needs two single models of one config: {a.config} {b.config}")
-    names = _param_shapes(a.config)
+    names = param_layout(a.config).shapes
     params = {name: _read_only(np.stack((a.params[name], b.params[name]))) for name in names}
     return MlpModel(config=a.config, params=params)
 
@@ -284,8 +308,9 @@ def backward(
     model, (2, rows) for a stacked pair, whose gradients come out stacked
     too. Gradients flow only through units that survived dropout and only
     where the log-variance clamp is inactive. The trace must come from the
-    model's current parameter arrays and have no draw axis, and every
-    gradient must be finite (NonFiniteError otherwise).
+    model's current parameter arrays and have no draw axis. The gradients
+    are views of one float64 buffer, in param_layout order; that buffer is
+    checked once, and any non-finite entry raises NonFiniteError.
     """
     params = trace.params
     if any(model.params.get(name) is not p for name, p in params.items()):
@@ -302,39 +327,37 @@ def backward(
         )
 
     cfg = model.config
-    grads: dict[str, np.ndarray] = {}
-
-    d_lv = np.where(trace.clamp_active, 0.0, d_log_var)
-    dcol_y = d_y_hat[..., None]
-    dcol_z = d_lv[..., None]
-    h_last_t = trace.layer_inputs[-1].swapaxes(-1, -2)
-    grads["head_y.weight"] = _finite(h_last_t @ dcol_y)
-    grads["head_y.bias"] = _finite(dcol_y.sum(axis=-2, keepdims=True))
-    grads["head_logvar.weight"] = _finite(h_last_t @ dcol_z)
-    grads["head_logvar.bias"] = _finite(dcol_z.sum(axis=-2, keepdims=True))
-
-    d_h = dcol_y @ params["head_y.weight"].swapaxes(-1, -2)
-    d_h += dcol_z @ params["head_logvar.weight"].swapaxes(-1, -2)
-    for i in reversed(range(len(cfg.hidden_dims))):
-        act = trace.activations[i]
-        d_act = d_h * trace.masks[i]
-        d_act *= trace.scale
-        if cfg.activation == "relu":
-            d_pre = d_act * (act > 0.0)
-        else:
-            d_pre = d_act * (1.0 - act * act)
-        grads[f"layer{i}.weight"] = _finite(trace.layer_inputs[i].swapaxes(-1, -2) @ d_pre)
-        grads[f"layer{i}.bias"] = _finite(d_pre.sum(axis=-2, keepdims=True))
-        if i:  # the input x needs no gradient
-            d_h = d_pre @ params[f"layer{i}.weight"].swapaxes(-1, -2)
-    return {name: grads[name] for name in _param_shapes(cfg)}
-
-
-def _finite(grad: np.ndarray) -> np.ndarray:
+    layout = param_layout(cfg, model.member_shape)
+    flat = np.empty(layout.size)
+    grads = layout.views(flat)
+    # a non-finite value may spread unwarned; the one check below refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_lv = np.where(trace.clamp_active, 0.0, d_log_var)
+        dcol_y = d_y_hat[..., None]
+        dcol_z = d_lv[..., None]
+        h_last_t = trace.layer_inputs[-1].swapaxes(-1, -2)
+        np.matmul(h_last_t, dcol_y, out=grads["head_y.weight"])
+        np.add.reduce(dcol_y, axis=-2, keepdims=True, out=grads["head_y.bias"])
+        np.matmul(h_last_t, dcol_z, out=grads["head_logvar.weight"])
+        np.add.reduce(dcol_z, axis=-2, keepdims=True, out=grads["head_logvar.bias"])
+        d_h = dcol_y @ params["head_y.weight"].swapaxes(-1, -2)
+        d_h += dcol_z @ params["head_logvar.weight"].swapaxes(-1, -2)
+        for i in reversed(range(len(cfg.hidden_dims))):
+            act = trace.activations[i]
+            d_act = d_h * trace.masks[i]
+            d_act *= trace.scale
+            if cfg.activation == "relu":
+                d_pre = d_act * (act > 0.0)
+            else:
+                d_pre = d_act * (1.0 - act * act)
+            np.matmul(trace.layer_inputs[i].swapaxes(-1, -2), d_pre, out=grads[f"layer{i}.weight"])
+            np.add.reduce(d_pre, axis=-2, keepdims=True, out=grads[f"layer{i}.bias"])
+            if i:  # the input x needs no gradient
+                d_h = d_pre @ params[f"layer{i}.weight"].swapaxes(-1, -2)
     # A non-finite gradient rejects the whole training step.
-    if not np.isfinite(grad).all():
+    if not np.isfinite(flat).all():
         raise NonFiniteError("gradient entries must be finite")
-    return grad
+    return grads
 
 
 CHECKPOINT_FORMAT = "semireg-model"
@@ -399,7 +422,7 @@ def load_model(path, provenance: dict | None = None) -> MlpModel:
     except (KeyError, TypeError, ValueError) as err:
         raise ParameterError(f"checkpoint {path} is malformed: {err!r}") from None
     params = {name: _param_from_entry(path, name, entry) for name, entry in entries.items()}
-    shapes = _param_shapes(cfg)
+    shapes = param_layout(cfg).shapes
     if sorted(params) != sorted(shapes):
         raise ParameterError(f"checkpoint {path}: parameter names do not match its config")
     for name, shape in shapes.items():

@@ -34,6 +34,7 @@ lost to the fork, since it needs the GIL between numpy calls.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -86,6 +87,7 @@ def _words(seeds: np.ndarray, starts: np.ndarray, cols: int) -> np.ndarray:
     return _mix64(np.add.outer(offsets, steps))
 
 
+@functools.lru_cache(maxsize=256)  # split labels recur on every training step
 def _fnv1a64(data: bytes) -> int:
     h = _FNV_OFFSET
     for byte in data:

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .evaluation import BinReport, mae, r_squared, spearman_rank_corr, uncertainty_binning
 from .losses import LossBreakdown
-from .mlp import MlpConfig, MlpModel, backward, forward, init_model, stack_models
+from .mlp import MlpConfig, MlpModel, ParamLayout, backward, forward, init_model, stack_models
 from .rng import Rng, mask_helper
 
 # CPython's built-in SHA-256: hashlib would map OpenSSL's libcrypto (~3.4 MB of
@@ -261,34 +261,22 @@ class OptimizerState:
     """Optimizer accumulators; optimizer_update returns a new one, never mutates.
 
     Each slot (OPTIMIZER_SLOTS) is one read-only flat buffer over every
-    parameter, laid end to end in the order of ``shapes``.
+    parameter, laid out by ``layout``.
     """
 
     step: int
-    shapes: dict[str, tuple[int, ...]]
+    layout: ParamLayout
     buffers: dict[str, np.ndarray]
-
-
-def _unflatten(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    # consecutive views of a flat buffer, one per name, in order
-    out = {}
-    lo = 0
-    for name, shape in shapes.items():
-        hi = lo + math.prod(shape)
-        out[name] = flat[lo:hi].reshape(shape)
-        lo = hi
-    return out
 
 
 def init_optimizer_state(
     config: ExperimentConfig, params: dict[str, np.ndarray]
 ) -> OptimizerState:
-    shapes = {name: p.shape for name, p in params.items()}
-    size = sum(p.size for p in params.values())
-    buffers = {key: np.zeros(size) for key in OPTIMIZER_SLOTS[config.optimizer]}
+    layout = ParamLayout({name: p.shape for name, p in params.items()})
+    buffers = {key: np.zeros(layout.size) for key in OPTIMIZER_SLOTS[config.optimizer]}
     for buf in buffers.values():
         buf.setflags(write=False)
-    return OptimizerState(step=0, shapes=shapes, buffers=buffers)
+    return OptimizerState(step=0, layout=layout, buffers=buffers)
 
 
 def optimizer_update(
@@ -312,7 +300,7 @@ def optimizer_update(
     slot = state.buffers
     if set(slot) != set(OPTIMIZER_SLOTS[config.optimizer]):
         raise ParameterError(f"optimizer state slots {sorted(slot)} do not fit {config.optimizer}")
-    shapes = state.shapes
+    shapes = state.layout.shapes
     if set(params) != set(shapes) or set(grads) != set(shapes):
         raise ShapeError("params, grads and optimizer state must have identical keys")
     for name, shape in shapes.items():
@@ -339,11 +327,11 @@ def optimizer_update(
             buffers = {"velocity": velocity}
     for buf in (new, *buffers.values()):
         buf.setflags(write=False)  # before any view is taken, which inherits it
-    new_params = _unflatten(new, shapes)
+    new_params = state.layout.views(new)
     if not np.isfinite(new).all():
         bad = next(name for name, value in new_params.items() if not np.isfinite(value).all())
         raise NonFiniteError(f"update of {bad} is non-finite")
-    return new_params, OptimizerState(step, shapes, buffers)
+    return new_params, OptimizerState(step, state.layout, buffers)
 
 
 @dataclass
@@ -371,6 +359,11 @@ def _cross_targets(pair: MlpModel, x: np.ndarray, rng: Rng) -> PseudoLabels:
     # *other* member's detached target, hence the member swap.
     y, log_var, _ = forward(pair, x, rng=(rng.split("a"), rng.split("b")), trace=False)
     return PseudoLabels(y=y[::-1], log_var=log_var[::-1])
+
+
+def _per_member(v: np.ndarray) -> np.ndarray:
+    # (rows,) targets shared by both members as (2, rows); (2, rows) as they are
+    return v if v.ndim == 2 else v[None].repeat(2, 0)
 
 
 def _pair_total(loss: np.ndarray) -> float:
@@ -413,7 +406,7 @@ def train_step(
     try:
         labeled_streams = (step_rng.split("labeled_a"), step_rng.split("labeled_b"))
         y, lv, trace = forward(pair, x_lab, rng=labeled_streams)
-        reg, d_y, d_lv = losses.hetero_loss(y, lv, np.broadcast_to(y_lab, y.shape))
+        reg, d_y, d_lv = losses.hetero_loss(y, lv, _per_member(y_lab))
         parts["labeled_reg"] = _pair_total(reg)
 
         parts["labeled_unc"] = 0.0
@@ -435,8 +428,7 @@ def train_step(
 
             unlabeled_streams = (step_rng.split("unlabeled_a"), step_rng.split("unlabeled_b"))
             yu, lvu, trace_u = forward(pair, unlabeled, rng=unlabeled_streams)
-            target_y = np.broadcast_to(targets.y, yu.shape)
-            target_lv = np.broadcast_to(targets.log_var, yu.shape)
+            target_y, target_lv = _per_member(targets.y), _per_member(targets.log_var)
 
             # Targets are constants: the log-variance gradient of the hetero
             # kernel is discarded, only d w.r.t. the live prediction survives.

@@ -24,6 +24,12 @@ class TestDataset:
         with pytest.raises(NonFiniteError):
             RegressionDataset(features=np.array([[np.inf], [0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_targets_must_be_finite(self, bad):
+        # a non-finite target would make the labeled target mean non-finite
+        with pytest.raises(NonFiniteError, match="targets must be finite"):
+            RegressionDataset(np.zeros((3, 2)), [1.0, bad, 2.0])
+
     def test_features_are_a_read_only_copy(self):
         raw = np.array([[1.0, 2.0], [3.0, 4.0]])
         data = RegressionDataset(features=raw)

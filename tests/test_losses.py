@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,18 @@ class TestHeteroLoss:
             hetero_loss(np.array([np.nan]), np.array([0.0]), np.array([1.0]))
         with pytest.raises(ShapeError):
             hetero_loss(np.array([]), np.array([]), np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("first", ["y_hat", "log_var", "y_target"])
+    def test_names_the_first_non_finite_input_without_a_warning(self, first, bad):
+        names = ("y_hat", "log_var", "y_target")
+        inputs = {name: np.zeros((2, 3)) for name in names}
+        for name in names[names.index(first) :]:  # this input and every later one
+            inputs[name][1, names.index(name)] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=f"^{first} contains non-finite values$"):
+                hetero_loss(**inputs)
 
 
 class TestConsistencyLosses:

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,12 +7,14 @@ import pytest
 
 from semireg.errors import NonFiniteError, ParameterError, ShapeError, StaleTraceError
 from semireg.mlp import (
+    ForwardTrace,
     MlpConfig,
     MlpModel,
     backward,
     forward,
     init_model,
     load_model,
+    param_layout,
     save_model,
     stack_models,
 )
@@ -212,7 +215,116 @@ class TestForward:
             assert np.all(g == 0.0)
 
 
+# A tanh model with two hidden layers of width 1, and a trace of 2 rows
+# written by hand: every gradient entry is then a short sum (hand_gradients).
+# "inputs<i>" are the layer inputs (inputs2 feeds both heads), "act<i>" the
+# activations, d_y and d_lv the upstream gradients, and the others are
+# parameter values (backward reads no bias); masks keep every unit and the
+# scale is 1.
+HAND_DEFAULTS = {
+    "inputs0": 0.25,
+    "inputs1": 0.25,
+    "inputs2": 0.25,
+    "act0": 0.0,
+    "act1": 0.0,
+    "d_y": 0.25,
+    "d_lv": 0.25,
+    **{f"{layer}.weight": 1.0 for layer in ("layer0", "layer1", "head_y", "head_logvar")},
+    **{f"{layer}.bias": 0.0 for layer in ("layer0", "layer1", "head_y", "head_logvar")},
+}
+# Per parameter, the overrides that make exactly one entry of its gradient
+# non-finite (an inf input, or a sum or product past the float64 range)
+# while every other gradient entry stays finite.
+ONE_BAD_ENTRY = {
+    "layer0.weight": {"inputs0": np.inf},
+    "layer0.bias": {"act0": 1e154, "d_y": 0.5, "d_lv": 0.5},
+    "layer1.weight": {"inputs1": np.inf},
+    "layer1.bias": {"act1": 1e154, "d_y": 0.5, "d_lv": 0.5, "layer1.weight": 1e-300},
+    "head_y.weight": {"inputs2": 1e300, "d_y": 1e10},
+    "head_y.bias": {"d_y": 1e308, "head_y.weight": 1e-300},
+    "head_logvar.weight": {"inputs2": 1e300, "d_lv": 1e10},
+    "head_logvar.bias": {"d_lv": 1e308, "head_logvar.weight": 1e-300},
+}
+HAND_CONFIG = MlpConfig(input_dim=1, hidden_dims=(1, 1), activation="tanh")
+
+
+def hand_gradients(v):
+    # each parameter's one gradient entry, in Python floats
+    rows, d_y, d_lv = 2, v["d_y"], v["d_lv"]
+    grads = {
+        "head_y.weight": rows * v["inputs2"] * d_y,
+        "head_y.bias": rows * d_y,
+        "head_logvar.weight": rows * v["inputs2"] * d_lv,
+        "head_logvar.bias": rows * d_lv,
+    }
+    d_h = d_y * v["head_y.weight"] + d_lv * v["head_logvar.weight"]
+    for i in (1, 0):
+        d_pre = d_h * (1.0 - v[f"act{i}"] * v[f"act{i}"])
+        grads[f"layer{i}.weight"] = rows * v[f"inputs{i}"] * d_pre
+        grads[f"layer{i}.bias"] = rows * d_pre
+        d_h = d_pre * v[f"layer{i}.weight"]
+    return grads
+
+
+def hand_case(members):
+    """(model, trace, d_y, d_lv) of one value dict per member; one dict is a single model."""
+    lead = (len(members),) if len(members) > 1 else ()
+
+    def arr(key, shape):
+        return np.array([np.full(shape, v[key]) for v in members]).reshape(*lead, *shape)
+
+    params = {name: arr(name, (1, 1)) for name in param_layout(HAND_CONFIG).shapes}
+    model = MlpModel(HAND_CONFIG, params)
+    trace = ForwardTrace(
+        layer_inputs=[arr(f"inputs{i}", (2, 1)) for i in range(3)],
+        activations=[arr(f"act{i}", (2, 1)) for i in range(2)],
+        masks=[np.ones((*lead, 2, 1), bool)] * 2,
+        scale=1.0,
+        y_hat=np.zeros((*lead, 2)),
+        log_var=np.zeros((*lead, 2)),
+        clamp_active=np.zeros((*lead, 2), bool),
+        params=model.params,
+    )
+    return model, trace, arr("d_y", (2,)), arr("d_lv", (2,))
+
+
 class TestBackward:
+    def test_hand_trace_gives_the_hand_gradients(self):
+        model, trace, d_y, d_lv = hand_case([HAND_DEFAULTS])
+        grads = backward(model, trace, d_y, d_lv)
+        for name, value in hand_gradients(HAND_DEFAULTS).items():
+            assert grads[name][0, 0] == pytest.approx(value, rel=1e-15), name
+
+    @pytest.mark.parametrize("members", [1, 2], ids=["single", "pair"])
+    @pytest.mark.parametrize("name", list(ONE_BAD_ENTRY))
+    def test_one_non_finite_gradient_entry_is_refused(self, name, members):
+        # the single check over the gradient buffer covers every parameter
+        bad = {**HAND_DEFAULTS, **ONE_BAD_ENTRY[name]}
+        values = [HAND_DEFAULTS, bad][-members:]  # member b of a pair is the bad one
+        expected = [hand_gradients(v) for v in values]
+        non_finite = [
+            (i, n) for i, grads in enumerate(expected) for n, g in grads.items() if not math.isfinite(g)
+        ]
+        assert non_finite == [(members - 1, name)]
+        with pytest.raises(NonFiniteError, match="gradient entries must be finite"):
+            backward(*hand_case(values))
+
+    @pytest.mark.parametrize("hidden", [(), (4, 3)])
+    def test_gradients_are_views_of_one_buffer_in_layout_order(self, hidden):
+        single = small_model(hidden=hidden, dropout_p=0.2)
+        for model in (single, stack_models(single, single)):
+            rows = (*model.member_shape, 5)
+            x = np.random.default_rng(3).normal(size=(5, 2))
+            _, _, trace = forward(model, x)
+            grads = backward(model, trace, np.ones(rows), np.ones(rows))
+            layout = param_layout(model.config, model.member_shape)
+            assert param_layout(model.config, model.member_shape) is layout
+            assert {name: g.shape for name, g in grads.items()} == layout.shapes
+            assert list(grads) == list(model.params)
+            buffer = grads["layer0.weight" if hidden else "head_y.weight"].base
+            assert buffer.shape == (layout.size,)
+            assert all(g.base is buffer for g in grads.values())
+
     def test_zero_upstream_gives_zero_gradients(self):
         model = small_model(hidden=(4, 3), dropout_p=0.2)
         x = np.random.default_rng(3).normal(size=(5, 2))

@@ -27,7 +27,6 @@ from semireg.training import (
     OPTIMIZERS,
     ExperimentConfig,
     _cross_targets,
-    _unflatten,
     init_optimizer_state,
     init_train_state,
     optimizer_update,
@@ -432,7 +431,7 @@ class TestTrainStep:
         # while every gradient and model a's update stay finite.
         slot = OPTIMIZER_SLOTS[optimizer][0]
         state.opt.buffers = {**state.opt.buffers, slot: state.opt.buffers[slot].copy()}
-        views = _unflatten(state.opt.buffers[slot], state.opt.shapes)
+        views = state.opt.layout.views(state.opt.buffers[slot])
         views["head_y.bias"][1] = np.full((1, 1), 1e308)  # model b's only
         params_before = dict(state.pair.params)
         opt_before = copy.deepcopy(state.opt)
