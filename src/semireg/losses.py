@@ -95,7 +95,7 @@ def consistency_loss_unlabeled(
     return _value(loss), 2.0 * diff / n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # a run keeps one per step
 class LossBreakdown:
     """Per-step loss components and the weighted total.
 

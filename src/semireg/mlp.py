@@ -266,10 +266,10 @@ def forward(
 
         y_hat = _affine(h, params, "head_y")[..., 0]
         raw_log_var = _affine(h, params, "head_logvar")[..., 0]
-    # only a trace reads the unclamped values (clamp_active)
-    log_var = np.clip(
-        raw_log_var, cfg.log_var_min, cfg.log_var_max, out=None if trace else raw_log_var
-    )
+    # np.clip's bits, bound first as these ufuncs return the second of two equal
+    # zeros; only a trace reads the unclamped values (clamp_active)
+    log_var = np.maximum(cfg.log_var_min, raw_log_var, out=None if trace else raw_log_var)
+    np.minimum(cfg.log_var_max, log_var, out=log_var)
     for arr in (y_hat, log_var):
         arr.setflags(write=False)
     if not trace:

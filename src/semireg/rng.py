@@ -21,15 +21,18 @@ gaussians additionally go through libm's log/cos/sin, which is exact on a
 given platform build. A single Rng must not be shared across threads.
 
 A mask block is a pure function of (stream seed, start counter, rows, cols,
-p), so it can be computed anywhere before it is drawn and still have the bits
-of an inline draw. mask_helper uses that: a forked helper process computes a
-known schedule of blocks on a second CPU while the caller runs. A CLI
-command forks one helper per seed's work; a mask_helper opened inside an
-active one does nothing. It stays because inline masks cost too much:
-without it, ensembled inference drew 35-48% fewer row-draws a second in the
-benchmark on a 2-vCPU VM, and a cheaper inline mask (two keep decisions per
-word) re-draws every mask and failed an acceptance criterion. A helper thread
-lost to the fork, since it needs the GIL between numpy calls.
+p), and so is each column tile of it, so it can be computed anywhere, whole
+or tile by tile, with the bits of an inline draw. An inline draw is tiled,
+so its transients stay ~400 kB for any block. mask_helper uses that: a
+forked helper process computes a known schedule of blocks on a second CPU
+while the caller runs. A CLI command forks one helper per seed's work; a
+mask_helper opened inside an active one does nothing. It stays because
+inline masks cost too much: without it, ensembled inference drew 35-48%
+fewer row-draws a second in the benchmark on a 2-vCPU VM, and a cheaper
+inline mask (two keep decisions per word) re-draws every mask and failed an
+acceptance criterion. A helper thread lost to the fork, since it needs the
+GIL between numpy calls. The helper computes blocks whole: tiled, it read
+9-15% fewer row-draws a second on variance_demo, where it is the bottleneck.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ _U27 = np.uint64(27)
 _U31 = np.uint64(31)
 _U11 = np.uint64(11)
 _INV53 = float(2.0**-53)
+# an inline mask draw's column tile: ~400 kB of transients, one tile per in-step draw
+_TILE_WORDS = 2**14
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -156,14 +161,16 @@ def sample_dropout_mask(rng: Rng | Sequence[Rng], rows: int, cols: int, p: float
     With one stream, defined as ``rng.uniforms(rows * cols).reshape(rows,
     cols) >= p``; mlp.forward scales the kept units by 1/(1-p). ``rng`` may
     instead be ``rows`` distinct streams: row i is then the next ``cols``
-    words of stream i. Both forms draw the whole block in one _mix64 call,
-    row i being ``mix64(seed_i + (start_i + 1 + j) * GAMMA)``, where one
-    stream's rows start ``cols`` words apart. The raw words are compared
-    against an integer threshold instead of being turned into uniforms:
-    ``(w >> 11) * 2**-53 < p`` holds exactly when ``w < ceil(p * 2**53) <<
-    11``, so the bits are the same. While a mask_helper is active, a
-    one-stream draw whose key heads its pipe takes that block instead: the
-    same bits, also read-only.
+    words of stream i. Both forms allocate the result once and fill it in
+    column tiles of at most _TILE_WORDS words (at least one column), one
+    _mix64 call a tile: row i of the tile at column lo is ``mix64(seed_i +
+    (start_i + lo + 1 + j) * GAMMA)``, where one stream's rows start ``cols``
+    words apart, so the bits are those of one whole-block call. The raw words
+    are compared against an integer threshold instead of being turned into
+    uniforms: ``(w >> 11) * 2**-53 < p`` holds exactly when ``w < ceil(p *
+    2**53) << 11``, so the bits are the same. While a mask_helper is active,
+    a one-stream draw whose key heads its pipe takes that block instead: the
+    same bits, also read-only, computed whole (see the module docstring).
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout probability must be in [0, 1), got {p}")
@@ -180,7 +187,11 @@ def sample_dropout_mask(rng: Rng | Sequence[Rng], rows: int, cols: int, p: float
             raise ParameterError(f"need {rows} distinct streams, one per row, got {len(streams)}")
         seeds = np.array([s.seed for s in streams], dtype=np.uint64)
         starts = np.array([s._advance(cols) for s in streams], dtype=np.uint64)
-    mask = _words(seeds, starts, cols) >= _threshold(p)
+    mask = np.empty((rows, cols), bool)
+    threshold, width = _threshold(p), max(_TILE_WORDS // max(rows, 1), 1)
+    for lo in range(0, cols, width):
+        tile = mask[:, lo : lo + width]
+        np.greater_equal(_words(seeds, starts + lo, tile.shape[1]), threshold, out=tile)
     mask.setflags(write=False)
     return mask
 

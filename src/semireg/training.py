@@ -311,19 +311,28 @@ def optimizer_update(
             )
     step = state.step + 1
     lr = config.learning_rate
-    p = np.concatenate([params[name].ravel() for name in shapes])
+    new = np.concatenate([params[name].ravel() for name in shapes])
     g = np.concatenate([grads[name].ravel() for name in shapes])
     with np.errstate(over="ignore", invalid="ignore"):
         if config.optimizer == "adam":
-            m = ADAM_BETA1 * slot["m"] + (1 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * slot["v"] + (1 - ADAM_BETA2) * g**2
-            m_hat = m / (1 - ADAM_BETA1**step)
-            v_hat = v / (1 - ADAM_BETA2**step)
-            new = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            scratch = (1 - ADAM_BETA1) * g
+            m = ADAM_BETA1 * slot["m"]
+            m += scratch
+            g *= g
+            g *= 1 - ADAM_BETA2
+            v = ADAM_BETA2 * slot["v"]
+            v += g
+            np.divide(m, 1 - ADAM_BETA1**step, out=scratch)  # m_hat
+            np.divide(v, 1 - ADAM_BETA2**step, out=g)  # v_hat
+            np.sqrt(g, out=g)
+            g += ADAM_EPS
+            scratch *= lr
+            scratch /= g
+            new -= scratch  # p - lr * m_hat / (sqrt(v_hat) + ADAM_EPS)
             buffers = {"m": m, "v": v}
         else:
             velocity = MOMENTUM * slot["velocity"] + g
-            new = p - lr * velocity
+            new -= lr * velocity
             buffers = {"velocity": velocity}
     for buf in (new, *buffers.values()):
         buf.setflags(write=False)  # before any view is taken, which inherits it

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -202,3 +203,22 @@ class TestTotalLoss:
     def test_non_finite_component_is_named(self):
         with pytest.raises(NonFiniteError, match="unlabeled_reg"):
             LossBreakdown(0.0, 0.0, float("inf"), 0.0, 1.0)
+
+    def test_a_breakdown_has_slots_and_refuses_assignment(self):
+        # a run keeps one per step, so no per-instance __dict__
+        parts = LossBreakdown(1.0, 2.0, 3.0, 4.0, 10.0)
+        assert not hasattr(parts, "__dict__")
+        names = [f.name for f in fields(LossBreakdown)]
+        assert names == [
+            *("labeled_reg", "labeled_unc", "unlabeled_reg", "unlabeled_unc"),
+            *("unlabeled_weight", "total"),
+        ]
+        assert parts == LossBreakdown(1.0, 2.0, 3.0, 4.0, 10.0)
+        assert parts != LossBreakdown(0.0, 2.0, 3.0, 4.0, 10.0)
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(parts, name, 0.0)
+        # a new attribute is refused too (Python 3.11 raises TypeError here)
+        with pytest.raises((AttributeError, TypeError)):
+            parts.extra = 0.0
+        assert parts.total == 73.0

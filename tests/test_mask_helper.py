@@ -403,6 +403,24 @@ def test_packed_blocks_of_any_size_unpack_to_the_inline_bits(counted_takes, p):
     assert stream.counter == reference.counter
 
 
+def test_a_served_block_of_several_tiles_equals_its_inline_draw(counted_takes):
+    # the helper computes a block whole; an inline draw fills it tile by tile
+    tile = rng_module._TILE_WORDS
+    shapes = [(1, 2 * tile + 5), (7, 2 * (tile // 7) + 3), (tile + 1, 2)]
+    stream, reference = Rng(12), Rng(12)
+    keys, start = [], 0
+    for rows, cols in shapes:
+        assert rows * cols > tile
+        keys.append((stream.seed, start, rows, cols, 0.1))
+        start += rows * cols
+    with mask_helper(keys):
+        got = [sample_dropout_mask(stream, rows, cols, 0.1) for rows, cols in shapes]
+    expected = [sample_dropout_mask(reference, rows, cols, 0.1) for rows, cols in shapes]
+    assert counted_takes == [True] * len(shapes)
+    assert [m.tobytes() for m in got] == [m.tobytes() for m in expected]
+    assert stream.counter == reference.counter
+
+
 def test_unscheduled_draws_are_inline_and_keep_their_place(counted_takes):
     stream, reference = Rng(8), Rng(8)
     keys = _keys(stream, 3, 2, 16, 0.25)

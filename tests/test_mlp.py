@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import semireg.mlp as mlp_module
 from semireg.errors import NonFiniteError, ParameterError, ShapeError, StaleTraceError
 from semireg.mlp import (
     ForwardTrace,
@@ -213,6 +214,31 @@ class TestForward:
         grads = backward(model, trace, np.zeros(1), np.ones(1))
         for g in grads.values():
             assert np.all(g == 0.0)
+
+    @pytest.mark.parametrize("bounds", [(-6.0, 6.0), (0.0, 2.0), (-0.0, 3.0), (-2.0, -0.0)])
+    @pytest.mark.parametrize("trace", [True, False])
+    def test_log_var_clamp_has_the_bits_of_np_clip(self, monkeypatch, bounds, trace):
+        # the raw head output is set by hand: NaN, infinities, signed zeros,
+        # both bounds and their neighbours, whatever the bounds' signs
+        lo, hi = bounds
+        raw = np.array(
+            [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, lo, hi, -lo, -hi, 1.5, -1.5]
+            + [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), 5e-324, -5e-324]
+        )
+        affine = mlp_module._affine
+
+        def head(h, params, layer):
+            out = affine(h, params, layer)
+            return raw[:, None].copy() if layer == "head_logvar" else out
+
+        monkeypatch.setattr(mlp_module, "_affine", head)
+        cfg = MlpConfig(input_dim=2, hidden_dims=(3,), log_var_min=lo, log_var_max=hi)
+        model = init_model(cfg, Rng(0))
+        _, log_var, kept = forward(model, np.ones((raw.size, 2)), trace=trace)
+        assert log_var.tobytes() == np.clip(raw, lo, hi).tobytes()
+        assert not log_var.flags.writeable
+        if trace:
+            assert np.array_equal(kept.clamp_active, (raw < lo) | (raw > hi))
 
 
 # A tanh model with two hidden layers of width 1, and a trace of 2 rows

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import semireg.rng
 from semireg.errors import ParameterError
-from semireg.rng import Rng, _fnv1a64, _mix64, sample_dropout_mask
+from semireg.rng import _TILE_WORDS, Rng, _fnv1a64, _mix64, sample_dropout_mask
 
 
 def test_same_seed_same_stream():
@@ -137,6 +138,75 @@ def test_dropout_mask_streams_must_be_one_distinct_stream_per_row():
     with pytest.raises(ParameterError):
         sample_dropout_mask((stream, stream), 2, 3, 0.1)
     assert stream.counter == 0
+
+
+# (rows, cols) blocks of three column tiles, each _TILE_WORDS // rows columns
+# wide (at least one); but for one-column tiles the last tile is narrower
+ACROSS_TILE_EDGES = [
+    (1, 2 * _TILE_WORDS + 5),
+    (3, 2 * (_TILE_WORDS // 3) + 1),
+    (7, 2 * (_TILE_WORDS // 7) + 3),
+    (_TILE_WORDS + 1, 3),
+]
+# blocks of exactly _TILE_WORDS words, drawn in one tile
+ONE_TILE = [(1, _TILE_WORDS), (4, _TILE_WORDS // 4)]
+
+
+@pytest.mark.parametrize("rows, cols", ACROSS_TILE_EDGES + ONE_TILE)
+def test_a_tiled_block_has_the_bits_of_its_uniform_definition(rows, cols):
+    for p in (0.05, 0.5):
+        rng, ref = Rng(13), Rng(13)
+        rng.raw(5)
+        ref.raw(5)
+        mask = sample_dropout_mask(rng, rows, cols, p)
+        expected = ref.uniforms(rows * cols).reshape(rows, cols) >= p
+        assert mask.tobytes() == expected.tobytes()
+        assert rng.counter == ref.counter
+        assert mask.flags.c_contiguous and not mask.flags.writeable
+
+
+@pytest.mark.parametrize("rows, cols", ACROSS_TILE_EDGES + ONE_TILE)
+def test_a_tiled_block_of_several_streams_has_each_streams_bits(rows, cols):
+    streams = [Rng(i).split("tile") for i in range(rows)]
+    refs = [Rng(i).split("tile") for i in range(rows)]
+    for i, (stream, ref) in enumerate(zip(streams, refs)):
+        stream.raw(i % 3)  # the streams at different counters
+        ref.raw(i % 3)
+    mask = sample_dropout_mask(streams, rows, cols, 0.3)
+    expected = np.stack([ref.uniforms(cols) >= 0.3 for ref in refs])
+    assert mask.tobytes() == expected.tobytes()
+    assert [s.counter for s in streams] == [r.counter for r in refs]
+
+
+@pytest.mark.parametrize(
+    "rows, cols, tiles",
+    [(1, _TILE_WORDS, 1), (4, _TILE_WORDS // 4, 1), (1, _TILE_WORDS + 1, 2)]
+    + [(rows, cols, 3) for rows, cols in ACROSS_TILE_EDGES],
+)
+def test_a_block_is_drawn_in_tiles_of_at_most_tile_words(monkeypatch, rows, cols, tiles):
+    words, tile_words = semireg.rng._words, []
+
+    def counted(seeds, starts, width):
+        tile_words.append(len(seeds) * width)
+        return words(seeds, starts, width)
+
+    monkeypatch.setattr(semireg.rng, "_words", counted)
+    sample_dropout_mask(Rng(2), rows, cols, 0.1)
+    sample_dropout_mask([Rng(i) for i in range(rows)], rows, cols, 0.1)
+    assert len(tile_words) == 2 * tiles and sum(tile_words) == 2 * rows * cols
+    # a tile is one column when a column alone exceeds _TILE_WORDS
+    assert max(tile_words) <= max(_TILE_WORDS, rows)
+
+
+def test_a_large_draw_traces_its_result_and_one_tile():
+    tracemalloc.start()
+    try:
+        mask = sample_dropout_mask(Rng(3), 1, 2**20, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.nbytes == 2**20
+    assert peak <= mask.nbytes + 500_000
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])

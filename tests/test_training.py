@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -185,6 +186,23 @@ class TestOptimizer:
         config = ExperimentConfig(optimizer=optimizer)
         with pytest.raises(ParameterError, match=optimizer):
             optimizer_update(params, {"p": np.array([[1.0]])}, state, config)
+
+    def test_an_adam_update_of_the_pair_traces_at_most_seven_parameter_buffers(self):
+        # new m, v and parameters plus two scratch buffers, each one flat
+        # float64 buffer of the benchmark's 64x64 pair
+        config = ExperimentConfig()
+        state = init_train_state(config, input_dim=2)
+        params = state.pair.params
+        grads = {name: np.full(p.shape, 0.01) for name, p in params.items()}
+        buffer = sum(p.nbytes for p in params.values())
+        assert config.optimizer == "adam" and buffer == 71_712
+        tracemalloc.start()
+        try:
+            optimizer_update(params, grads, state.opt, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * buffer
 
 
 class TestTrainStep:
