@@ -141,7 +141,7 @@ def cmd_train(config: ExperimentConfig, out_dir: Path) -> None:
 def cmd_ablate(config: ExperimentConfig, out_dir: Path) -> None:
     cells = []
     for seed in config.seeds:  # a helper per seed: a diverged cell never reaches the next seed
-        seeded = config.with_seed(seed)
+        seeded = replace(config, seed=seed)
         _, split = build_split(seeded)
         runs = [replace(seeded, variant=variant) for variant in VARIANTS]
         with mask_helper([key for run in runs for key in validation_schedule(run, split)]):
@@ -270,7 +270,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             if args.command == "ablate":  # it would only relabel the artifacts
                 raise UsageError("ablate runs every seed in the config's seeds; drop --seed")
-            config = config.with_seed(args.seed)
+            config = replace(config, seed=args.seed)
         out_dir = Path(args.out)
         _clear_artifacts(out_dir, ARTIFACTS[args.command])
         with np.errstate(all="ignore"):

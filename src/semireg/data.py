@@ -150,8 +150,8 @@ class CsvSchema:
 def load_csv(path, schema: CsvSchema) -> RegressionDataset:
     """Parse a comma-separated file of 64-bit reals, preserving row order.
 
-    Column references are names when the file has a header, otherwise 0-based
-    indices given as strings; a leading byte-order mark is skipped. Every
+    A column reference must equal a header name; a file without a header
+    names its columns "0", "1", ... A leading byte-order mark is skipped. Every
     failure raises DataSchemaError naming ``path``: a file that cannot be
     read, a column it does not have or whose name its header repeats, a
     target column that is also a feature column, an unparseable or
@@ -168,30 +168,17 @@ def load_csv(path, schema: CsvSchema) -> RegressionDataset:
     if not rows:
         raise DataSchemaError(f"{path}: file is empty")
 
-    if schema.has_header:
-        header = rows[0]
-        data_rows = rows[1:]
-        col_index = {name: i for i, name in enumerate(header)}
+    first_data_row = 1 if schema.has_header else 0
+    header = rows[0] if schema.has_header else [str(i) for i in range(len(rows[0]))]
+    data_rows = rows[first_data_row:]
+    col_index = {name: i for i, name in enumerate(header)}
 
-        def resolve(name: str) -> int:
-            if name not in col_index:
-                raise DataSchemaError(f"{path}: missing column {name!r}")
-            if header.count(name) > 1:
-                raise DataSchemaError(f"{path}: the header names column {name!r} more than once")
-            return col_index[name]
-
-    else:
-        data_rows = rows
-        width = len(rows[0])
-
-        def resolve(name: str) -> int:
-            try:
-                idx = int(name)
-            except ValueError:
-                raise DataSchemaError(f"{path}: column {name!r} is not an index") from None
-            if not 0 <= idx < width:
-                raise DataSchemaError(f"{path}: column index {idx} out of range")
-            return idx
+    def resolve(name: str) -> int:
+        if name not in col_index:
+            raise DataSchemaError(f"{path}: missing column {name!r}")
+        if header.count(name) > 1:
+            raise DataSchemaError(f"{path}: the header names column {name!r} more than once")
+        return col_index[name]
 
     if not data_rows:
         raise DataSchemaError(f"{path}: no data rows")
@@ -216,7 +203,6 @@ def load_csv(path, schema: CsvSchema) -> RegressionDataset:
 
     features = np.empty((len(data_rows), len(feature_idx)))
     targets = np.empty(len(data_rows))
-    first_data_row = 1 if schema.has_header else 0
     for r, row in enumerate(data_rows):
         row_no = r + first_data_row
         if len(row) <= needed:

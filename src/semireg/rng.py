@@ -27,7 +27,7 @@ so its transients stay ~400 kB for any block. mask_helper uses that: a
 forked helper process computes a known schedule of blocks on a second CPU
 while the caller runs. A CLI command forks one helper per seed's work; a
 mask_helper opened inside an active one does nothing. It stays because
-inline masks cost too much: without it, ensembled inference drew 35-48%
+inline masks cost too much: without it, ensembled inference drew 39-47%
 fewer row-draws a second in the benchmark on a 2-vCPU VM, and a cheaper
 inline mask (two keep decisions per word) re-draws every mask and failed an
 acceptance criterion. A helper thread lost to the fork, since it needs the

@@ -30,7 +30,7 @@ import os
 import sys
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -188,9 +188,6 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         return cls.from_dict(raw)
-
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, seed=seed)
 
     def canonical_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -456,7 +453,8 @@ def train_step(
         grads = backward(pair, trace, d_y, d_lv)
         if has_unlabeled and w > 0:
             grads_ulb = backward(pair, trace_u, w * d_yu, w * d_lvu)
-            grads = {name: g + grads_ulb[name] for name, g in grads.items()}
+            for name, g in grads.items():
+                g += grads_ulb[name]
         new_params, opt = optimizer_update(pair.params, grads, state.opt, config)
     except NonFiniteError as err:
         raise NonFiniteLossError(

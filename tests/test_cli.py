@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -117,7 +118,7 @@ class TestConfigParsing:
         c1 = ExperimentConfig.from_dict({"task": "synthetic"})
         c2 = ExperimentConfig.from_dict({"task": "synthetic", "epochs": 150})
         assert c1.sha256() == c2.sha256()  # 150 is the default
-        assert c1.with_seed(1).sha256() != c1.sha256()
+        assert replace(c1, seed=1).sha256() != c1.sha256()
 
     def test_missing_file_and_bad_json(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

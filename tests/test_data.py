@@ -150,20 +150,30 @@ class TestCsv:
         assert str(err.value) == f"{path}: the header names column 'x' more than once"
 
     @pytest.mark.parametrize(
-        "schema, shown",
+        "schema, refusal",
         [
-            (CsvSchema(feature_columns=("x", "y"), target_column="y"), "'y'"),
-            (CsvSchema(feature_columns=("0", "1"), target_column="1", has_header=False), "'1'"),
-            (CsvSchema(feature_columns=("01",), target_column="1", has_header=False), "'1'"),
+            (
+                CsvSchema(feature_columns=("x", "y"), target_column="y"),
+                "target column 'y' is also a feature",
+            ),
+            (
+                CsvSchema(feature_columns=("0", "1"), target_column="1", has_header=False),
+                "target column '1' is also a feature",
+            ),
+            # "01" names no column of a header-less file: it is not a second spelling of "1"
+            (
+                CsvSchema(feature_columns=("01",), target_column="1", has_header=False),
+                "missing column '01'",
+            ),
         ],
         ids=["name", "index", "index-spelled-twice"],
     )
-    def test_target_as_feature_refused_naming_it(self, tmp_path, schema, shown):
+    def test_target_as_feature_refused_naming_it(self, tmp_path, schema, refusal):
         path = tmp_path / "answer.csv"
         path.write_text(("x,y\n" if schema.has_header else "") + "1,2\n3,4\n")
         with pytest.raises(DataSchemaError) as err:
             load_csv(path, schema)
-        assert str(err.value) == f"{path}: target column {shown} is also a feature"
+        assert str(err.value) == f"{path}: {refusal}"
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -186,6 +196,18 @@ class TestCsv:
         )
         assert data.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert data.targets.tolist() == [10.0, 20.0]
+
+    @pytest.mark.parametrize("ref", ["01", " 1", "+1", "-1", "3", "x"])
+    def test_headerless_reference_must_be_an_exact_index(self, tmp_path, ref):
+        path = tmp_path / "plain.csv"
+        path.write_text("1,2,10\n3,4,20\n")
+        for schema in (
+            CsvSchema(feature_columns=(ref,), target_column="2", has_header=False),
+            CsvSchema(feature_columns=("0",), target_column=ref, has_header=False),
+        ):
+            with pytest.raises(DataSchemaError) as err:
+                load_csv(path, schema)
+            assert str(err.value) == f"{path}: missing column {ref!r}"
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         path = tmp_path / "bom.csv"

@@ -20,6 +20,7 @@ ablate) fail. The benchmark cell's test_mae pin fails under Sandybridge only.
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -83,7 +84,7 @@ def test_quick_ablate_artifacts_sha256(tmp_path):
 
 
 def test_benchmark_cell_seed0_test_mae():
-    config = ExperimentConfig.from_file(CONFIGS / "benchmark.json").with_seed(0)
+    config = replace(ExperimentConfig.from_file(CONFIGS / "benchmark.json"), seed=0)
     _, split = build_split(config)
     result = run_experiment(config, split)
     assert repr(result.test_mae) == BENCHMARK_SEED0_TEST_MAE

@@ -492,6 +492,24 @@ class TestTrainStep:
         train_step(state, labeled, rng.normal(size=(7, 2)), config)
         assert dict(calls) == expected
 
+    def test_unlabeled_gradients_are_added_into_the_labeled_buffer(self, monkeypatch):
+        handed = []
+
+        def capture(params, grads, state, config):
+            handed.append(grads)
+            return optimizer_update(params, grads, state, config)
+
+        monkeypatch.setattr(training, "optimizer_update", capture)
+        config = ExperimentConfig(hidden_dims=(6, 5), seed=5)
+        assert config.unlabeled_weight > 0
+        state = init_train_state(config, 2)
+        rng = np.random.default_rng(2)
+        labeled = (rng.normal(size=(5, 2)), rng.normal(size=5))
+        train_step(state, labeled, rng.normal(size=(7, 2)), config)
+        (grads,) = handed
+        assert all(g.base is not None for g in grads.values())
+        assert len({id(g.base) for g in grads.values()}) == 1
+
     def test_history_records_every_step(self):
         config = ExperimentConfig(unlabeled_weight=0.0, hidden_dims=(4,), seed=9)
         state = init_train_state(config, 2)
